@@ -16,16 +16,29 @@ Scores are folded through an exponential-memory recurrence
 so the final value equals sum_t delta^(T-t) * rho[t] * mi[t] exactly.
 Measurement starts after a warm-up buffer of `n_window` frames so every
 evaluation has a full kinematics window behind it.
+
+Measurement is one array pass per unordered pair. `InteractionPair.kinematics`
+gives V, D and the speed change A at every measured frame from
+sliding-window sums, once per pair object; they are symmetric in the two
+agents, and so is the dependence estimate, so `sweep(..., both_directions=True)`
+computes each once for both directions and only H, rho and the recurrence
+per direction. The v0/a0 fit reads the same cached arrays; sigma_d is a
+per-video scale, fitted by the caller. V, D and A equal the one-frame
+`compute_kinematics` bit for bit; H and rho agree with
+`compute_kinematics`/`compute_rho` to rounding (their window means and
+transcendental functions are evaluated by numpy).
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, mi_prefix_series
 from .types import (
@@ -34,7 +47,6 @@ from .types import (
     InsufficientDataError,
     StructuralError,
     Trajectory,
-    scene_diagonal,
 )
 
 DEFAULT_DELTA = 0.98
@@ -121,6 +133,41 @@ class InteractionPair:
     def key(self) -> tuple[str, str]:
         return (self.agent_i.uid, self.agent_j.uid)
 
+    @cached_property
+    def kinematics(self) -> PairKinematics:
+        """v, d and a at every measured frame, frames[n_window:], in one array pass.
+
+        They are the same in both directions. Computed on first use and kept
+        for the life of this pair object.
+        """
+        n = self.n_window
+        if n < 1:
+            raise ConfigError(f"n_window must be >= 1, got {n}")
+        if len(self.frames) < n + 1:
+            raise InsufficientDataError(
+                f"pair {self.key} has {len(self.frames)} common frames; "
+                f"need at least {n + 1} for an n_window of {n}"
+            )
+        speed_i = _speeds(self.xi)
+        speed_j = _speeds(self.xj)
+        v = (_window_sums(speed_i, n) + _window_sums(speed_j, n)) / n
+        gaps = self.xi[1:] - self.xj[1:]
+        d = _window_sums(np.hypot(gaps[:, 0], gaps[:, 1]), n) / n
+        if n >= 2:
+            a = (
+                _window_sums(np.abs(np.diff(speed_i)), n - 1)
+                + _window_sums(np.abs(np.diff(speed_j)), n - 1)
+            ) / (n - 1)
+        else:
+            a = np.zeros_like(v)
+        return PairKinematics(v=v, d=d, a=a)
+
+    def reversed(self) -> "InteractionPair":
+        """The same pair observed from agent_j."""
+        return InteractionPair(
+            self.agent_j, self.agent_i, self.frames, self.xj, self.xi, self.n_window
+        )
+
     def index_of(self, frame: int) -> int:
         idx = int(np.searchsorted(self.frames, frame))
         if idx >= len(self.frames) or self.frames[idx] != frame:
@@ -171,8 +218,9 @@ def extract_interactions(
     Two trajectories qualify when their longest constant-spacing run of
     common frames still has at least one frame left after the warm-up
     buffer (`t_prime_offset` frames, default `n_window`). Each qualifying
-    unordered pair yields both directions, ordered deterministically by
-    (source, track id, segment).
+    unordered pair yields both directions, next to each other and in
+    deterministic order by (source, track id, segment); the first of the two
+    has the lower key as agent_i.
     """
     if n_window < 1:
         raise ConfigError(f"n_window must be >= 1, got {n_window}")
@@ -193,8 +241,8 @@ def extract_interactions(
             continue
         pa = xa[np.searchsorted(fa, run)]
         pb = xb[np.searchsorted(fb, run)]
-        pairs.append(InteractionPair(ta, tb, run, pa, pb, n_window))
-        pairs.append(InteractionPair(tb, ta, run, pb, pa, n_window))
+        forward = InteractionPair(ta, tb, run, pa, pb, n_window)
+        pairs += (forward, forward.reversed())
     return pairs
 
 
@@ -270,6 +318,79 @@ def compute_rho(kin: Kinematics, config: RhoConfig | None = None) -> float:
     return v_term * d_term * h_term
 
 
+# --- whole-series measurement ---------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class PairKinematics:
+    """Direction-free windowed kinematics of a pair at every measured frame.
+
+    Entry k belongs to frame frames[n_window + k] and equals the v, d and a
+    of compute_kinematics at that frame, in either direction. Built by
+    `InteractionPair.kinematics`.
+    """
+
+    v: np.ndarray
+    d: np.ndarray
+    a: np.ndarray
+
+
+def _window_sums(values: np.ndarray, n: int) -> np.ndarray:
+    """Sums of every n consecutive values, each added as values[k:k+n].sum() adds."""
+    return sliding_window_view(values, n).sum(axis=-1)
+
+
+def _speeds(x: np.ndarray) -> np.ndarray:
+    steps = np.diff(x, axis=0)
+    return np.hypot(steps[:, 0], steps[:, 1])
+
+
+def _headings(pair: InteractionPair) -> np.ndarray:
+    """compute_kinematics' h at every measured frame, for the pair's direction."""
+    n = pair.n_window
+    steps = np.diff(pair.xi, axis=0)
+    bearings = pair.xj[:-1] - pair.xi[:-1]
+    cross = steps[:, 0] * bearings[:, 1] - steps[:, 1] * bearings[:, 0]
+    dot = steps[:, 0] * bearings[:, 0] + steps[:, 1] * bearings[:, 1]
+    # a zero step or bearing has no direction; such steps leave the mean
+    counted = (steps != 0.0).any(axis=1) & (bearings != 0.0).any(axis=1)
+    angles = np.where(counted, np.arctan2(np.abs(cross), dot), 0.0)
+    totals = _window_sums(angles, n)
+    counts = _window_sums(counted.astype(np.int64), n)
+    return np.divide(totals, counts, out=np.zeros_like(totals), where=counts > 0)
+
+
+def _rho_series(kin: PairKinematics, h: np.ndarray, cfg: RhoConfig) -> np.ndarray:
+    """compute_rho at every measured frame; cfg must already be validated."""
+    v_term = d_term = h_term = np.ones_like(h)
+    if cfg.use_v:
+        v_star = kin.v / (kin.v + cfg.v0)
+        if cfg.use_a:
+            v_star = v_star + kin.a / (kin.a + cfg.a0)
+        v_term = cfg.alpha + v_star
+    if cfg.use_d:
+        d_term = np.exp(-kin.d / cfg.sigma_d)
+    if cfg.use_h:
+        h_term = 1.0 + (1.0 - 2.0 * np.clip(h, 0.0, math.pi) / math.pi)
+    return v_term * d_term * h_term
+
+
+def _checked_delta(delta: float) -> float:
+    delta = float(delta)
+    if not 0.0 < delta <= 1.0:
+        raise ConfigError(f"delta must be in (0, 1], got {delta!r}")
+    return delta
+
+
+def _recurrence(terms: np.ndarray, delta: float) -> np.ndarray:
+    running = 0.0
+    aim = []
+    for term in terms.tolist():
+        running = delta * running + term
+        aim.append(running)
+    return np.array(aim, dtype=np.float64)
+
+
 def _series_arrays(
     name: str, series: Sequence[tuple[int, float]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -295,91 +416,64 @@ def accumulate_aim(
     Both series must cover exactly the same frames, in order. delta must
     satisfy 0 < delta <= 1; delta = 1 accumulates without forgetting.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError(f"delta must be in (0, 1], got {delta!r}")
+    delta = _checked_delta(delta)
     mi_frames, mi_values = _series_arrays("mi", mi_series)
     rho_frames, rho_values = _series_arrays("rho", rho_series)
     if len(mi_frames) != len(rho_frames) or (mi_frames != rho_frames).any():
         raise StructuralError("mi and rho series must cover the same frames")
     if mi_frames[0] < pair.first_frame or mi_frames[-1] > pair.last_frame:
         raise StructuralError("series frames fall outside the pair's common run")
-
-    aim = np.empty(len(mi_frames), dtype=np.float64)
-    running = 0.0
-    for k in range(len(mi_frames)):
-        running = delta * running + rho_values[k] * mi_values[k]
-        aim[k] = running
     return MeasureSeries(
         pair=pair,
-        delta=float(delta),
+        delta=delta,
         n_window=pair.n_window,
         frames=mi_frames,
         mi=mi_values,
         rho=rho_values,
-        aim=aim,
+        aim=_recurrence(rho_values * mi_values, delta),
     )
 
 
-def _mi_and_rho(
+def _prefix_mi(
     pair: InteractionPair,
-    n: int,
-    rho_config: RhoConfig,
     bandwidths: Sequence[float],
     weights: Sequence[float] | None,
     n_min: int,
-) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
-    length = len(pair.frames)
-    if length < n + 1:
-        raise InsufficientDataError(
-            f"pair {pair.key} has {length} common frames; "
-            f"need at least {n + 1} for an n_window of {n}"
-        )
-    eval_points = list(range(n + 1, length + 1))
+) -> np.ndarray:
+    """Dependence estimate at every measured frame, over all samples up to it."""
     prefix = mi_prefix_series(
-        zip(pair.xi, pair.xj),
-        eval_points,
+        np.stack([pair.xi, pair.xj], axis=1),
+        range(pair.n_window + 1, len(pair.frames) + 1),
         bandwidths=bandwidths,
         weights=weights,
         n_min=n_min,
     )
-    mi_series = [
-        (int(pair.frames[count - 1]), value) for count, value in prefix
-    ]
-    rho_series = [
-        (
-            int(pair.frames[i]),
-            compute_rho(compute_kinematics(pair, int(pair.frames[i]), n), rho_config),
-        )
-        for i in range(n, length)
-    ]
-    return mi_series, rho_series
+    return np.array([value for _, value in prefix], dtype=np.float64)
 
 
-def measure_interaction(
+def _directed_series(
     pair: InteractionPair,
-    *,
-    delta: float = DEFAULT_DELTA,
-    rho_config: RhoConfig | None = None,
-    n_window: int | None = None,
-    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
-    weights: Sequence[float] | None = None,
-    n_min: int = DEFAULT_N_MIN,
-) -> MeasureSeries:
-    """Full measurement for one directed pair.
-
-    The dependence stream is fed every co-present sample from the first
-    common frame; evaluation starts once the warm-up buffer has passed, so
-    the output covers frames t_prime .. last_frame.
-    """
-    cfg = rho_config if rho_config is not None else RhoConfig()
-    cfg.validate()
-    n = pair.n_window if n_window is None else int(n_window)
-    if n != pair.n_window:
-        pair = dataclasses.replace(pair, n_window=n)
-    mi_series, rho_series = _mi_and_rho(pair, n, cfg, bandwidths, weights, n_min)
-    out = accumulate_aim(pair, mi_series, rho_series, delta)
-    out.rho_config = cfg
-    return out
+    kin: PairKinematics,
+    mi: np.ndarray,
+    cfg: RhoConfig,
+    deltas: Sequence[float],
+) -> list[MeasureSeries]:
+    rho = _rho_series(kin, _headings(pair), cfg)
+    terms = rho * mi
+    frames = pair.frames[pair.n_window :]
+    return [
+        MeasureSeries(
+            pair=pair,
+            delta=delta,
+            n_window=pair.n_window,
+            frames=frames,
+            mi=mi,
+            rho=rho,
+            aim=_recurrence(terms, delta),
+            rho_config=cfg,
+        )
+        for delta in deltas
+    ]
 
 
 def sweep(
@@ -391,24 +485,52 @@ def sweep(
     bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
     weights: Sequence[float] | None = None,
     n_min: int = DEFAULT_N_MIN,
+    both_directions: bool = False,
 ) -> list[MeasureSeries]:
     """One MeasureSeries per (n_window, delta) combination.
 
-    The dependence/physics series are computed once per n_window and reused
-    across deltas; results are ordered by n_values outer, delta_values inner.
+    The dependence stream is fed every co-present sample from the first
+    common frame; evaluation starts once the n_window warm-up buffer has
+    passed, so each series covers frames[n_window:]. Kinematics and the
+    dependence series are computed once per n_window and reused across
+    deltas. With both_directions, each n_window also yields the series of
+    `pair.reversed()`, sharing both (only the heading differs). Results are
+    ordered by n_values outer, then direction, then delta_values.
     """
     cfg = rho_config if rho_config is not None else RhoConfig()
     cfg.validate()
+    deltas = [_checked_delta(delta) for delta in delta_values]
     out: list[MeasureSeries] = []
     for n in n_values:
         n = int(n)
         variant = pair if n == pair.n_window else dataclasses.replace(pair, n_window=n)
-        mi_series, rho_series = _mi_and_rho(variant, n, cfg, bandwidths, weights, n_min)
-        for delta in delta_values:
-            series = accumulate_aim(variant, mi_series, rho_series, float(delta))
-            series.rho_config = cfg
-            out.append(series)
+        kin = variant.kinematics
+        mi = _prefix_mi(variant, bandwidths, weights, n_min)
+        for direction in (variant, variant.reversed()) if both_directions else (variant,):
+            out += _directed_series(direction, kin, mi, cfg, deltas)
     return out
+
+
+def measure_interaction(
+    pair: InteractionPair,
+    *,
+    delta: float = DEFAULT_DELTA,
+    rho_config: RhoConfig | None = None,
+    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
+    weights: Sequence[float] | None = None,
+    n_min: int = DEFAULT_N_MIN,
+) -> MeasureSeries:
+    """Full measurement for one directed pair: `sweep` at (pair.n_window, delta)."""
+    (series,) = sweep(
+        pair,
+        [delta],
+        [pair.n_window],
+        rho_config=rho_config,
+        bandwidths=bandwidths,
+        weights=weights,
+        n_min=n_min,
+    )
+    return series
 
 
 def fit_normalizers(
@@ -416,35 +538,33 @@ def fit_normalizers(
     n_window: int | None = None,
     base: RhoConfig | None = None,
 ) -> RhoConfig:
-    """Fit v0/a0/sigma_d from data, keeping the base values where data is flat.
+    """Fit v0/a0 from data, keeping the base values where data is flat.
 
     v0 and a0 become the median windowed speed / speed change across every
-    measurable frame of every pair (direction duplicates leave medians
-    unchanged); sigma_d becomes one eighth of the diagonal spanned by the
-    paired agents. Base defaults are kept when a fitted value would not be
-    a positive number.
+    measurable frame of every pair (windows of n_window steps, default each
+    pair's own). Both directions of a pair give the same values, so one
+    direction per pair is enough. The values are read from
+    `InteractionPair.kinematics`, the arrays `sweep` measures with, so a
+    fit followed by a measurement computes them once. Base values are kept
+    when a fitted value would not be a positive number. sigma_d is left as
+    it is: it is a per-video scale, fitted from that video's scene diagonal
+    by the caller.
     """
     cfg = base if base is not None else RhoConfig()
     cfg.validate()
-    speeds: list[float] = []
-    accels: list[float] = []
-    agents: dict[tuple, Trajectory] = {}
+    kinematics: list[PairKinematics] = []
     for pair in pairs:
         n = pair.n_window if n_window is None else int(n_window)
         if len(pair.frames) < n + 1:
             continue
-        for traj in (pair.agent_i, pair.agent_j):
-            agents[(traj.source.key(), traj.uid)] = traj
-        for i in range(n, len(pair.frames)):
-            kin = compute_kinematics(pair, int(pair.frames[i]), n)
-            speeds.append(kin.v)
-            accels.append(kin.a)
-    v0 = float(np.median(speeds)) if speeds else 0.0
-    a0 = float(np.median(accels)) if accels else 0.0
-    diagonal = scene_diagonal(list(agents.values()))
+        variant = pair if n == pair.n_window else dataclasses.replace(pair, n_window=n)
+        kinematics.append(variant.kinematics)
+    if not kinematics:
+        return cfg
+    v0 = float(np.median(np.concatenate([k.v for k in kinematics])))
+    a0 = float(np.median(np.concatenate([k.a for k in kinematics])))
     return dataclasses.replace(
         cfg,
         v0=v0 if v0 > 0 else cfg.v0,
         a0=a0 if a0 > 0 else cfg.a0,
-        sigma_d=diagonal / 8.0 if diagonal > 0 else cfg.sigma_d,
     )

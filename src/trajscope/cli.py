@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import heapq
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import yaml
 
@@ -31,7 +33,6 @@ from .aim import (
     RhoConfig,
     extract_interactions,
     fit_normalizers,
-    measure_interaction,
     sweep,
 )
 from .analytics import (
@@ -510,32 +511,7 @@ def cmd_aim(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.out)
     trajectories = load_store(cfg.store_dir)
     n_window = cfg.n_window or DEFAULT_N_WINDOW[cfg.dataset]
-
-    by_video: dict[tuple[str, str, str], list[Trajectory]] = {}
-    for traj in trajectories:
-        by_video.setdefault(traj.source.key(), []).append(traj)
-
-    pairs_by_video = {
-        key: extract_interactions(by_video[key], n_window) for key in sorted(by_video)
-    }
-    all_pairs = [p for key in sorted(pairs_by_video) for p in pairs_by_video[key]]
-
-    base_rho = cfg.rho
-    if (cfg.fit_v0 or cfg.fit_a0) and all_pairs:
-        fitted = fit_normalizers(all_pairs, n_window, base=base_rho)
-        base_rho = dataclasses.replace(
-            base_rho,
-            v0=fitted.v0 if cfg.fit_v0 else base_rho.v0,
-            a0=fitted.a0 if cfg.fit_a0 else base_rho.a0,
-        )
-
-    def rho_for(key: tuple[str, str, str]) -> RhoConfig:
-        if not cfg.fit_sigma_d:
-            return base_rho
-        diagonal = scene_diagonal(by_video[key])
-        if diagonal <= 0:
-            return base_rho
-        return dataclasses.replace(base_rho, sigma_d=diagonal / 8.0)
+    measure_options = dict(bandwidths=cfg.bandwidths, weights=cfg.weights, n_min=cfg.n_min)
 
     deltas = [cfg.delta]
     n_values = [n_window]
@@ -545,79 +521,118 @@ def cmd_aim(args: argparse.Namespace) -> int:
     if args.sweep_n is not None:
         n_values = [int(n) for n in _parse_float_list(args.sweep_n, "--sweep-n")]
 
-    selected: list[tuple[tuple[str, str, str], InteractionPair]] = []
+    named: tuple[str, str] | None = None
     if args.pair:
         parts = [part.strip() for part in args.pair.split(",")]
         if len(parts) != 2 or not all(parts):
             raise ConfigError(f"--pair expects 'TRACK_I,TRACK_J', got {args.pair!r}")
-        uid_i, uid_j = parts
+        named = (parts[0], parts[1])
         known = {t.uid for t in trajectories}
-        for uid in (uid_i, uid_j):
+        for uid in named:
             if uid not in known:
                 raise ConfigError(f"unknown track id {uid!r} (not in the ingested store)")
-        for key in sorted(pairs_by_video):
-            for pair in pairs_by_video[key]:
-                if pair.key == (uid_i, uid_j):
-                    selected.append((key, pair))
-        if not selected:
-            raise InsufficientDataError(
-                f"tracks {uid_i} and {uid_j} share too few co-present frames "
-                f"(need {n_window + 1} at constant spacing in one video)"
-            )
     else:
         top_k = args.top_k if args.top_k is not None else 5
         if top_k < 1:
             raise ConfigError(f"--top-k must be >= 1, got {top_k}")
-        ranked: list[tuple[float, tuple, tuple, InteractionPair]] = []
-        for key in sorted(pairs_by_video):
-            rho_cfg = rho_for(key)
-            for pair in pairs_by_video[key]:
-                series = measure_interaction(
+
+    by_video: dict[tuple[str, str, str], list[Trajectory]] = {}
+    for traj in trajectories:
+        by_video.setdefault(traj.source.key(), []).append(traj)
+    fit = cfg.fit_v0 or cfg.fit_a0
+    fit_pairs = (
+        {key: extract_interactions(by_video[key], n_window) for key in sorted(by_video)}
+        if fit
+        else {}
+    )
+
+    def forward_pairs() -> Iterator[tuple[tuple[str, str, str], InteractionPair]]:
+        """One direction of every measurable pair, video by video.
+
+        Without a fit, only one video's pairs are in memory at a time: the
+        loop below holds the only reference to them.
+        """
+        for key in sorted(by_video):
+            # extract_interactions puts both directions of a pair next to each other
+            for pair in video_pairs(key)[::2]:
+                yield key, pair
+
+    def video_pairs(key: tuple[str, str, str]) -> list[InteractionPair]:
+        return fit_pairs.pop(key) if fit else extract_interactions(by_video[key], n_window)
+
+    base_rho = cfg.rho
+    if fit:
+        fitted = fit_normalizers(
+            [pair for key in fit_pairs for pair in fit_pairs[key][::2]], base=base_rho
+        )
+        base_rho = dataclasses.replace(
+            base_rho,
+            v0=fitted.v0 if cfg.fit_v0 else base_rho.v0,
+            a0=fitted.a0 if cfg.fit_a0 else base_rho.a0,
+        )
+
+    @functools.cache
+    def rho_for(key: tuple[str, str, str]) -> RhoConfig:
+        if not cfg.fit_sigma_d:
+            return base_rho
+        diagonal = scene_diagonal(by_video[key])
+        if diagonal <= 0:
+            return base_rho
+        return dataclasses.replace(base_rho, sigma_d=diagonal / 8.0)
+
+    exports: list[tuple[tuple[str, str, str], MeasureSeries]] = []
+    if named is not None:
+        selected = [
+            (key, direction)
+            for key, pair in forward_pairs()
+            for direction in (pair, pair.reversed())
+            if direction.key == named
+        ]
+        if not selected:
+            raise InsufficientDataError(
+                f"tracks {named[0]} and {named[1]} share too few co-present frames "
+                f"(need {n_window + 1} at constant spacing in one video)"
+            )
+        for key, pair in selected:
+            for series in sweep(pair, deltas, n_values, rho_config=rho_for(key), **measure_options):
+                exports.append((key, series))
+    else:
+
+        def measured() -> Iterator[tuple[tuple[str, str, str], MeasureSeries]]:
+            for key, pair in forward_pairs():
+                for series in sweep(
                     pair,
-                    delta=cfg.delta,
-                    rho_config=rho_cfg,
-                    bandwidths=cfg.bandwidths,
-                    weights=cfg.weights,
-                    n_min=cfg.n_min,
-                )
-                ranked.append((-series.final, key, pair.key, pair))
-        if not ranked:
+                    [cfg.delta],
+                    [n_window],
+                    rho_config=rho_for(key),
+                    both_directions=True,
+                    **measure_options,
+                ):
+                    yield key, series
+
+        # keeps only the best top_k series while measuring; ties go to the
+        # lower video key, then the lower pair key
+        selected = heapq.nsmallest(
+            top_k, measured(), key=lambda item: (-item[1].final, item[0], item[1].pair.key)
+        )
+        if not selected:
             raise InsufficientDataError(
                 "no measurable pairs in the store "
                 f"(need {n_window + 1} co-present frames at constant spacing)"
             )
-        ranked.sort(key=lambda item: item[:3])
-        selected = [(key, pair) for _, key, _, pair in ranked[:top_k]]
+        for key, best in selected:
+            if swept:
+                for series in sweep(
+                    best.pair, deltas, n_values, rho_config=best.rho_config, **measure_options
+                ):
+                    exports.append((key, series))
+            else:
+                exports.append((key, best))
 
-    n_series = 0
-    for key, pair in selected:
-        rho_cfg = rho_for(key)
-        if swept:
-            series_list = sweep(
-                pair,
-                deltas,
-                n_values,
-                rho_config=rho_cfg,
-                bandwidths=cfg.bandwidths,
-                weights=cfg.weights,
-                n_min=cfg.n_min,
-            )
-        else:
-            series_list = [
-                measure_interaction(
-                    pair,
-                    delta=cfg.delta,
-                    rho_config=rho_cfg,
-                    bandwidths=cfg.bandwidths,
-                    weights=cfg.weights,
-                    n_min=cfg.n_min,
-                )
-            ]
-        for series in series_list:
-            _export_series(cfg, key, series, swept)
-            n_series += 1
+    for key, series in exports:
+        _export_series(cfg, key, series, swept)
     _status(
-        f"exported {n_series} measure series for {len(selected)} pairs to {cfg.aim_dir}"
+        f"exported {len(exports)} measure series for {len(selected)} pairs to {cfg.aim_dir}"
     )
     return 0
 

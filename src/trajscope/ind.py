@@ -9,11 +9,13 @@ downstream code sees one coordinate convention:
 
 The y negation maps the dataset's upward-positive meter axis onto the
 downward-positive pixel axis. inD has no lost/occluded/generated flags, so
-all points carry false flags.
+all points carry false flags. Non-finite numbers and non-integral ids or
+frames are parse errors naming the file and line.
 """
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -56,16 +58,28 @@ def _reader(source: str | Path | IO[str], required: Iterable[str]):
 
 def _float(row: dict, col: str, path: str, line_no: int) -> float:
     try:
-        return float(row[col])
+        value = float(row[col])
     except (TypeError, ValueError):
         raise ParseError(f"column {col!r} is not numeric: {row.get(col)!r}", path, line_no) from None
+    if not math.isfinite(value):
+        raise ParseError(f"column {col!r} is not finite: {row[col]!r}", path, line_no)
+    return value
 
 
 def _int(row: dict, col: str, path: str, line_no: int) -> int:
+    """An integer column; integral decimals such as "3.0" are accepted."""
+    raw = row.get(col)
     try:
-        return int(float(row[col]))
+        return int(raw)
     except (TypeError, ValueError):
-        raise ParseError(f"column {col!r} is not an integer: {row.get(col)!r}", path, line_no) from None
+        pass
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not value.is_integer():
+        raise ParseError(f"column {col!r} is not an integer: {raw!r}", path, line_no)
+    return int(value)
 
 
 def parse_ind_tracks(

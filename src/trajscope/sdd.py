@@ -10,6 +10,7 @@ millions of rows, so parsing streams line by line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -62,9 +63,12 @@ def _parse_int(token: str, what: str, path: str, line_no: int) -> int:
 
 def _parse_float(token: str, what: str, path: str, line_no: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"field {what!r} is not numeric: {token!r}", path, line_no) from None
+    if not isfinite(value):
+        raise ParseError(f"field {what!r} is not finite: {token!r}", path, line_no)
+    return value
 
 
 def _parse_flag(token: str, what: str, path: str, line_no: int) -> bool:
@@ -81,7 +85,8 @@ def parse_sdd_annotations(
     """Parse an annotation stream into records, preserving row order.
 
     `source` may be a filesystem path, an open text stream, or any iterable
-    of lines. Malformed rows raise ParseError naming the 1-based line number.
+    of lines. Malformed rows, including non-finite coordinates, raise
+    ParseError naming the 1-based line number.
     """
     lines, inferred = _iter_lines(source)
     path = path or inferred

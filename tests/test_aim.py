@@ -366,4 +366,7 @@ def test_fit_normalizers() -> None:
     fitted = fit_normalizers([pair], n_window=20)
     assert fitted.v0 > 0
     assert fitted.a0 > 0
-    assert fitted.sigma_d > 0
+    assert fitted.sigma_d == RhoConfig().sigma_d  # fitted per video by the caller
+    kins = [compute_kinematics(pair, int(t), 20) for t in pair.frames[20:]]
+    assert fitted.v0 == float(np.median([k.v for k in kins]))
+    assert fitted.a0 == float(np.median([k.a for k in kins]))

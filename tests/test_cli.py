@@ -5,9 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from trajscope.cli import main
+from trajscope import aim, cli
+from trajscope.aim import (
+    RhoConfig,
+    extract_interactions,
+    fit_normalizers,
+    measure_interaction,
+)
+from trajscope.cli import load_run_config, main
 from trajscope.preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from trajscope.store import load_store
+from trajscope.types import scene_diagonal
 
 
 def sdd_row(tid: int, x: int, y: int, frame: int, lost: int = 0, label: str = "Pedestrian") -> str:
@@ -230,6 +238,79 @@ def test_aim_top_k(workspace) -> None:
     assert run(["aim", "--config", config, "--top-k", "3"]) == 0
     series = sorted(p.name for p in (out / "aim").glob("*.csv"))
     assert len(series) == 3
+
+
+def fitted_config(path: Path, annotations: Path, out: Path) -> Path:
+    """The workspace config with v0, a0 and sigma_d fitted from the data."""
+    text = write_config(path, annotations, out).read_text()
+    path.write_text(text.replace("  v0: 1.0\n  sigma_d: 125.0\n  a0: 0.25\n", "  alpha: 0.3\n"))
+    return path
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    calls: list = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_aim_top_k_exports_the_ranked_series(tmp_path, monkeypatch) -> None:
+    annotations = write_sdd_tree(tmp_path)
+    out = tmp_path / "out"
+    config = fitted_config(tmp_path / "config.yaml", annotations, out)
+    run(["ingest", "--config", config])
+    mi_calls = counting(monkeypatch, aim, "mi_prefix_series")
+    kinematics_calls = counting(monkeypatch, aim, "PairKinematics")
+    assert run(["aim", "--config", config, "--top-k", "4"]) == 0
+
+    by_video: dict = {}
+    for traj in load_store(out / "store"):
+        by_video.setdefault(traj.source.key(), []).append(traj)
+    pairs = {key: extract_interactions(trajs, 5) for key, trajs in by_video.items()}
+    n_unordered = sum(len(p) // 2 for p in pairs.values())
+    assert n_unordered == 3
+    assert len(mi_calls) == n_unordered  # one MI series serves both directions
+    # one kinematics pass per pair serves the fit and both directions
+    assert len(kinematics_calls) == n_unordered
+
+    fitted = fit_normalizers([p for ps in pairs.values() for p in ps[::2]])
+    cfg = load_run_config(config, str(tmp_path / "expected"))
+    metas = sorted((out / "aim").glob("*.meta.json"))
+    assert len(metas) == 4
+    for meta_path in metas:
+        meta = json.loads(meta_path.read_text())
+        assert (meta["v0"], meta["a0"]) == (fitted.v0, fitted.a0)
+        key = (meta["dataset"], meta["scene"], meta["video"])
+        (pair,) = [p for p in pairs[key] if p.key == (meta["agent_i"], meta["agent_j"])]
+        rho = RhoConfig(**{f: meta[f] for f in ("alpha", "v0", "sigma_d", "a0", "use_v", "use_d", "use_h", "use_a")})
+        alone = measure_interaction(pair, delta=meta["delta"], rho_config=rho, n_min=meta["n_min"])
+        cli._export_series(cfg, key, alone, swept=False)
+        stem = meta_path.name[: -len(".meta.json")]
+        for suffix in (".csv", ".jsonl", ".meta.json"):
+            exported = (out / "aim" / f"{stem}{suffix}").read_bytes()
+            assert exported == (cfg.aim_dir / f"{stem}{suffix}").read_bytes(), stem + suffix
+
+
+def test_aim_pair_fits_sigma_d_from_the_whole_video(tmp_path) -> None:
+    annotations = write_sdd_tree(tmp_path)
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "config.yaml", annotations, out)
+    config.write_text(config.read_text().replace("sigma_d: 125.0", "sigma_d: null"))
+    run(["ingest", "--config", config])
+    assert run(["aim", "--config", config, "--pair", "0,1"]) == 0
+    (meta_path,) = (out / "aim").glob("*.meta.json")
+    meta = json.loads(meta_path.read_text())
+    video = [t for t in load_store(out / "store") if t.source.video == "video0"]
+    assert len(video) == 4
+    named = [t for t in video if t.uid in ("0", "1")]
+    assert scene_diagonal(named) != scene_diagonal(video)
+    assert meta["sigma_d"] == scene_diagonal(video) / 8.0
+    assert (meta["v0"], meta["a0"]) == (1.0, 0.25)
 
 
 def test_aim_sweep(workspace) -> None:

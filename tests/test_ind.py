@@ -58,6 +58,47 @@ def test_class_mapping() -> None:
     assert [t.class_label for t in trajs] == ["Pedestrian", "Biker", "Car", "TruckBus"]
 
 
+def write_recording(root, tracks_rows, meta_rows, recording_id="7"):
+    paths = [root / f"07_{kind}.csv" for kind in ("tracks", "tracksMeta", "recordingMeta")]
+    paths[0].write_text(TRACKS_HEADER + "".join(tracks_rows))
+    paths[1].write_text(META_HEADER + "".join(meta_rows))
+    paths[2].write_text(REC_HEADER + f"{recording_id},1,25.0,0.01\n")
+    return paths
+
+
+@pytest.mark.parametrize(
+    "row, column, reason",
+    [
+        ("7,0,1,0,nan,1,0\n", "xCenter", "finite"),
+        ("7,0,1,0,1,-inf,0\n", "yCenter", "finite"),
+        ("7,0,3.7,0,1,1,0\n", "frame", "integer"),
+        ("7,0,inf,0,1,1,0\n", "frame", "integer"),
+        ("7,nan,1,0,1,1,0\n", "trackId", "integer"),
+    ],
+)
+def test_non_finite_or_non_integral_value_names_file_and_line(tmp_path, row, column, reason) -> None:
+    paths = write_recording(tmp_path, ["7,0,0,0,1,1,0\n", row], ["7,0,0,1,2,car\n"])
+    with pytest.raises(ParseError) as err:
+        parse_ind_tracks(*paths)
+    message = str(err.value)
+    assert "07_tracks.csv:3" in message
+    assert column in message and reason in message
+
+
+def test_non_integral_recording_id_is_parse_error(tmp_path) -> None:
+    # int(float("inf")) used to escape as an OverflowError
+    paths = write_recording(tmp_path, ["7,0,0,0,1,1,0\n"], ["7,0,0,0,1,car\n"], "inf")
+    with pytest.raises(ParseError) as err:
+        parse_ind_tracks(*paths)
+    assert "07_recordingMeta.csv:2" in str(err.value)
+
+
+def test_integral_decimals_accepted() -> None:
+    tracks, meta, rec = build(["7,0,0.0,0,1,1,0\n", "7,0,1.0,0,1,1,0\n"], ["7,0,0,1,2.0,car\n"])
+    (traj,) = parse_ind_tracks(tracks, meta, rec)
+    assert [p.frame for p in traj.points] == [0, 1]
+
+
 def test_unknown_class_rejected() -> None:
     tracks, meta, rec = build(["7,0,0,0,1,1,0\n"], ["7,0,0,0,1,tram\n"])
     with pytest.raises(ParseError) as err:

@@ -77,6 +77,16 @@ def test_push_rejects_non_finite() -> None:
         st.push(1.0, (2.0, float("inf")))
 
 
+def test_prefix_series_rejects_non_finite_stream() -> None:
+    samples = np.zeros((20, 2, 2))
+    samples[15, 1, 0] = np.inf
+    with pytest.raises(DomainError, match="y"):
+        mi_prefix_series(samples, [10, 20])
+    samples[3, 0, 1] = np.nan
+    with pytest.raises(DomainError, match="x"):
+        mi_prefix_series(samples, [10, 20])
+
+
 def test_negative_coordinates_quantize_consistently() -> None:
     st = HashMIState(bandwidths=[8.0])
     st.push(-0.5, -8.0)

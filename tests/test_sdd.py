@@ -55,6 +55,23 @@ def test_parse_non_numeric_field() -> None:
     assert ":1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ('1 nan 0 2 2 7 0 0 0 "Biker"', "xmin"),
+        ('1 0 inf 2 2 7 0 0 0 "Biker"', "ymin"),
+        ('1 0 0 -Infinity 2 7 0 0 0 "Biker"', "xmax"),
+        ('1 0 0 2 1e999 7 0 0 0 "Biker"', "ymax"),
+    ],
+)
+def test_parse_non_finite_coordinate_names_field_and_line(row: str, field: str) -> None:
+    rows = ['1 0 0 2 2 6 0 0 0 "Biker"', row]
+    with pytest.raises(ParseError) as err:
+        parse_sdd_annotations(rows, path="annotations.txt")
+    assert "annotations.txt:2" in str(err.value)
+    assert field in str(err.value) and "finite" in str(err.value)
+
+
 def test_parse_unknown_label_lists_label_and_line() -> None:
     with pytest.raises(ParseError) as err:
         parse_sdd_annotations(['1 0 0 2 2 7 0 0 0 "Unicycle"'])
