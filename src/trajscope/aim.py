@@ -233,8 +233,12 @@ def extract_interactions(
         trajectories, key=lambda t: (t.source.key(), t.track_id, t.segment)
     )
     pairs: list[InteractionPair] = []
-    cache = [(t, t.frames(), t.xy()) for t in ordered]
+    cache = [(t, t.frames(), t.xy()) for t in ordered if len(t)]
     for (ta, fa, xa), (tb, fb, xb) in combinations(cache, 2):
+        # a track's frames are distinct: the common run spans at most
+        # min(last) - max(first) + 1 frames and needs offset + 1
+        if min(fa[-1], fb[-1]) - max(fa[0], fb[0]) < offset:
+            continue
         common = np.intersect1d(fa, fb)
         run = _longest_uniform_run(common)
         if run.size < offset + 1:

@@ -151,19 +151,18 @@ def detect_split_candidates(
     candidates. These are leads for manual review, not confirmed joins.
     """
     candidates: list[SplitCandidate] = []
+    # (trajectory, (frame, x, y) of its first row, (frame, x, y) of its last row)
     cache = [
-        (t, t.points[0], t.points[-1]) for t in trajectories if t.points
+        (t, t.points[0].item()[:3], t.points[-1].item()[:3]) for t in trajectories if len(t)
     ]
-    for pred, _, pred_end in cache:
-        for succ, succ_start, _ in cache:
+    for pred, _, (end_frame, end_x, end_y) in cache:
+        for succ, (start_frame, start_x, start_y), _ in cache:
             if pred is succ:
                 continue
-            frame_gap = succ_start.frame - pred_end.frame
+            frame_gap = start_frame - end_frame
             if not -frame_overlap_slack <= frame_gap <= max_frame_gap:
                 continue
-            spatial_gap = math.hypot(
-                succ_start.x - pred_end.x, succ_start.y - pred_end.y
-            )
+            spatial_gap = math.hypot(start_x - end_x, start_y - end_y)
             if spatial_gap > max_spatial_gap:
                 continue
             score = (1.0 - max(frame_gap, 0) / max_frame_gap) * (

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import heapq
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,11 +115,47 @@ def _section(raw: Mapping, name: str, allowed: Sequence[str]) -> dict:
     return dict(section)
 
 
+_EXPECTED = {
+    int: "an integer",
+    float: "a finite number",
+    bool: "true or false",
+    tuple: "a list of numbers",
+    str: "a string",
+}
+
+
+def _convert(key: str, value, kind: type):
+    """One config value as `kind`, or a ConfigError naming the key.
+
+    `tuple` means a list of floats. A bool must be a YAML boolean (a quoted
+    "false" is not one); numbers must be finite, and integers integral.
+    """
+    if kind is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_convert(key, item, float) for item in value)
+    elif kind in (bool, str):
+        if isinstance(value, kind):
+            return value
+    elif not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(value) if isinstance(value, int) else kind(number)
+    raise ConfigError(f"config key {key} must be {_EXPECTED[kind]}, got {value!r}")
+
+
 def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     config_file = Path(config_path)
     if not config_file.is_file():
         raise ConfigError(f"config file does not exist: {config_file}")
-    raw = yaml.safe_load(config_file.read_text())
+    try:
+        raw = yaml.safe_load(config_file.read_text())
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{config_file}:{mark.line + 1}" if mark is not None else str(config_file)
+        raise ConfigError(f"{where}: not valid YAML ({getattr(exc, 'problem', exc)})") from None
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config file {config_file} must contain a mapping")
     allowed_top = ("dataset", "inputs", "out", "registry", "preprocess", "rho", "aim", "mi", "export_format")
@@ -131,11 +168,11 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
         raise ConfigError(f"dataset must be 'sdd' or 'ind', got {dataset!r}")
 
     inputs_raw = raw.get("inputs")
-    if isinstance(inputs_raw, (str, Path)):
-        inputs_raw = [inputs_raw]
     if not inputs_raw:
         raise ConfigError("config needs at least one entry under inputs:")
-    inputs = [Path(p) for p in inputs_raw]
+    if not isinstance(inputs_raw, list):
+        inputs_raw = [inputs_raw]
+    inputs = [Path(_convert("inputs", p, str)) for p in inputs_raw]
     for path in inputs:
         if not path.exists():
             raise ConfigError(f"input path does not exist: {path}")
@@ -143,9 +180,10 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     out_raw = out_override or raw.get("out")
     if not out_raw:
         raise ConfigError("no output directory: set out: in the config or pass --out")
+    out_raw = _convert("out", out_raw, str)
 
     registry_raw = raw.get("registry")
-    registry_path = Path(registry_raw) if registry_raw else None
+    registry_path = Path(_convert("registry", registry_raw, str)) if registry_raw else None
     if registry_path is not None and not registry_path.is_file():
         raise ConfigError(f"registry file does not exist: {registry_path}")
 
@@ -155,11 +193,13 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     )
     preprocess = PreprocessConfig(
         lost_policy=LostPolicy.parse(pp.get("lost_policy", LostPolicy.FILTER_KEEP_FIRST)),
-        drop_generated=bool(pp.get("drop_generated", False)),
-        target_rate=float(pp.get("target_rate", 2.5)),
-        observe_len=int(pp.get("observe_len", 8)),
-        predict_len=int(pp.get("predict_len", 12)),
-        stride=None if pp.get("stride") is None else int(pp["stride"]),
+        drop_generated=_convert("preprocess.drop_generated", pp.get("drop_generated", False), bool),
+        target_rate=_convert("preprocess.target_rate", pp.get("target_rate", 2.5), float),
+        observe_len=_convert("preprocess.observe_len", pp.get("observe_len", 8), int),
+        predict_len=_convert("preprocess.predict_len", pp.get("predict_len", 12), int),
+        stride=(
+            None if pp.get("stride") is None else _convert("preprocess.stride", pp["stride"], int)
+        ),
     )
     preprocess.validate()
 
@@ -172,30 +212,34 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     fit_sigma_d = rho_raw.get("sigma_d") is None
     fit_a0 = rho_raw.get("a0") is None
     rho = RhoConfig(
-        alpha=float(rho_raw.get("alpha", defaults.alpha)),
-        v0=defaults.v0 if fit_v0 else float(rho_raw["v0"]),
-        sigma_d=defaults.sigma_d if fit_sigma_d else float(rho_raw["sigma_d"]),
-        a0=defaults.a0 if fit_a0 else float(rho_raw["a0"]),
-        use_v=bool(rho_raw.get("use_v", True)),
-        use_d=bool(rho_raw.get("use_d", True)),
-        use_h=bool(rho_raw.get("use_h", True)),
-        use_a=bool(rho_raw.get("use_a", False)),
+        alpha=_convert("rho.alpha", rho_raw.get("alpha", defaults.alpha), float),
+        v0=defaults.v0 if fit_v0 else _convert("rho.v0", rho_raw["v0"], float),
+        sigma_d=(
+            defaults.sigma_d if fit_sigma_d else _convert("rho.sigma_d", rho_raw["sigma_d"], float)
+        ),
+        a0=defaults.a0 if fit_a0 else _convert("rho.a0", rho_raw["a0"], float),
+        use_v=_convert("rho.use_v", rho_raw.get("use_v", True), bool),
+        use_d=_convert("rho.use_d", rho_raw.get("use_d", True), bool),
+        use_h=_convert("rho.use_h", rho_raw.get("use_h", True), bool),
+        use_a=_convert("rho.use_a", rho_raw.get("use_a", False), bool),
     )
     rho.validate()
 
     aim_raw = _section(raw, "aim", ("delta", "n_window"))
-    delta = float(aim_raw.get("delta", DEFAULT_DELTA))
+    delta = _convert("aim.delta", aim_raw.get("delta", DEFAULT_DELTA), float)
     if not 0.0 < delta <= 1.0:
         raise ConfigError(f"aim.delta must be in (0, 1], got {delta!r}")
-    n_window = None if aim_raw.get("n_window") is None else int(aim_raw["n_window"])
-    if n_window is not None and n_window < 1:
-        raise ConfigError(f"aim.n_window must be >= 1, got {n_window}")
+    n_window = aim_raw.get("n_window")
+    if n_window is not None:
+        n_window = _convert("aim.n_window", n_window, int)
+        if n_window < 1:
+            raise ConfigError(f"aim.n_window must be >= 1, got {n_window}")
 
     mi_raw = _section(raw, "mi", ("bandwidths", "weights", "n_min"))
-    bandwidths = tuple(float(b) for b in mi_raw.get("bandwidths", DEFAULT_BANDWIDTHS))
+    bandwidths = _convert("mi.bandwidths", mi_raw.get("bandwidths", DEFAULT_BANDWIDTHS), tuple)
     weights_raw = mi_raw.get("weights")
-    weights = None if weights_raw is None else tuple(float(w) for w in weights_raw)
-    n_min = int(mi_raw.get("n_min", DEFAULT_N_MIN))
+    weights = None if weights_raw is None else _convert("mi.weights", weights_raw, tuple)
+    n_min = _convert("mi.n_min", mi_raw.get("n_min", DEFAULT_N_MIN), int)
 
     export_format = raw.get("export_format", "both")
     if export_format not in EXPORT_FORMATS:
@@ -746,7 +790,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ToolError as err:
+    except (ToolError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -9,8 +9,9 @@ downstream code sees one coordinate convention:
 
 The y negation maps the dataset's upward-positive meter axis onto the
 downward-positive pixel axis. inD has no lost/occluded/generated flags, so
-all points carry false flags. Non-finite numbers and non-integral ids or
-frames are parse errors naming the file and line.
+all points carry zero flags. Non-finite numbers, and ids or frames that
+are not integers or do not fit in int64, are parse errors naming the file
+and line.
 """
 from __future__ import annotations
 
@@ -19,7 +20,9 @@ import math
 from pathlib import Path
 from typing import IO, Iterable
 
-from .types import ParseError, SourceRef, StructuralError, TrackPoint, Trajectory
+import numpy as np
+
+from .types import POINT_DTYPE, ParseError, SourceRef, StructuralError, Trajectory, split_tracks
 
 IND_CLASS_MAP = {
     "pedestrian": "Pedestrian",
@@ -67,19 +70,21 @@ def _float(row: dict, col: str, path: str, line_no: int) -> float:
 
 
 def _int(row: dict, col: str, path: str, line_no: int) -> int:
-    """An integer column; integral decimals such as "3.0" are accepted."""
+    """An int64 column; integral decimals such as "3.0" are accepted."""
     raw = row.get(col)
     try:
-        return int(raw)
+        value = int(raw)
     except (TypeError, ValueError):
-        pass
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not value.is_integer():
-        raise ParseError(f"column {col!r} is not an integer: {raw!r}", path, line_no)
-    return int(value)
+        try:
+            number = float(raw)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not number.is_integer():
+            raise ParseError(f"column {col!r} is not an integer: {raw!r}", path, line_no)
+        value = int(number)
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(f"column {col!r} is out of the int64 range: {raw!r}", path, line_no)
+    return value
 
 
 def parse_ind_tracks(
@@ -134,7 +139,7 @@ def parse_ind_tracks(
     tracks_reader, tracks_stream, tracks_path, tracks_owned = _reader(
         tracks, ["trackId", "frame", "xCenter", "yCenter"]
     )
-    points_by_track: dict[int, list[TrackPoint]] = {}
+    track_col, frame_col, x_m, y_m = [], [], [], []
     try:
         for row in tracks_reader:
             line_no = tracks_reader.line_num
@@ -143,38 +148,43 @@ def parse_ind_tracks(
                 raise StructuralError(
                     f"{tracks_path}: track {track_id} has no row in {meta_path}"
                 )
-            x_px, y_px = meters_to_pixels(
-                _float(row, "xCenter", tracks_path, line_no),
-                _float(row, "yCenter", tracks_path, line_no),
-                factor,
-            )
-            points_by_track.setdefault(track_id, []).append(
-                TrackPoint(frame=_int(row, "frame", tracks_path, line_no), x=x_px, y=y_px)
-            )
+            track_col.append(track_id)
+            frame_col.append(_int(row, "frame", tracks_path, line_no))
+            x_m.append(_float(row, "xCenter", tracks_path, line_no))
+            y_m.append(_float(row, "yCenter", tracks_path, line_no))
     finally:
         if tracks_owned:
             tracks_stream.close()
 
+    track_ids = np.array(track_col, dtype=np.int64)
+    points = np.zeros(len(track_ids), POINT_DTYPE)
+    points["frame"] = frame_col
+    points["x"], points["y"] = meters_to_pixels(np.array(x_m), np.array(y_m), factor)
+
     trajectories: list[Trajectory] = []
-    for track_id in sorted(points_by_track):
-        points = sorted(points_by_track[track_id], key=lambda p: p.frame)
-        for a, b in zip(points, points[1:]):
-            if b.frame == a.frame:
-                raise StructuralError(f"track {track_id}: duplicate frame {a.frame}")
-            if b.frame != a.frame + 1:
-                raise StructuralError(
-                    f"track {track_id}: frame gap between {a.frame} and {b.frame}"
-                )
-        expected = num_frames[track_id]
-        if len(points) != expected:
+    for rows in split_tracks(track_ids, points["frame"]):
+        track_id = int(track_ids[rows[0]])
+        track = points[rows]
+        frames = track["frame"]
+        steps = np.diff(frames)
+        bad = np.flatnonzero(steps != 1)
+        if bad.size:
+            k = bad[0]
+            if steps[k] == 0:
+                raise StructuralError(f"track {track_id}: duplicate frame {frames[k]}")
             raise StructuralError(
-                f"track {track_id}: numFrames says {expected}, file has {len(points)} rows"
+                f"track {track_id}: frame gap between {frames[k]} and {frames[k + 1]}"
+            )
+        expected = num_frames[track_id]
+        if len(track) != expected:
+            raise StructuralError(
+                f"track {track_id}: numFrames says {expected}, file has {len(track)} rows"
             )
         trajectories.append(
             Trajectory(
                 track_id=track_id,
                 class_label=classes[track_id],
-                points=points,
+                points=track,
                 source=source,
             )
         )

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .types import ConfigError, TrackPoint, Trajectory
+from .types import ConfigError, Trajectory
 
 
 class LostPolicy(str, Enum):
@@ -93,20 +92,10 @@ class LostPositions:
     end: bool
 
 
-def _segments(points: Sequence[TrackPoint]) -> list[list[TrackPoint]]:
-    """Maximal runs of consecutive non-lost points."""
-    runs: list[list[TrackPoint]] = []
-    current: list[TrackPoint] = []
-    for p in points:
-        if p.lost:
-            if current:
-                runs.append(current)
-                current = []
-        else:
-            current.append(p)
-    if current:
-        runs.append(current)
-    return runs
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop indices of the maximal runs of True in a 1-D mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
+    return edges[::2], edges[1::2]
 
 
 def filter_lost(traj: Trajectory, policy: LostPolicy | str) -> list[Trajectory]:
@@ -114,12 +103,13 @@ def filter_lost(traj: Trajectory, policy: LostPolicy | str) -> list[Trajectory]:
     policy = LostPolicy.parse(policy)
     if policy is LostPolicy.KEEP_LOST:
         return [traj]
-    runs = _segments(traj.points)
-    if not runs:
-        return []
+    starts, stops = _runs(traj.points["lost"] == 0)
     if policy is LostPolicy.FILTER_KEEP_FIRST:
-        return [traj.with_points(runs[0])]
-    return [traj.with_points(run, segment=i) for i, run in enumerate(runs)]
+        return [traj.with_points(traj.points[a:b]) for a, b in zip(starts[:1], stops[:1])]
+    return [
+        traj.with_points(traj.points[a:b], segment=i)
+        for i, (a, b) in enumerate(zip(starts, stops))
+    ]
 
 
 def classify_lost_positions(traj: Trajectory) -> LostPositions:
@@ -129,24 +119,12 @@ def classify_lost_positions(traj: Trajectory) -> LostPositions:
     The flags are independent; one trajectory can set all three. A fully
     lost trajectory counts as start+end but not middle.
     """
-    flags = [p.lost for p in traj.points]
-    if not flags:
+    lost = traj.points["lost"] != 0
+    if not lost.size:
         return LostPositions(False, False, False)
-    start = flags[0]
-    end = flags[-1]
-    middle = False
-    in_run = False
-    bounded_left = False
-    for i, lost in enumerate(flags):
-        if lost:
-            if not in_run:
-                in_run = True
-                bounded_left = i > 0 and not flags[i - 1]
-        else:
-            if in_run and bounded_left:
-                middle = True
-            in_run = False
-    return LostPositions(start=start, middle=middle, end=end)
+    starts, stops = _runs(lost)
+    middle = bool(np.any((starts > 0) & (stops < lost.size)))
+    return LostPositions(start=bool(lost[0]), middle=middle, end=bool(lost[-1]))
 
 
 def resample(traj: Trajectory, native_rate: float, target_rate: float) -> Trajectory:
@@ -174,7 +152,7 @@ def window(traj: Trajectory, cfg: PreprocessConfig) -> list[TrajectoryWindow]:
     cfg.validate()
     total = cfg.window_len
     stride = cfg.stride or total
-    n = len(traj.points)
+    n = len(traj)
     if n < total:
         return []
     xy = traj.xy()
@@ -195,7 +173,7 @@ def window(traj: Trajectory, cfg: PreprocessConfig) -> list[TrajectoryWindow]:
 
 
 def drop_generated(traj: Trajectory) -> Trajectory:
-    return traj.with_points([p for p in traj.points if not p.generated])
+    return traj.with_points(traj.points[traj.points["generated"] == 0])
 
 
 def preprocess_trajectory(
@@ -207,7 +185,7 @@ def preprocess_trajectory(
     for piece in filter_lost(traj, cfg.lost_policy):
         if cfg.drop_generated:
             piece = drop_generated(piece)
-        if not piece.points:
+        if not len(piece):
             continue
         piece = resample(piece, native_rate, cfg.target_rate)
         windows.extend(window(piece, cfg))

@@ -11,17 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .types import (
+    POINT_DTYPE,
     AnnotationRecord,
     ParseError,
     SourceRef,
     StructuralError,
-    TrackPoint,
     Trajectory,
     canonical_class,
+    split_tracks,
 )
 
 
@@ -56,9 +60,12 @@ def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> tuple[Iterable[
 
 def _parse_int(token: str, what: str, path: str, line_no: int) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ParseError(f"field {what!r} is not an integer: {token!r}", path, line_no) from None
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(f"field {what!r} is out of the int64 range: {token!r}", path, line_no)
+    return value
 
 
 def _parse_float(token: str, what: str, path: str, line_no: int) -> float:
@@ -85,8 +92,8 @@ def parse_sdd_annotations(
     """Parse an annotation stream into records, preserving row order.
 
     `source` may be a filesystem path, an open text stream, or any iterable
-    of lines. Malformed rows, including non-finite coordinates, raise
-    ParseError naming the 1-based line number.
+    of lines. Malformed rows, including non-finite coordinates and integers
+    outside int64, raise ParseError naming the 1-based line number.
     """
     lines, inferred = _iter_lines(source)
     path = path or inferred
@@ -151,40 +158,37 @@ def assemble_trajectories(
     its first frame; label changes mid-track are recorded in diagnostics.
     Duplicate (track, frame) pairs mean corrupt input.
     """
-    by_track: dict[int, list[AnnotationRecord]] = {}
-    for rec in records:
-        by_track.setdefault(rec.track_id, []).append(rec)
+    n = len(records)
+
+    def column(name: str, dtype) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), records), dtype, n)
+
+    track_ids = column("track_id", np.int64)
+    points = np.empty(n, POINT_DTYPE)
+    points["frame"] = column("frame", np.int64)
+    points["x"] = (column("xmin", np.float64) + column("xmax", np.float64)) / 2.0
+    points["y"] = (column("ymin", np.float64) + column("ymax", np.float64)) / 2.0
+    for flag in ("lost", "occluded", "generated"):
+        points[flag] = column(flag, np.uint8)
 
     trajectories: list[Trajectory] = []
-    for track_id in sorted(by_track):
-        recs = sorted(by_track[track_id], key=lambda r: r.frame)
-        for a, b in zip(recs, recs[1:]):
-            if a.frame == b.frame:
-                raise StructuralError(
-                    f"track {track_id} of {source.key()}: duplicate frame {a.frame}"
-                )
-        labels_in_order: list[str] = []
-        for rec in recs:
-            if rec.label not in labels_in_order:
-                labels_in_order.append(rec.label)
+    for rows in split_tracks(track_ids, points["frame"]):
+        track_id = int(track_ids[rows[0]])
+        track = points[rows]
+        frames = track["frame"]
+        duplicate = np.flatnonzero(np.diff(frames) == 0)
+        if duplicate.size:
+            raise StructuralError(
+                f"track {track_id} of {source.key()}: duplicate frame {frames[duplicate[0]]}"
+            )
+        labels_in_order = list(dict.fromkeys(records[i].label for i in rows))
         if diagnostics is not None and len(labels_in_order) > 1:
             diagnostics.label_changes[track_id] = labels_in_order
-        points = [
-            TrackPoint(
-                frame=rec.frame,
-                x=(rec.xmin + rec.xmax) / 2.0,
-                y=(rec.ymin + rec.ymax) / 2.0,
-                lost=rec.lost,
-                occluded=rec.occluded,
-                generated=rec.generated,
-            )
-            for rec in recs
-        ]
         trajectories.append(
             Trajectory(
                 track_id=track_id,
-                class_label=recs[0].label,
-                points=points,
+                class_label=labels_in_order[0],
+                points=track,
                 source=source,
             )
         )

@@ -8,9 +8,11 @@ store instead of the raw files. One line per trajectory:
      "dataset": "sdd", "scene": "quad", "video": "video0",
      "points": [[frame, x, y, lost, occluded, generated], ...]}
 
-Flags are stored as 0/1. Files and records are written in sorted order with
-sorted keys and no timestamps, so identical inputs produce byte-identical
-stores.
+"points" holds the rows of the trajectory's POINT_DTYPE array, in the
+array's field order, with flags as 0/1. Files and records are written in
+sorted order with sorted keys and no timestamps, so identical inputs produce
+byte-identical stores. Loading checks the manifest's schema_version and
+that every trajectory's frames strictly increase.
 """
 from __future__ import annotations
 
@@ -18,7 +20,9 @@ import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .types import SourceRef, StructuralError, TrackPoint, Trajectory
+import numpy as np
+
+from .types import POINT_DTYPE, SourceRef, StructuralError, Trajectory
 
 STORE_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -39,29 +43,15 @@ def _trajectory_record(traj: Trajectory) -> dict:
         "dataset": traj.source.dataset,
         "scene": traj.source.scene,
         "video": traj.source.video,
-        "points": [
-            [p.frame, p.x, p.y, int(p.lost), int(p.occluded), int(p.generated)]
-            for p in traj.points
-        ],
+        "points": traj.points.tolist(),
     }
 
 
 def _trajectory_from_record(record: dict) -> Trajectory:
-    points = [
-        TrackPoint(
-            frame=int(frame),
-            x=float(x),
-            y=float(y),
-            lost=bool(lost),
-            occluded=bool(occluded),
-            generated=bool(generated),
-        )
-        for frame, x, y, lost, occluded, generated in record["points"]
-    ]
     return Trajectory(
         track_id=int(record["track_id"]),
         class_label=str(record["class"]),
-        points=points,
+        points=np.array(list(map(tuple, record["points"])), dtype=POINT_DTYPE),
         source=SourceRef(
             dataset=str(record["dataset"]),
             scene=str(record["scene"]),
@@ -101,7 +91,7 @@ def write_store(
                 "video": key[2],
                 "file": filename,
                 "n_trajectories": len(trajs),
-                "n_points": sum(len(t.points) for t in trajs),
+                "n_points": sum(len(t) for t in trajs),
             }
         )
 
@@ -124,21 +114,34 @@ def load_manifest(store_dir) -> dict:
             f"no ingested store at {store_path}: run the ingest command first"
         )
     with open(manifest_path) as fh:
-        return json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError:
+            manifest = None
+    version = manifest.get("schema_version") if isinstance(manifest, dict) else None
+    if version != STORE_SCHEMA_VERSION:
+        raise StructuralError(
+            f"store {store_path} is not a schema_version {STORE_SCHEMA_VERSION} store "
+            f"(found {version!r}): re-run the ingest command"
+        )
+    return manifest
 
 
 def load_store(store_dir) -> list[Trajectory]:
-    """Read every trajectory back, in manifest order."""
+    """Read every trajectory back, in manifest order, and validate each."""
     store_path = Path(store_dir)
     manifest = load_manifest(store_path)
     trajectories: list[Trajectory] = []
-    for entry in manifest["videos"]:
-        file_path = store_path / entry["file"]
-        try:
+    file_path = store_path / MANIFEST_NAME  # blamed for a malformed video list
+    try:
+        for entry in manifest["videos"]:
+            file_path = store_path / entry["file"]
             with open(file_path) as fh:
                 for line in fh:
                     if line.strip():
-                        trajectories.append(_trajectory_from_record(json.loads(line)))
-        except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise StructuralError(f"corrupt store file {file_path}: {exc}")
+                        traj = _trajectory_from_record(json.loads(line))
+                        traj.validate()
+                        trajectories.append(traj)
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:
+        raise StructuralError(f"corrupt store file {file_path}: {exc}")
     return trajectories

@@ -2,11 +2,16 @@
 
 Coordinates are pixel-space throughout: x grows rightward, y grows downward.
 All timestamps are integer frame indices in the source video's native clock.
+
+A trajectory's points are one numpy structured array of POINT_DTYPE, one
+row per frame in increasing frame order. Its fields follow the store's
+column order: frame (int64), x and y (float64), and the lost, occluded and
+generated flags (uint8, 0 or 1).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,14 +76,16 @@ class SourceRef:
         return (self.dataset, self.scene, self.video)
 
 
-@dataclass(frozen=True)
-class TrackPoint:
-    frame: int
-    x: float
-    y: float
-    lost: bool = False
-    occluded: bool = False
-    generated: bool = False
+POINT_DTYPE = np.dtype(
+    [
+        ("frame", np.int64),
+        ("x", np.float64),
+        ("y", np.float64),
+        ("lost", np.uint8),
+        ("occluded", np.uint8),
+        ("generated", np.uint8),
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -101,25 +108,23 @@ class AnnotationRecord:
         return ((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Ordered per-frame center coordinates for one track.
 
-    `segment` distinguishes pieces of the same raw track id after a
-    split-into-segments filter; segment 0 is the unsplit/first piece.
+    `points` is a POINT_DTYPE array. `segment` distinguishes pieces of the
+    same raw track id after a split-into-segments filter; segment 0 is the
+    unsplit/first piece.
     """
 
     track_id: int
     class_label: str
-    points: list[TrackPoint]
+    points: np.ndarray
     source: SourceRef
     segment: int = 0
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __iter__(self) -> Iterator[TrackPoint]:
-        return iter(self.points)
 
     @property
     def uid(self) -> str:
@@ -129,37 +134,43 @@ class Trajectory:
 
     @property
     def first_frame(self) -> int:
-        return self.points[0].frame
+        return int(self.points["frame"][0])
 
     @property
     def last_frame(self) -> int:
-        return self.points[-1].frame
+        return int(self.points["frame"][-1])
 
     def frames(self) -> np.ndarray:
-        return np.array([p.frame for p in self.points], dtype=np.int64)
+        return self.points["frame"].copy()
 
     def xy(self) -> np.ndarray:
         """(n, 2) float array of center coordinates in point order."""
-        return np.array([(p.x, p.y) for p in self.points], dtype=np.float64)
+        return np.column_stack((self.points["x"], self.points["y"]))
 
     def lost_flags(self) -> np.ndarray:
-        return np.array([p.lost for p in self.points], dtype=bool)
+        return self.points["lost"].astype(bool)
 
-    def with_points(self, points: Sequence[TrackPoint], segment: int | None = None) -> "Trajectory":
+    def with_points(self, points: np.ndarray, segment: int | None = None) -> "Trajectory":
         return Trajectory(
             track_id=self.track_id,
             class_label=self.class_label,
-            points=list(points),
+            points=points,
             source=self.source,
             segment=self.segment if segment is None else segment,
         )
 
     def validate(self) -> None:
-        frames = [p.frame for p in self.points]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
+        if np.any(np.diff(self.points["frame"]) <= 0):
             raise StructuralError(
                 f"track {self.uid} of {self.source.key()}: frames not strictly increasing"
             )
+
+
+def split_tracks(track_ids: np.ndarray, frames: np.ndarray) -> list[np.ndarray]:
+    """Row indices of each track, tracks by increasing id, rows by frame."""
+    order = np.lexsort((frames, track_ids))
+    cuts = np.flatnonzero(np.diff(track_ids[order])) + 1
+    return np.split(order, cuts) if order.size else []
 
 
 def scene_diagonal(trajectories: Sequence[Trajectory]) -> float:
@@ -168,16 +179,7 @@ def scene_diagonal(trajectories: Sequence[Trajectory]) -> float:
     Used as the scale reference for distance normalization when no reference
     image is available (images are never read).
     """
-    if not trajectories:
+    if not any(len(traj) for traj in trajectories):
         return 0.0
-    mins = np.full(2, np.inf)
-    maxs = np.full(2, -np.inf)
-    for traj in trajectories:
-        if not traj.points:
-            continue
-        xy = traj.xy()
-        mins = np.minimum(mins, xy.min(axis=0))
-        maxs = np.maximum(maxs, xy.max(axis=0))
-    if not np.all(np.isfinite(mins)):
-        return 0.0
-    return float(np.hypot(*(maxs - mins)))
+    xy = np.concatenate([traj.xy() for traj in trajectories])
+    return float(np.hypot(*(xy.max(axis=0) - xy.min(axis=0))))

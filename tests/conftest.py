@@ -2,9 +2,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
 import pytest
 
-from trajscope.types import SourceRef, TrackPoint, Trajectory
+from trajscope.types import POINT_DTYPE, SourceRef, Trajectory
 
 DEFAULT_SRC = SourceRef("sdd", "testscene", "video0")
 
@@ -20,10 +21,11 @@ def make_traj(
 ) -> Trajectory:
     lost = list(lost) if lost is not None else [False] * len(coords)
     assert len(lost) == len(coords)
-    points = [
-        TrackPoint(frame=start_frame + i * frame_step, x=float(x), y=float(y), lost=bool(flag))
-        for i, ((x, y), flag) in enumerate(zip(coords, lost))
-    ]
+    points = np.zeros(len(coords), POINT_DTYPE)
+    points["frame"] = start_frame + frame_step * np.arange(len(coords))
+    if len(coords):
+        points["x"], points["y"] = np.asarray(coords, dtype=np.float64).T
+    points["lost"] = lost
     return Trajectory(track_id=track_id, class_label=class_label, points=points, source=source)
 
 

@@ -409,14 +409,14 @@ def test_criterion_6_preprocessing(parked_then_moving) -> None:
     mixed = make_traj([(i, 0.0) for i in range(5)], lost=[True, True, False, False, True])
     kept = filter_lost(mixed, LostPolicy.FILTER_KEEP_FIRST)
     gate.check(
-        len(kept) == 1 and [p.frame for p in kept[0].points] == [2, 3],
+        len(kept) == 1 and kept[0].points["frame"].tolist() == [2, 3],
         "lost,lost,ok,ok,lost must keep exactly the two middle points",
     )
 
     gapped = make_traj([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], lost=[False, True, False])
     first_only = filter_lost(gapped, LostPolicy.FILTER_KEEP_FIRST)
     gate.check(
-        len(first_only) == 1 and [p.frame for p in first_only[0].points] == [0],
+        len(first_only) == 1 and first_only[0].points["frame"].tolist() == [0],
         "ok,lost,ok under keep-first must keep only the first point",
     )
     segments = filter_lost(gapped, LostPolicy.FILTER_KEEP_ALL)
@@ -428,7 +428,7 @@ def test_criterion_6_preprocessing(parked_then_moving) -> None:
     clean = make_traj([(0.0, 0.0), (1.0, 1.0)])
     unchanged = filter_lost(clean, LostPolicy.FILTER_KEEP_FIRST)
     gate.check(
-        len(unchanged) == 1 and unchanged[0].points == clean.points,
+        len(unchanged) == 1 and np.array_equal(unchanged[0].points, clean.points),
         "an all-ok trajectory must pass through unchanged",
     )
 
@@ -454,16 +454,18 @@ def test_criterion_6_preprocessing(parked_then_moving) -> None:
     # 25 fps -> 2.5 fps keeps every 10th
     at_30 = resample(straight_line(24), native_rate=30.0, target_rate=2.5)
     gate.check(
-        [p.frame for p in at_30.points] == [0, 12],
-        f"24 points at 30 fps must resample to frames [0, 12], got {[p.frame for p in at_30.points]}",
+        at_30.points["frame"].tolist() == [0, 12],
+        f"24 points at 30 fps must resample to frames [0, 12], got {at_30.points['frame'].tolist()}",
     )
     at_25 = resample(straight_line(30), native_rate=25.0, target_rate=2.5)
     gate.check(
-        [p.frame for p in at_25.points] == [0, 10, 20],
-        f"30 points at 25 fps must resample to frames [0, 10, 20], got {[p.frame for p in at_25.points]}",
+        at_25.points["frame"].tolist() == [0, 10, 20],
+        f"30 points at 25 fps must resample to frames [0, 10, 20], got {at_25.points['frame'].tolist()}",
     )
     same_rate = resample(straight_line(24), native_rate=2.5, target_rate=2.5)
-    gate.check(same_rate.points == straight_line(24).points, "equal rates must be the identity")
+    gate.check(
+        np.array_equal(same_rate.points, straight_line(24).points), "equal rates must be the identity"
+    )
 
     cfg = PreprocessConfig(target_rate=30.0)
     exactly_one = window(straight_line(20), cfg)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_traj, straight_line
+from trajscope import aim
 from trajscope.aim import (
     InteractionPair,
     Kinematics,
@@ -289,6 +293,65 @@ def test_extract_deterministic_order() -> None:
     pairs = extract_interactions(trajs, n_window=10)
     ids = [(p.agent_i.track_id, p.agent_j.track_id) for p in pairs]
     assert ids == [(1, 3), (3, 1), (1, 5), (5, 1), (3, 5), (5, 3)]
+
+
+def pairs_oracle(trajs, n_window: int, offset: int | None = None) -> list:
+    """Extraction without interval pruning: every pair's frames are intersected."""
+    offset = n_window if offset is None else offset
+    ordered = sorted(trajs, key=lambda t: (t.source.key(), t.track_id, t.segment))
+    found = []
+    for ta, tb in combinations(ordered, 2):
+        run = aim._longest_uniform_run(np.intersect1d(ta.frames(), tb.frames()))
+        if run.size >= offset + 1:
+            found.append((ta.uid, tb.uid, run.tolist()))
+    return found
+
+
+def pair_keys(pairs) -> list:
+    forward = pairs[::2]
+    assert [(p.agent_j.uid, p.agent_i.uid) for p in forward] == [
+        (p.agent_i.uid, p.agent_j.uid) for p in pairs[1::2]
+    ]
+    return [(p.agent_i.uid, p.agent_j.uid, p.frames.tolist()) for p in forward]
+
+
+def test_extract_skips_intersection_when_intervals_are_too_short(monkeypatch) -> None:
+    trajs = [
+        straight_line(20, track_id=1),  # frames 0-19
+        straight_line(20, track_id=2, start_frame=5, origin=(0.0, 5.0)),  # 5-24
+        straight_line(20, track_id=3, start_frame=100),  # 100-119
+        straight_line(23, track_id=4, start_frame=18, origin=(0.0, 9.0)),  # 18-40
+    ]
+    expected = pairs_oracle(trajs, n_window=5)
+    calls = []
+    intersect1d = np.intersect1d
+    monkeypatch.setattr(np, "intersect1d", lambda a, b: calls.append(1) or intersect1d(a, b))
+    pairs = extract_interactions(trajs, n_window=5)
+    # only (1, 2) and (2, 4) overlap by the 6 frames a 5-frame window and one sample need
+    assert len(calls) == 2
+    assert pair_keys(pairs) == expected == [
+        ("1", "2", list(range(5, 20))),
+        ("2", "4", list(range(18, 25))),
+    ]
+
+
+track_spans = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(1, 40), st.sampled_from((1, 2, 3))),
+    min_size=2,
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(track_spans, st.integers(1, 8), st.integers(0, 3))
+def test_extract_matches_unpruned_oracle(spans, n_window, extra) -> None:
+    trajs = [
+        straight_line(length, track_id=k, start_frame=start, frame_step=step, origin=(0.0, k))
+        for k, (start, length, step) in enumerate(spans)
+    ]
+    offset = n_window + extra
+    pairs = extract_interactions(trajs, n_window=n_window, t_prime_offset=offset)
+    assert pair_keys(pairs) == pairs_oracle(trajs, n_window, offset)
 
 
 # --- end-to-end measurement ----------------------------------------------------------

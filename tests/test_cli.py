@@ -116,6 +116,37 @@ def test_ingest_parse_error_names_file_and_line(tmp_path, capsys) -> None:
     assert "annotations.txt:2" in err
 
 
+@pytest.mark.parametrize(
+    "line, replacement, named",
+    [
+        ("  target_rate: 30.0", "  target_rate: 30.0\n  observe_len: abc", "preprocess.observe_len"),
+        ("  target_rate: 30.0", "  target_rate: 30.0\n  predict_len: 2.5", "preprocess.predict_len"),
+        ("  n_min: 6", "  n_min: 6\n  bandwidths: 8", "mi.bandwidths"),
+        ("  a0: 0.25", '  a0: 0.25\n  use_h: "false"', "rho.use_h"),
+        ("  delta: 0.98", "  delta: .nan", "aim.delta"),
+        ("dataset: sdd", "dataset: [sdd", "not valid YAML"),
+        ("inputs: [{annotations}]", "inputs: 5", "config key inputs"),
+        ("out: {out}", "out: {file}", "taken.txt"),
+    ],
+)
+def test_bad_config_value_or_io_failure_is_one_error_line(
+    workspace, capsys, line, replacement, named
+) -> None:
+    tmp_path, annotations, out, config = workspace
+    taken = tmp_path / "taken.txt"
+    taken.write_text("a regular file, not a directory\n")
+    line, replacement = (
+        t.format(annotations=annotations, out=out, file=taken) for t in (line, replacement)
+    )
+    text = config.read_text()
+    assert line in text
+    config.write_text(text.replace(line, replacement))
+    assert run(["ingest", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_ingest_ind_store(tmp_path, capsys) -> None:
     data = tmp_path / "data"
     data.mkdir()

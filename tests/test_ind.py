@@ -27,8 +27,8 @@ def test_meter_to_pixel_conversion() -> None:
     )
     (traj,) = parse_ind_tracks(tracks, meta, rec)
     (p,) = traj.points
-    assert p.x == pytest.approx(100.0, abs=1e-12)
-    assert p.y == pytest.approx(100.0, abs=1e-12)
+    assert p["x"] == pytest.approx(100.0, abs=1e-12)
+    assert p["y"] == pytest.approx(100.0, abs=1e-12)
 
 
 def test_conversion_roundtrip() -> None:
@@ -74,6 +74,8 @@ def write_recording(root, tracks_rows, meta_rows, recording_id="7"):
         ("7,0,3.7,0,1,1,0\n", "frame", "integer"),
         ("7,0,inf,0,1,1,0\n", "frame", "integer"),
         ("7,nan,1,0,1,1,0\n", "trackId", "integer"),
+        ("7,0,1e30,0,1,1,0\n", "frame", "int64 range"),
+        ("7,9223372036854775808,1,0,1,1,0\n", "trackId", "int64 range"),
     ],
 )
 def test_non_finite_or_non_integral_value_names_file_and_line(tmp_path, row, column, reason) -> None:
@@ -96,7 +98,7 @@ def test_non_integral_recording_id_is_parse_error(tmp_path) -> None:
 def test_integral_decimals_accepted() -> None:
     tracks, meta, rec = build(["7,0,0.0,0,1,1,0\n", "7,0,1.0,0,1,1,0\n"], ["7,0,0,1,2.0,car\n"])
     (traj,) = parse_ind_tracks(tracks, meta, rec)
-    assert [p.frame for p in traj.points] == [0, 1]
+    assert traj.points["frame"].tolist() == [0, 1]
 
 
 def test_unknown_class_rejected() -> None:
@@ -145,8 +147,8 @@ def test_rows_sorted_and_flags_false() -> None:
         ["7,0,0,1,2,pedestrian\n"],
     )
     (traj,) = parse_ind_tracks(tracks, meta, rec)
-    assert [p.frame for p in traj.points] == [0, 1]
-    assert all(not (p.lost or p.occluded or p.generated) for p in traj.points)
+    assert traj.points["frame"].tolist() == [0, 1]
+    assert all(not (p["lost"] or p["occluded"] or p["generated"]) for p in traj.points)
     assert traj.source.dataset == "ind"
     assert traj.source.scene == "location1"
     assert traj.source.video == "7"

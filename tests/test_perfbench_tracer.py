@@ -1,0 +1,55 @@
+"""The benchmark tracer (perfbench/layers.py) patches trajscope's functions by
+name from outside the package. This checks that every name it patches still
+resolves, that it installs and restores cleanly, and that a traced command
+still runs, so a refactor that renames or reshapes a traced name fails here.
+"""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from test_cli import write_config, write_sdd_tree
+from trajscope.cli import main
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_targets(layers) -> dict:
+    """(owner, attribute) -> the object currently bound there, for every traced name."""
+    targets = {}
+    for module_name, attr, _ in layers.SPANS + layers.HOT_FUNCTIONS:
+        module = importlib.import_module(module_name)
+        targets[(module, attr)] = getattr(module, attr)
+    for module_name, cls_name, attr, _ in layers.HOT_METHODS:
+        cls = getattr(importlib.import_module(module_name), cls_name)
+        targets[(cls, attr)] = vars(cls)[attr]
+    return targets
+
+
+def test_every_traced_name_resolves_and_the_tracer_restores_it(tmp_path) -> None:
+    layers = load_layers()
+    before = traced_targets(layers)
+    assert all(callable(target) for target in before.values())
+
+    config = write_config(tmp_path / "config.yaml", write_sdd_tree(tmp_path), tmp_path / "out")
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        for (owner, attr), original in traced_targets(layers).items():
+            assert original.__wrapped__ is before[(owner, attr)], attr
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["aim", "--config", str(config), "--top-k", "1"]) == 0
+    finally:
+        tracer.restore()
+    assert traced_targets(layers) == before
+    assert tracer.groups["store.load"].calls == 1
+    assert tracer.groups["aim.extract"].calls >= 1
+    assert tracer.groups["types.array_conversion"].calls > 0

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_traj, straight_line
 from trajscope.preprocess import (
@@ -28,35 +30,35 @@ def flags_traj(flags: list[bool]):
 def test_filter_keep_first_trims_and_keeps_middle_run() -> None:
     traj = flags_traj([True, True, False, False, True])
     (out,) = filter_lost(traj, LostPolicy.FILTER_KEEP_FIRST)
-    assert [p.frame for p in out.points] == [2, 3]
-    assert not any(p.lost for p in out.points)
+    assert out.points["frame"].tolist() == [2, 3]
+    assert not out.points["lost"].any()
 
 
 def test_filter_keep_first_keeps_only_first_segment() -> None:
     traj = flags_traj([False, True, False])
     (out,) = filter_lost(traj, LostPolicy.FILTER_KEEP_FIRST)
-    assert [p.frame for p in out.points] == [0]
+    assert out.points["frame"].tolist() == [0]
 
 
 def test_filter_keep_all_returns_each_segment() -> None:
     traj = flags_traj([False, True, False])
     outs = filter_lost(traj, LostPolicy.FILTER_KEEP_ALL)
-    assert [[p.frame for p in t.points] for t in outs] == [[0], [2]]
+    assert [t.points["frame"].tolist() for t in outs] == [[0], [2]]
     assert [t.uid for t in outs] == ["1", "1.1"]
 
 
 def test_filter_all_ok_is_identity() -> None:
     traj = flags_traj([False, False, False])
     (out,) = filter_lost(traj, LostPolicy.FILTER_KEEP_FIRST)
-    assert out.points == traj.points
+    assert np.array_equal(out.points, traj.points)
     (out_all,) = filter_lost(traj, LostPolicy.FILTER_KEEP_ALL)
-    assert out_all.points == traj.points
+    assert np.array_equal(out_all.points, traj.points)
 
 
 def test_filter_keep_lost_is_identity() -> None:
     traj = flags_traj([True, False, True])
     (out,) = filter_lost(traj, LostPolicy.KEEP_LOST)
-    assert out.points == traj.points
+    assert np.array_equal(out.points, traj.points)
 
 
 def test_filter_entirely_lost_yields_empty() -> None:
@@ -75,12 +77,12 @@ def test_filter_keep_first_idempotent_and_prefix_contiguous() -> None:
             assert all(flags)
             continue
         (out,) = once
-        assert not any(p.lost for p in out.points)
-        frames = [p.frame for p in out.points]
+        assert not out.points["lost"].any()
+        frames = out.points["frame"].tolist()
         # contiguous run within the source
         assert frames == list(range(frames[0], frames[0] + len(frames)))
         (again,) = filter_lost(out, LostPolicy.FILTER_KEEP_FIRST)
-        assert again.points == out.points
+        assert np.array_equal(again.points, out.points)
 
 
 def test_filter_keep_all_conserves_points() -> None:
@@ -120,19 +122,19 @@ def test_classify_lost_positions(flags, expected) -> None:
 def test_resample_30_to_2p5() -> None:
     traj = straight_line(24)
     out = resample(traj, native_rate=30.0, target_rate=2.5)
-    assert [p.frame for p in out.points] == [0, 12]
+    assert out.points["frame"].tolist() == [0, 12]
 
 
 def test_resample_25_to_2p5_keeps_every_tenth() -> None:
     traj = straight_line(25)
     out = resample(traj, native_rate=25.0, target_rate=2.5)
-    assert [p.frame for p in out.points] == [0, 10, 20]
+    assert out.points["frame"].tolist() == [0, 10, 20]
 
 
 def test_resample_identity_when_rates_match() -> None:
     traj = straight_line(7)
     out = resample(traj, native_rate=2.5, target_rate=2.5)
-    assert out.points == traj.points
+    assert np.array_equal(out.points, traj.points)
 
 
 def test_resample_noninteger_ratio_is_config_error() -> None:
@@ -143,7 +145,7 @@ def test_resample_noninteger_ratio_is_config_error() -> None:
 def test_resample_anchors_at_first_point() -> None:
     traj = straight_line(30, start_frame=17)
     out = resample(traj, native_rate=30.0, target_rate=2.5)
-    assert [p.frame for p in out.points] == [17, 29, 41]
+    assert out.points["frame"].tolist() == [17, 29, 41]
 
 
 def test_resample_carries_flags() -> None:
@@ -151,7 +153,7 @@ def test_resample_carries_flags() -> None:
     flags[12] = True
     traj = flags_traj(flags)
     out = resample(traj, native_rate=30.0, target_rate=2.5)
-    assert [p.lost for p in out.points] == [False, True]
+    assert out.points["lost"].tolist() == [0, 1]
 
 
 # --- window ------------------------------------------------------------------
@@ -252,8 +254,81 @@ def test_stationarity_bias_property(parked_then_moving) -> None:
 def test_drop_generated_points() -> None:
     pts = [(float(i), 0.0) for i in range(21)]
     traj = make_traj(pts)
-    traj.points[3] = traj.points[3].__class__(frame=3, x=3.0, y=0.0, generated=True)
+    traj.points[3] = (3, 3.0, 0.0, 0, 0, 1)
     cfg = PreprocessConfig(drop_generated=True, target_rate=30.0)
     ws = preprocess_trajectory(traj, cfg, native_rate=30.0)
     # one generated point dropped -> 20 points -> exactly one window
     assert len(ws) == 1
+
+
+# --- reference loops ------------------------------------------------------------
+# Per-point loop versions of the lost-run code: the array code must match them.
+
+
+def segments_oracle(lost: list[bool]) -> list[list[int]]:
+    """Indices of each maximal run of consecutive non-lost points."""
+    runs: list[list[int]] = []
+    current: list[int] = []
+    for i, flag in enumerate(lost):
+        if flag:
+            if current:
+                runs.append(current)
+                current = []
+        else:
+            current.append(i)
+    if current:
+        runs.append(current)
+    return runs
+
+
+def classify_oracle(flags: list[bool]) -> tuple[bool, bool, bool]:
+    if not flags:
+        return (False, False, False)
+    middle = False
+    in_run = False
+    bounded_left = False
+    for i, lost in enumerate(flags):
+        if lost:
+            if not in_run:
+                in_run = True
+                bounded_left = i > 0 and not flags[i - 1]
+        else:
+            if in_run and bounded_left:
+                middle = True
+            in_run = False
+    return (flags[0], middle, flags[-1])
+
+
+lost_masks = st.lists(st.booleans(), max_size=40)
+EDGE_MASKS = ([], [True], [False], [True] * 9, [False] * 9)
+
+
+def check_filter_lost(flags: list[bool], segment: int) -> None:
+    base = flags_traj(flags)
+    traj = base.with_points(base.points, segment=segment)
+    runs = segments_oracle(flags)
+    (kept,) = filter_lost(traj, LostPolicy.KEEP_LOST)
+    assert kept is traj
+    first = filter_lost(traj, LostPolicy.FILTER_KEEP_FIRST)
+    assert [(t.segment, t.points.tobytes()) for t in first] == [
+        (segment, traj.points[run].tobytes()) for run in runs[:1]
+    ]
+    every = filter_lost(traj, LostPolicy.FILTER_KEEP_ALL)
+    assert [(t.segment, t.points.tobytes()) for t in every] == [
+        (i, traj.points[run].tobytes()) for i, run in enumerate(runs)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lost_masks, st.integers(0, 3))
+def test_filter_lost_matches_the_loop_oracle(flags, segment) -> None:
+    for mask in (*EDGE_MASKS, flags):
+        check_filter_lost(mask, segment)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lost_masks)
+def test_classify_lost_positions_matches_the_loop_oracle(flags) -> None:
+    for mask in (*EDGE_MASKS, flags):
+        got = classify_lost_positions(flags_traj(mask))
+        assert (got.start, got.middle, got.end) == classify_oracle(mask)

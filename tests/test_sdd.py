@@ -72,6 +72,21 @@ def test_parse_non_finite_coordinate_names_field_and_line(row: str, field: str) 
     assert field in str(err.value) and "finite" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ('1 0 0 2 2 9223372036854775808 0 0 0 "Biker"', "frame"),
+        ('-9223372036854775809 0 0 2 2 7 0 0 0 "Biker"', "track_id"),
+    ],
+)
+def test_parse_integer_outside_int64_names_field_and_line(row: str, field: str) -> None:
+    rows = ['1 0 0 2 2 6 0 0 0 "Biker"', row]
+    with pytest.raises(ParseError) as err:
+        parse_sdd_annotations(rows, path="annotations.txt")
+    assert "annotations.txt:2" in str(err.value)
+    assert field in str(err.value) and "int64 range" in str(err.value)
+
+
 def test_parse_unknown_label_lists_label_and_line() -> None:
     with pytest.raises(ParseError) as err:
         parse_sdd_annotations(['1 0 0 2 2 7 0 0 0 "Unicycle"'])
@@ -115,8 +130,8 @@ def test_assemble_sorts_frames() -> None:
         ['1 0 0 2 2 10 0 0 0 "Biker"', '1 4 4 6 6 5 0 0 0 "Biker"']
     )
     (traj,) = assemble_trajectories(recs, SRC)
-    assert [p.frame for p in traj.points] == [5, 10]
-    assert traj.points[0].x == 5.0 and traj.points[0].y == 5.0
+    assert traj.points["frame"].tolist() == [5, 10]
+    assert traj.points[0]["x"] == 5.0 and traj.points[0]["y"] == 5.0
 
 
 def test_assemble_groups_tracks() -> None:
@@ -167,7 +182,7 @@ def test_assemble_is_a_partition() -> None:
     seen = set()
     for t in trajs:
         for p in t.points:
-            key = (t.track_id, p.frame)
+            key = (t.track_id, p["frame"])
             assert key not in seen
             seen.add(key)
 
@@ -176,4 +191,4 @@ def test_assemble_flags_carried() -> None:
     recs = parse_sdd_annotations(['3 0 0 2 2 1 1 1 1 "Skater"'])
     (traj,) = assemble_trajectories(recs, SRC)
     p = traj.points[0]
-    assert p.lost and p.occluded and p.generated
+    assert p["lost"] and p["occluded"] and p["generated"]

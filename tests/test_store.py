@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_traj
 from trajscope.store import load_manifest, load_store, write_store
-from trajscope.types import SourceRef, StructuralError, TrackPoint
+from trajscope.types import POINT_DTYPE, SourceRef, StructuralError, Trajectory
 
 
 def sample_trajectories():
@@ -16,10 +19,7 @@ def sample_trajectories():
     t2 = make_traj([(9.0, 9.0)] * 3, track_id=2, class_label="Biker", source=src_a)
     t3 = make_traj([(4.0, 4.0)] * 2, track_id=1, source=src_b)
     # a split segment, plus occluded/generated flags on one point
-    t4 = t2.with_points(
-        [TrackPoint(frame=7, x=1.0, y=2.0, lost=False, occluded=True, generated=True)],
-        segment=2,
-    )
+    t4 = t2.with_points(np.array([(7, 1.0, 2.0, 0, 1, 1)], dtype=POINT_DTYPE), segment=2)
     return [t1, t2, t3, t4]
 
 
@@ -33,7 +33,7 @@ def test_store_roundtrip(tmp_path) -> None:
         stored = by_key[(original.source.key(), original.uid)]
         assert stored.class_label == original.class_label
         assert stored.segment == original.segment
-        assert stored.points == original.points  # frames, coords, and flags
+        assert np.array_equal(stored.points, original.points)  # frames, coords, and flags
 
 
 def test_store_layout_and_manifest(tmp_path) -> None:
@@ -83,3 +83,81 @@ def test_load_store_rejects_corrupt_record(tmp_path) -> None:
 def test_write_store_empty_is_error(tmp_path) -> None:
     with pytest.raises(StructuralError):
         write_store([], tmp_path / "store")
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        '{"videos": []}',
+        '{"schema_version": 2, "videos": []}',
+        '{"schema_version": "1", "videos": []}',
+        "[1]",
+        "not json",
+    ],
+)
+def test_load_store_rejects_missing_or_other_schema_version(tmp_path, manifest) -> None:
+    write_store(sample_trajectories(), tmp_path / "store")
+    (tmp_path / "store" / "manifest.json").write_text(manifest)
+    with pytest.raises(StructuralError) as err:
+        load_store(tmp_path / "store")
+    assert str(tmp_path / "store") in str(err.value)
+    assert "re-run the ingest command" in str(err.value)
+
+
+def test_load_store_rejects_manifest_without_video_list(tmp_path) -> None:
+    write_store(sample_trajectories(), tmp_path / "store")
+    (tmp_path / "store" / "manifest.json").write_text('{"schema_version": 1}')
+    with pytest.raises(StructuralError) as err:
+        load_store(tmp_path / "store")
+    assert "manifest.json" in str(err.value) and "videos" in str(err.value)
+
+
+def test_load_store_rejects_non_increasing_frames(tmp_path) -> None:
+    write_store(sample_trajectories(), tmp_path / "store")
+    victim = tmp_path / "store" / "sdd__quad__video1.jsonl"
+    record = json.loads(victim.read_text())
+    record["points"].reverse()  # frames 1, 0
+    victim.write_text(json.dumps(record) + "\n")
+    with pytest.raises(StructuralError) as err:
+        load_store(tmp_path / "store")
+    assert str(victim) in str(err.value)
+    assert "not strictly increasing" in str(err.value)
+
+
+@st.composite
+def point_arrays(draw) -> np.ndarray:
+    n = draw(st.integers(0, 12))
+    frames = sorted(draw(st.sets(st.integers(-(2**62), 2**62), min_size=n, max_size=n)))
+    points = np.zeros(n, POINT_DTYPE)
+    points["frame"] = frames
+    coords = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    points["x"] = draw(st.lists(coords, min_size=n, max_size=n))
+    points["y"] = draw(st.lists(coords, min_size=n, max_size=n))
+    for flag in ("lost", "occluded", "generated"):
+        points[flag] = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return points
+
+
+# always tried: every flag combination, frames above 2**31, negative coordinates
+ALL_FLAGS = np.array(
+    [(2**31 + k, -1.5 * k, -(2.0**-60) * k, k & 1, k >> 1 & 1, k >> 2 & 1) for k in range(8)],
+    dtype=POINT_DTYPE,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(point_arrays(), min_size=1, max_size=4))
+@example([ALL_FLAGS])
+def test_store_roundtrip_is_exact(tmp_path_factory, arrays) -> None:
+    store = tmp_path_factory.mktemp("store")
+    src = SourceRef("sdd", "quad", "video0")
+    trajs = [
+        Trajectory(track_id=i, class_label="Biker", points=points, source=src)
+        for i, points in enumerate(arrays)
+    ]
+    write_store(trajs, store)
+    loaded = load_store(store)
+    assert [t.track_id for t in loaded] == [t.track_id for t in trajs]
+    for stored, original in zip(loaded, trajs):
+        assert stored.points.dtype == POINT_DTYPE
+        assert stored.points.tobytes() == original.points.tobytes()
