@@ -51,7 +51,7 @@ from .evaluation import (
 from .ind import parse_ind_tracks
 from .mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN
 from .preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
-from .registry import load_registry
+from .registry import DatasetRegistry, load_registry
 from .sdd import IngestDiagnostics, assemble_trajectories, parse_sdd_annotations
 from .store import load_store, write_store
 from .types import (
@@ -323,6 +323,14 @@ def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _load_registry(cfg: RunConfig) -> DatasetRegistry:
+    """The run's registry, with each of its warnings shown on stderr."""
+    registry = load_registry(cfg.registry_path)
+    for warning in registry.warnings:
+        _status(f"warning: {warning}")
+    return registry
+
+
 # --- ingest -----------------------------------------------------------------------
 
 
@@ -400,7 +408,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.out)
-    registry = load_registry(cfg.registry_path)
+    registry = _load_registry(cfg)
     trajectories = load_store(cfg.store_dir)
     groups = group_trajectories_for_stats(
         trajectories, registry=registry if cfg.dataset == "ind" else None
@@ -686,7 +694,7 @@ def cmd_aim(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.out)
-    registry = load_registry(cfg.registry_path)
+    registry = _load_registry(cfg)
     trajectories = load_store(cfg.store_dir)
     native_rate = registry.frame_rate(cfg.dataset)
 

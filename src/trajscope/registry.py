@@ -40,7 +40,6 @@ class DatasetRegistry:
     ind_recordings: list[int]
     ind_intersections: list[tuple[int, int]]
     ind_split: dict[str, list[int]]
-    ind_ortho_px_to_meter: dict[int, float]
     warnings: list[str] = field(default_factory=list)
 
     def frame_rate(self, dataset: str) -> float:
@@ -85,9 +84,6 @@ class DatasetRegistry:
             if lo <= int(recording) <= hi:
                 return f"{lo}-{hi}"
         raise ConfigError(f"recording {recording} is outside every intersection range")
-
-    def ortho_px_to_meter(self, recording: int) -> float | None:
-        return self.ind_ortho_px_to_meter.get(int(recording))
 
 
 def default_registry_path() -> Path:
@@ -153,7 +149,7 @@ def _load_sdd(section: Mapping, warnings: list[str]) -> tuple[dict[str, SceneOve
     return scenes, split
 
 
-def _load_ind(section: Mapping) -> tuple[list[int], list[tuple[int, int]], dict[str, list[int]], dict[int, float]]:
+def _load_ind(section: Mapping) -> tuple[list[int], list[tuple[int, int]], dict[str, list[int]]]:
     recordings = _int_list(section.get("recordings", []), "ind.recordings")
     raw_ranges = section.get("intersections", [])
     _require(isinstance(raw_ranges, list) and raw_ranges, "ind.intersections must be a non-empty list")
@@ -179,15 +175,7 @@ def _load_ind(section: Mapping) -> tuple[list[int], list[tuple[int, int]], dict[
             )
             _require(m in recording_set, f"ind.split references unknown recording {m}")
             assigned[m] = part
-
-    ortho_raw = section.get("ortho_px_to_meter") or {}
-    _require(isinstance(ortho_raw, dict), "ind.ortho_px_to_meter must be a mapping")
-    ortho: dict[int, float] = {}
-    for k, v in ortho_raw.items():
-        factor = float(v)
-        _require(factor > 0, f"ind.ortho_px_to_meter[{k}] must be positive")
-        ortho[int(k)] = factor
-    return recordings, ranges, split, ortho
+    return recordings, ranges, split
 
 
 def load_registry(path: str | Path | None = None) -> DatasetRegistry:
@@ -221,9 +209,8 @@ def load_registry(path: str | Path | None = None) -> DatasetRegistry:
     ind_recordings: list[int] = []
     ind_ranges: list[tuple[int, int]] = []
     ind_split: dict[str, list[int]] = {part: [] for part in SPLIT_PARTS}
-    ind_ortho: dict[int, float] = {}
     if "ind" in datasets:
-        ind_recordings, ind_ranges, ind_split, ind_ortho = _load_ind(datasets["ind"])
+        ind_recordings, ind_ranges, ind_split = _load_ind(datasets["ind"])
 
     return DatasetRegistry(
         frame_rates=frame_rates,
@@ -232,6 +219,5 @@ def load_registry(path: str | Path | None = None) -> DatasetRegistry:
         ind_recordings=ind_recordings,
         ind_intersections=ind_ranges,
         ind_split=ind_split,
-        ind_ortho_px_to_meter=ind_ortho,
         warnings=warnings,
     )

@@ -5,21 +5,22 @@ Row format: 10 whitespace-separated fields, newline-terminated:
     track_id xmin ymin xmax ymax frame lost occluded generated "label"
 
 lost/occluded/generated are 0/1; the label is double-quoted. Files reach
-millions of rows, so parsing streams line by line.
+millions of rows, so parsing streams line by line into one numpy structured
+array of RECORD_DTYPE (the same fields, with the label in its canonical
+spelling), and assembly works on that array's columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
 from .types import (
+    ALL_CLASSES,
     POINT_DTYPE,
-    AnnotationRecord,
     ParseError,
     SourceRef,
     StructuralError,
@@ -27,6 +28,23 @@ from .types import (
     canonical_class,
     split_tracks,
 )
+
+# One parsed annotation row. The flags are 0/1; the label is canonical.
+RECORD_DTYPE = np.dtype(
+    [
+        ("track_id", np.int64),
+        ("xmin", np.float64),
+        ("ymin", np.float64),
+        ("xmax", np.float64),
+        ("ymax", np.float64),
+        ("frame", np.int64),
+        ("lost", np.uint8),
+        ("occluded", np.uint8),
+        ("generated", np.uint8),
+        ("label", f"U{max(map(len, ALL_CLASSES))}"),
+    ]
+)
+_FLAGS = ("lost", "occluded", "generated")
 
 
 @dataclass
@@ -78,26 +96,19 @@ def _parse_float(token: str, what: str, path: str, line_no: int) -> float:
     return value
 
 
-def _parse_flag(token: str, what: str, path: str, line_no: int) -> bool:
-    if token == "0":
-        return False
-    if token == "1":
-        return True
-    raise ParseError(f"field {what!r} must be 0 or 1, got {token!r}", path, line_no)
-
-
 def parse_sdd_annotations(
     source: str | Path | IO[str] | Iterable[str], path: str | None = None
-) -> list[AnnotationRecord]:
-    """Parse an annotation stream into records, preserving row order.
+) -> np.ndarray:
+    """Parse an annotation stream into a RECORD_DTYPE array, one row per line.
 
     `source` may be a filesystem path, an open text stream, or any iterable
-    of lines. Malformed rows, including non-finite coordinates and integers
-    outside int64, raise ParseError naming the 1-based line number.
+    of lines. Blank lines are skipped; row order is preserved. Malformed
+    rows, including non-finite coordinates, flags other than 0/1 and
+    integers outside int64, raise ParseError naming the 1-based line number.
     """
     lines, inferred = _iter_lines(source)
     path = path or inferred
-    records: list[AnnotationRecord] = []
+    records: list[tuple] = []
     close = getattr(lines, "close", None)
     try:
         for line_no, raw in enumerate(lines, start=1):
@@ -113,63 +124,60 @@ def parse_sdd_annotations(
             label = canonical_class(quoted[1:-1])
             if label is None:
                 raise ParseError(f"unknown class label {quoted[1:-1]!r}", path, line_no)
-            records.append(
-                AnnotationRecord(
-                    track_id=_parse_int(parts[0], "track_id", path, line_no),
-                    xmin=_parse_float(parts[1], "xmin", path, line_no),
-                    ymin=_parse_float(parts[2], "ymin", path, line_no),
-                    xmax=_parse_float(parts[3], "xmax", path, line_no),
-                    ymax=_parse_float(parts[4], "ymax", path, line_no),
-                    frame=_parse_int(parts[5], "frame", path, line_no),
-                    lost=_parse_flag(parts[6], "lost", path, line_no),
-                    occluded=_parse_flag(parts[7], "occluded", path, line_no),
-                    generated=_parse_flag(parts[8], "generated", path, line_no),
-                    label=label,
-                )
+            record = (
+                _parse_int(parts[0], "track_id", path, line_no),
+                _parse_float(parts[1], "xmin", path, line_no),
+                _parse_float(parts[2], "ymin", path, line_no),
+                _parse_float(parts[3], "xmax", path, line_no),
+                _parse_float(parts[4], "ymax", path, line_no),
+                _parse_int(parts[5], "frame", path, line_no),
+                parts[6] == "1",
+                parts[7] == "1",
+                parts[8] == "1",
+                label,
             )
+            # Flags are checked after the numbers, so a row's first bad field is reported.
+            for what, token in zip(_FLAGS, parts[6:9]):
+                if token != "0" and token != "1":
+                    raise ParseError(f"field {what!r} must be 0 or 1, got {token!r}", path, line_no)
+            records.append(record)
     finally:
         if close is not None and isinstance(source, (str, Path)):
             close()
-    return records
+    return np.array(records, dtype=RECORD_DTYPE)
 
 
-def format_sdd_row(record: AnnotationRecord) -> str:
-    """Inverse of parse for one record (numeric formatting normalized)."""
+def format_sdd_row(record: np.void) -> str:
+    """Inverse of parse for one RECORD_DTYPE row (numeric formatting normalized)."""
+    track_id, xmin, ymin, xmax, ymax, frame, lost, occluded, generated, label = record.item()
 
     def num(v: float) -> str:
-        return str(int(v)) if float(v).is_integer() else repr(v)
+        return str(int(v)) if v.is_integer() else repr(v)
 
     return (
-        f"{record.track_id} {num(record.xmin)} {num(record.ymin)} "
-        f"{num(record.xmax)} {num(record.ymax)} {record.frame} "
-        f"{int(record.lost)} {int(record.occluded)} {int(record.generated)} "
-        f'"{record.label}"'
+        f"{track_id} {num(xmin)} {num(ymin)} {num(xmax)} {num(ymax)} {frame} "
+        f'{lost} {occluded} {generated} "{label}"'
     )
 
 
 def assemble_trajectories(
-    records: Sequence[AnnotationRecord],
+    records: np.ndarray,
     source: SourceRef,
     diagnostics: IngestDiagnostics | None = None,
 ) -> list[Trajectory]:
-    """Group records by track id into frame-sorted trajectories.
+    """Group RECORD_DTYPE rows by track id into frame-sorted trajectories.
 
     Centers are bounding-box midpoints. A track's class label is taken from
     its first frame; label changes mid-track are recorded in diagnostics.
     Duplicate (track, frame) pairs mean corrupt input.
     """
-    n = len(records)
-
-    def column(name: str, dtype) -> np.ndarray:
-        return np.fromiter(map(attrgetter(name), records), dtype, n)
-
-    track_ids = column("track_id", np.int64)
-    points = np.empty(n, POINT_DTYPE)
-    points["frame"] = column("frame", np.int64)
-    points["x"] = (column("xmin", np.float64) + column("xmax", np.float64)) / 2.0
-    points["y"] = (column("ymin", np.float64) + column("ymax", np.float64)) / 2.0
-    for flag in ("lost", "occluded", "generated"):
-        points[flag] = column(flag, np.uint8)
+    track_ids = records["track_id"]
+    points = np.empty(len(records), POINT_DTYPE)
+    points["frame"] = records["frame"]
+    points["x"] = (records["xmin"] + records["xmax"]) / 2.0
+    points["y"] = (records["ymin"] + records["ymax"]) / 2.0
+    for flag in _FLAGS:
+        points[flag] = records[flag]
 
     trajectories: list[Trajectory] = []
     for rows in split_tracks(track_ids, points["frame"]):
@@ -181,7 +189,7 @@ def assemble_trajectories(
             raise StructuralError(
                 f"track {track_id} of {source.key()}: duplicate frame {frames[duplicate[0]]}"
             )
-        labels_in_order = list(dict.fromkeys(records[i].label for i in rows))
+        labels_in_order = list(dict.fromkeys(records["label"][rows].tolist()))
         if diagnostics is not None and len(labels_in_order) > 1:
             diagnostics.label_changes[track_id] = labels_in_order
         trajectories.append(

@@ -88,26 +88,6 @@ POINT_DTYPE = np.dtype(
 )
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
-    """One raw bounding-box row: track id, box, frame, status flags, label."""
-
-    track_id: int
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
-    frame: int
-    lost: bool
-    occluded: bool
-    generated: bool
-    label: str
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Ordered per-frame center coordinates for one track.
@@ -131,14 +111,6 @@ class Trajectory:
         if self.segment:
             return f"{self.track_id}.{self.segment}"
         return str(self.track_id)
-
-    @property
-    def first_frame(self) -> int:
-        return int(self.points["frame"][0])
-
-    @property
-    def last_frame(self) -> int:
-        return int(self.points["frame"][-1])
 
     def frames(self) -> np.ndarray:
         return self.points["frame"].copy()

@@ -14,6 +14,7 @@ from trajscope.aim import (
 )
 from trajscope.cli import load_run_config, main
 from trajscope.preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
+from trajscope.registry import load_registry
 from trajscope.store import load_store
 from trajscope.types import scene_diagonal
 
@@ -207,6 +208,21 @@ def test_stats_reports(workspace, capsys) -> None:
     assert overlap_csv[0] == "scene,location_overlap,time_overlap,simultaneous_groups"
     assert "coupa,partial,full,1-2-3-4" in overlap_csv
     assert "deathcircle,full,none," in overlap_csv
+
+
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_registry_warnings_on_stderr_only(workspace, capsys, command) -> None:
+    _, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert run([command, "--config", config]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
+    assert any("sdd scene gates" in line for line in warnings)
+    assert any("sdd scene coupa" in line for line in warnings)
+    assert len(warnings) == len(load_registry().warnings)
+    for path in out.rglob("*"):
+        if path.is_file():
+            assert b"warning" not in path.read_bytes(), path
 
 
 def test_stats_requires_ingest(workspace, capsys) -> None:

@@ -1,36 +1,100 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trajscope.sdd import (
+    RECORD_DTYPE,
     IngestDiagnostics,
     assemble_trajectories,
     format_sdd_row,
     parse_sdd_annotations,
 )
-from trajscope.types import ParseError, SourceRef, StructuralError
+from trajscope.types import (
+    ALL_CLASSES,
+    ParseError,
+    SourceRef,
+    StructuralError,
+    Trajectory,
+    canonical_class,
+)
 
 SRC = SourceRef("sdd", "coupa", "video0")
+
+
+def assert_same_records(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == RECORD_DTYPE
+    assert len(got) == len(want)
+    for name in RECORD_DTYPE.names:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def sdd_line(row: tuple) -> str:
+    """Exact text of one row: repr() round-trips every float."""
+    tid, xmin, ymin, xmax, ymax, frame, lost, occluded, generated, label = row
+    return (
+        f"{tid} {xmin!r} {ymin!r} {xmax!r} {ymax!r} {frame} "
+        f'{lost} {occluded} {generated} "{label}"'
+    )
+
+
+def assemble_oracle(rows: list[tuple], source: SourceRef, diagnostics: IngestDiagnostics):
+    """The replaced per-row path: rows grouped by track and sorted in plain Python."""
+    tracks: dict[int, list[tuple]] = {}
+    for tid, xmin, ymin, xmax, ymax, frame, lost, occluded, generated, label in rows:
+        point = (frame, (xmin + xmax) / 2.0, (ymin + ymax) / 2.0, lost, occluded, generated)
+        tracks.setdefault(tid, []).append((point, canonical_class(label)))
+    out = []
+    for tid in sorted(tracks):
+        members = sorted(tracks[tid], key=lambda m: m[0][0])
+        for (a, _), (b, _) in zip(members, members[1:]):
+            if a[0] == b[0]:
+                raise StructuralError(f"track {tid} of {source.key()}: duplicate frame {a[0]}")
+        labels = list(dict.fromkeys(label for _, label in members))
+        if len(labels) > 1:
+            diagnostics.label_changes[tid] = labels
+        out.append((tid, labels[0], [point for point, _ in members]))
+    diagnostics.rows += len(rows)
+    diagnostics.tracks += len(out)
+    return out
+
+
+def any_case(label: str) -> st.SearchStrategy[str]:
+    return st.sampled_from([label, label.lower(), label.upper()])
+
+
+labels = st.sampled_from(ALL_CLASSES).flatmap(any_case)
+coordinates = st.floats(allow_nan=False, allow_infinity=False)
+flags = st.integers(0, 1)
+
+
+def sdd_rows(track_ids, frames) -> st.SearchStrategy[tuple]:
+    return st.tuples(
+        track_ids, coordinates, coordinates, coordinates, coordinates, frames,
+        flags, flags, flags, labels,
+    )
 
 
 def test_parse_single_row() -> None:
     rows = ['5 100 200 140 260 37 1 0 0 "Pedestrian"']
     (rec,) = parse_sdd_annotations(rows)
-    assert rec.track_id == 5
-    assert (rec.xmin, rec.ymin, rec.xmax, rec.ymax) == (100.0, 200.0, 140.0, 260.0)
-    assert rec.frame == 37
-    assert rec.lost is True
-    assert rec.occluded is False
-    assert rec.generated is False
-    assert rec.label == "Pedestrian"
-    assert rec.center == (120.0, 230.0)
+    assert rec["track_id"] == 5
+    assert (rec["xmin"], rec["ymin"], rec["xmax"], rec["ymax"]) == (100.0, 200.0, 140.0, 260.0)
+    assert rec["frame"] == 37
+    assert rec["lost"] == 1
+    assert rec["occluded"] == 0
+    assert rec["generated"] == 0
+    assert rec["label"] == "Pedestrian"
 
 
 def test_parse_empty_input() -> None:
-    assert parse_sdd_annotations([]) == []
-    assert parse_sdd_annotations(["", "   "]) == []
+    assert len(parse_sdd_annotations([])) == 0
+    assert len(parse_sdd_annotations(["", "   "])) == 0
 
 
 def test_parse_preserves_row_order() -> None:
@@ -39,7 +103,7 @@ def test_parse_preserves_row_order() -> None:
         '0 0 0 2 2 3 0 0 0 "Pedestrian"',
     ]
     recs = parse_sdd_annotations(rows)
-    assert [r.frame for r in recs] == [7, 3]
+    assert recs["frame"].tolist() == [7, 3]
 
 
 def test_parse_wrong_field_count_names_line() -> None:
@@ -104,15 +168,21 @@ def test_parse_flag_must_be_binary() -> None:
         parse_sdd_annotations(['1 0 0 2 2 7 2 0 0 "Biker"'])
 
 
+def test_parse_reports_a_bad_number_before_a_bad_flag() -> None:
+    with pytest.raises(ParseError) as err:
+        parse_sdd_annotations(['1 0 0 2 nope 7 2 0 0 "Biker"'])
+    assert "'ymax'" in str(err.value)
+
+
 def test_label_casing_normalized() -> None:
     (rec,) = parse_sdd_annotations(['1 0 0 2 2 7 0 0 0 "biker"'])
-    assert rec.label == "Biker"
+    assert rec["label"] == "Biker"
 
 
 def test_parse_multiword_label() -> None:
     # SDD labels are single words, but the quoted field is the contract.
     (rec,) = parse_sdd_annotations(['1 0 0 2 2 7 0 1 0 "Cart"'])
-    assert rec.label == "Cart" and rec.occluded is True
+    assert rec["label"] == "Cart" and rec["occluded"] == 1
 
 
 def test_roundtrip_is_lossless() -> None:
@@ -122,7 +192,7 @@ def test_roundtrip_is_lossless() -> None:
     ]
     recs = parse_sdd_annotations(rows)
     again = parse_sdd_annotations([format_sdd_row(r) for r in recs])
-    assert again == recs
+    assert_same_records(again, recs)
 
 
 def test_assemble_sorts_frames() -> None:
@@ -132,6 +202,12 @@ def test_assemble_sorts_frames() -> None:
     (traj,) = assemble_trajectories(recs, SRC)
     assert traj.points["frame"].tolist() == [5, 10]
     assert traj.points[0]["x"] == 5.0 and traj.points[0]["y"] == 5.0
+
+
+def test_assemble_centers_are_box_midpoints() -> None:
+    recs = parse_sdd_annotations(['5 100 200 140 260 37 1 0 0 "Pedestrian"'])
+    (traj,) = assemble_trajectories(recs, SRC)
+    assert (traj.points[0]["x"], traj.points[0]["y"]) == (120.0, 230.0)
 
 
 def test_assemble_groups_tracks() -> None:
@@ -192,3 +268,57 @@ def test_assemble_flags_carried() -> None:
     (traj,) = assemble_trajectories(recs, SRC)
     p = traj.points[0]
     assert p["lost"] and p["occluded"] and p["generated"]
+
+
+def check_against_oracle(rows: list[tuple]) -> None:
+    recs = parse_sdd_annotations([sdd_line(row) for row in rows])
+    want_diag, got_diag = IngestDiagnostics(), IngestDiagnostics()
+    try:
+        want = assemble_oracle(rows, SRC, want_diag)
+    except StructuralError as err:
+        with pytest.raises(StructuralError) as got_err:
+            assemble_trajectories(recs, SRC, got_diag)
+        assert str(got_err.value) == str(err)
+        return
+    got = assemble_trajectories(recs, SRC, got_diag)
+    assert [(t.track_id, t.class_label, t.points.tolist()) for t in got] == want
+    assert all(isinstance(t, Trajectory) and t.source == SRC for t in got)
+    assert got_diag.to_dict() == want_diag.to_dict()
+
+
+# Few track ids and frames, so ids repeat, frames arrive out of order and
+# labels change mid-track.
+oracle_rows = sdd_rows(st.integers(-2, 3), st.integers(-5, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(oracle_rows, max_size=40, unique_by=lambda row: (row[0], row[5])))
+def test_assemble_matches_the_loop_oracle(rows: list[tuple]) -> None:
+    check_against_oracle(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(oracle_rows, min_size=1, max_size=40), st.data())
+def test_assemble_duplicate_frame_matches_the_loop_oracle(rows: list[tuple], data) -> None:
+    victim = data.draw(st.sampled_from(rows))
+    rows = rows + [data.draw(sdd_rows(st.just(victim[0]), st.just(victim[5])))]
+    check_against_oracle(rows)
+
+
+EXTREMES = [
+    (2**62, -0.5, -1e-300, 3.25, 1e300, -(2**62), *combo, label.lower())
+    for combo, label in zip(product((0, 1), repeat=3), ALL_CLASSES + ALL_CLASSES)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sdd_rows(st.integers(-(2**62), 2**62), st.integers(-(2**62), 2**62)), max_size=20))
+@example(EXTREMES)
+def test_format_parse_roundtrip(rows: list[tuple]) -> None:
+    recs = parse_sdd_annotations([sdd_line(row) for row in rows])
+    want = np.array(
+        [(*row[:-1], canonical_class(row[-1])) for row in rows], dtype=RECORD_DTYPE
+    )
+    assert_same_records(recs, want)
+    again = parse_sdd_annotations([format_sdd_row(rec) for rec in recs])
+    assert_same_records(again, recs)
