@@ -12,17 +12,32 @@ downward-positive pixel axis. inD has no lost/occluded/generated flags, so
 all points carry zero flags. Non-finite numbers, and ids or frames that
 are not integers or do not fit in int64, are parse errors naming the file
 and line.
+
+The tracks file is the large one: its four used columns are read at once
+by one np.loadtxt call and checked as arrays. If numpy cannot read them
+(a bad value, a short row, an id written as "3.0") or the header repeats
+a name, the per-row csv reader reads the file instead; it reports the
+first bad row. The two meta files are small and always read with csv.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
 
-from .types import POINT_DTYPE, ParseError, SourceRef, StructuralError, Trajectory, split_tracks
+from .types import (
+    POINT_DTYPE,
+    ParseError,
+    SourceRef,
+    StructuralError,
+    Trajectory,
+    read_columns,
+    split_tracks,
+)
 
 IND_CLASS_MAP = {
     "pedestrian": "Pedestrian",
@@ -30,6 +45,12 @@ IND_CLASS_MAP = {
     "car": "Car",
     "truck_bus": "TruckBus",
 }
+
+
+_TRACK_COLUMNS = ("trackId", "frame", "xCenter", "yCenter")
+_TRACK_DTYPE = np.dtype(
+    [("trackId", np.int64), ("frame", np.int64), ("xCenter", np.float64), ("yCenter", np.float64)]
+)
 
 
 def meters_to_pixels(x_m: float, y_m: float, factor: float) -> tuple[float, float]:
@@ -40,23 +61,24 @@ def pixels_to_meters(x_px: float, y_px: float, factor: float) -> tuple[float, fl
     return x_px * factor, -y_px * factor
 
 
-def _open(source: str | Path | IO[str]) -> tuple[IO[str], str, bool]:
+def _open(source: str | Path | IO[str]) -> tuple[IO[str], str]:
+    """A text stream from the start of the source, which can be rewound, and its name.
+
+    A file is opened as csv wants it (newline=""); a stream is read into memory.
+    """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        return path.open("r", encoding="utf-8", newline=""), str(path), True
-    return source, str(getattr(source, "name", "<input>")), False
+        return Path(source).open("r", encoding="utf-8", newline=""), str(Path(source))
+    return io.StringIO(source.read(), newline=""), str(getattr(source, "name", "<input>"))
 
 
-def _reader(source: str | Path | IO[str], required: Iterable[str]):
-    stream, path, owned = _open(source)
+def _reader(stream: IO[str], path: str, required: Iterable[str]) -> csv.DictReader:
+    """A DictReader past the header, which must name every required column."""
     reader = csv.DictReader(stream)
     fields = reader.fieldnames or []
     missing = [c for c in required if c not in fields]
     if missing:
-        if owned:
-            stream.close()
         raise ParseError(f"missing required column(s) {', '.join(missing)}", path, 1)
-    return reader, stream, path, owned
+    return reader
 
 
 def _float(row: dict, col: str, path: str, line_no: int) -> float:
@@ -87,6 +109,44 @@ def _int(row: dict, col: str, path: str, line_no: int) -> int:
     return value
 
 
+def _read_track_rows(
+    reader: csv.DictReader, path: str, classes: dict[int, str], meta_path: str
+) -> np.ndarray:
+    """The per-row reader of the tracks file: reads any valid row, names the first bad one."""
+    rows: list[tuple] = []
+    for row in reader:
+        line_no = reader.line_num
+        track_id = _int(row, "trackId", path, line_no)
+        if track_id not in classes:
+            raise StructuralError(f"{path}: track {track_id} has no row in {meta_path}")
+        rows.append(
+            (
+                track_id,
+                _int(row, "frame", path, line_no),
+                _float(row, "xCenter", path, line_no),
+                _float(row, "yCenter", path, line_no),
+            )
+        )
+    return np.array(rows, dtype=_TRACK_DTYPE)
+
+
+def _track_columns(stream: IO[str], fields: list[str]) -> np.ndarray | None:
+    """The tracks file's four columns at once, or None when a row needs `_read_track_rows`."""
+    # csv reads a duplicated name from its last column, usecols from the first.
+    if len(set(fields)) != len(fields):
+        return None
+    columns = read_columns(
+        stream,
+        _TRACK_DTYPE,
+        delimiter=",",
+        quotechar='"',
+        usecols=[fields.index(c) for c in _TRACK_COLUMNS],
+    )
+    if columns is None or not all(np.isfinite(columns[c]).all() for c in ("xCenter", "yCenter")):
+        return None
+    return columns
+
+
 def parse_ind_tracks(
     tracks: str | Path | IO[str],
     tracks_meta: str | Path | IO[str],
@@ -98,31 +158,25 @@ def parse_ind_tracks(
     from tracksMeta, a non-positive conversion factor, duplicate frames,
     frame gaps within a track, or a frame count disagreeing with numFrames.
     """
-    rec_reader, rec_stream, rec_path, rec_owned = _reader(
-        recording_meta, ["recordingId", "orthoPxToMeter"]
-    )
-    try:
-        rec_rows = list(rec_reader)
-        if len(rec_rows) != 1:
-            raise StructuralError(f"{rec_path}: expected exactly one recording row, got {len(rec_rows)}")
-        rec_row = rec_rows[0]
-        factor = _float(rec_row, "orthoPxToMeter", rec_path, 2)
-        if factor <= 0:
-            raise StructuralError(f"{rec_path}: orthoPxToMeter must be positive, got {factor}")
-        recording_id = str(_int(rec_row, "recordingId", rec_path, 2))
-        location = rec_row.get("locationId", "").strip() or "?"
-    finally:
-        if rec_owned:
-            rec_stream.close()
+    stream, rec_path = _open(recording_meta)
+    with stream:
+        rec_rows = list(_reader(stream, rec_path, ["recordingId", "orthoPxToMeter"]))
+    if len(rec_rows) != 1:
+        raise StructuralError(f"{rec_path}: expected exactly one recording row, got {len(rec_rows)}")
+    rec_row = rec_rows[0]
+    factor = _float(rec_row, "orthoPxToMeter", rec_path, 2)
+    if factor <= 0:
+        raise StructuralError(f"{rec_path}: orthoPxToMeter must be positive, got {factor}")
+    recording_id = str(_int(rec_row, "recordingId", rec_path, 2))
+    location = rec_row.get("locationId", "").strip() or "?"
 
     source = SourceRef(dataset="ind", scene=f"location{location}", video=recording_id)
 
-    meta_reader, meta_stream, meta_path, meta_owned = _reader(
-        tracks_meta, ["trackId", "numFrames", "class"]
-    )
+    stream, meta_path = _open(tracks_meta)
     classes: dict[int, str] = {}
     num_frames: dict[int, int] = {}
-    try:
+    with stream:
+        meta_reader = _reader(stream, meta_path, ["trackId", "numFrames", "class"])
         for row in meta_reader:
             line_no = meta_reader.line_num
             track_id = _int(row, "trackId", meta_path, line_no)
@@ -132,34 +186,23 @@ def parse_ind_tracks(
                 raise ParseError(f"unknown class {raw_class!r} for track {track_id}", meta_path, line_no)
             classes[track_id] = mapped
             num_frames[track_id] = _int(row, "numFrames", meta_path, line_no)
-    finally:
-        if meta_owned:
-            meta_stream.close()
 
-    tracks_reader, tracks_stream, tracks_path, tracks_owned = _reader(
-        tracks, ["trackId", "frame", "xCenter", "yCenter"]
-    )
-    track_col, frame_col, x_m, y_m = [], [], [], []
-    try:
-        for row in tracks_reader:
-            line_no = tracks_reader.line_num
-            track_id = _int(row, "trackId", tracks_path, line_no)
-            if track_id not in classes:
-                raise StructuralError(
-                    f"{tracks_path}: track {track_id} has no row in {meta_path}"
-                )
-            track_col.append(track_id)
-            frame_col.append(_int(row, "frame", tracks_path, line_no))
-            x_m.append(_float(row, "xCenter", tracks_path, line_no))
-            y_m.append(_float(row, "yCenter", tracks_path, line_no))
-    finally:
-        if tracks_owned:
-            tracks_stream.close()
+    stream, tracks_path = _open(tracks)
+    with stream:
+        columns = _track_columns(stream, _reader(stream, tracks_path, _TRACK_COLUMNS).fieldnames)
+        if columns is None:
+            stream.seek(0)
+            tracks_reader = _reader(stream, tracks_path, _TRACK_COLUMNS)
+            columns = _read_track_rows(tracks_reader, tracks_path, classes, meta_path)
+    track_ids = columns["trackId"]
+    # The row reader stops at the first unknown track; name it for the column reader too.
+    unknown = np.flatnonzero(~np.isin(track_ids, list(classes)))
+    if unknown.size:
+        raise StructuralError(f"{tracks_path}: track {track_ids[unknown[0]]} has no row in {meta_path}")
 
-    track_ids = np.array(track_col, dtype=np.int64)
     points = np.zeros(len(track_ids), POINT_DTYPE)
-    points["frame"] = frame_col
-    points["x"], points["y"] = meters_to_pixels(np.array(x_m), np.array(y_m), factor)
+    points["frame"] = columns["frame"]
+    points["x"], points["y"] = meters_to_pixels(columns["xCenter"], columns["yCenter"], factor)
 
     trajectories: list[Trajectory] = []
     for rows in split_tracks(track_ids, points["frame"]):

@@ -5,12 +5,17 @@ Row format: 10 whitespace-separated fields, newline-terminated:
     track_id xmin ymin xmax ymax frame lost occluded generated "label"
 
 lost/occluded/generated are 0/1; the label is double-quoted. Files reach
-millions of rows, so parsing streams line by line into one numpy structured
-array of RECORD_DTYPE (the same fields, with the label in its canonical
-spelling), and assembly works on that array's columns.
+millions of rows, so a file is parsed column at once: one np.loadtxt call
+reads the whole text into typed columns, array operations check them, and
+the result is one numpy structured array of RECORD_DTYPE (the same fields,
+with the label in its canonical spelling). Text that numpy might read
+differently from `str.split`, or that fails a check, goes to the per-row
+reader instead, which gives the same records for valid text and is the
+only code that reports a bad row. Assembly works on the array's columns.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
@@ -26,6 +31,7 @@ from .types import (
     StructuralError,
     Trajectory,
     canonical_class,
+    read_columns,
     split_tracks,
 )
 
@@ -45,6 +51,16 @@ RECORD_DTYPE = np.dtype(
     ]
 )
 _FLAGS = ("lost", "occluded", "generated")
+_BOX = ("xmin", "ymin", "xmax", "ymax")
+
+# The text columns as numpy reads them: flags one byte wider than "0"/"1",
+# labels one byte wider than the longest quoted class.
+_TEXT_DTYPE = np.dtype(
+    [(name, RECORD_DTYPE[name]) for name in ("track_id", *_BOX, "frame")]
+    + [(flag, "S2") for flag in _FLAGS]
+    + [("label", f"S{max(map(len, ALL_CLASSES)) + 3}")]
+)
+_PLAIN = bytes([ord("\t"), ord("\n"), *range(0x20, 0x7F)])  # tab, newline, printable ASCII
 
 
 @dataclass
@@ -68,14 +84,6 @@ class IngestDiagnostics:
         }
 
 
-def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> tuple[Iterable[str], str]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        return path.open("r", encoding="utf-8"), str(path)
-    name = getattr(source, "name", "<input>")
-    return source, str(name)
-
-
 def _parse_int(token: str, what: str, path: str, line_no: int) -> int:
     try:
         value = int(token)
@@ -96,6 +104,91 @@ def _parse_float(token: str, what: str, path: str, line_no: int) -> float:
     return value
 
 
+def _parse_rows(lines: Iterable[str], path: str) -> np.ndarray:
+    """The per-row reader: reads any valid text and names the first bad row."""
+    records: list[tuple] = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 10:
+            raise ParseError(f"expected 10 fields, got {len(parts)}", path, line_no)
+        quoted = parts[9]
+        if len(quoted) < 2 or quoted[0] != '"' or quoted[-1] != '"':
+            raise ParseError(f"label must be double-quoted, got {quoted!r}", path, line_no)
+        label = canonical_class(quoted[1:-1])
+        if label is None:
+            raise ParseError(f"unknown class label {quoted[1:-1]!r}", path, line_no)
+        record = (
+            _parse_int(parts[0], "track_id", path, line_no),
+            _parse_float(parts[1], "xmin", path, line_no),
+            _parse_float(parts[2], "ymin", path, line_no),
+            _parse_float(parts[3], "xmax", path, line_no),
+            _parse_float(parts[4], "ymax", path, line_no),
+            _parse_int(parts[5], "frame", path, line_no),
+            parts[6] == "1",
+            parts[7] == "1",
+            parts[8] == "1",
+            label,
+        )
+        for a, b in ((1, 3), (2, 4)):  # row positions of xmin/xmax and ymin/ymax
+            if not isfinite(record[a] + record[b]):
+                raise ParseError(
+                    f"the center of fields {_BOX[a - 1]!r} and {_BOX[b - 1]!r} is not finite: "
+                    f"{parts[a]!r}, {parts[b]!r}",
+                    path,
+                    line_no,
+                )
+        # Flags are checked after the numbers, so a row's first bad field is reported.
+        for what, token in zip(_FLAGS, parts[6:9]):
+            if token != "0" and token != "1":
+                raise ParseError(f"field {what!r} must be 0 or 1, got {token!r}", path, line_no)
+        records.append(record)
+    return np.array(records, dtype=RECORD_DTYPE)
+
+
+def _parse_columns(text: str) -> np.ndarray | None:
+    """The whole text at once, or None when a row needs `_parse_rows`.
+
+    Only printable ASCII, tab and newline are let through, so numpy splits
+    fields and lines where `str.split` and the line loop do, and the byte
+    columns lose nothing (numpy drops trailing NULs). Flags and labels are
+    read one byte wider than any valid token, so a longer token cannot be
+    cut down to a valid one.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if data.translate(None, _PLAIN):
+        return None
+    # Read through the bytes: a StringIO would copy the text at 4 bytes a character.
+    columns = read_columns(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"), _TEXT_DTYPE)
+    if columns is None:
+        return None
+    # A sum is finite only when both coordinates are, so this also rejects nan/inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = (columns["xmin"] + columns["xmax"], columns["ymin"] + columns["ymax"])
+    if not all(np.isfinite(center).all() for center in centers):
+        return None
+    if not all(((columns[flag] == b"0") | (columns[flag] == b"1")).all() for flag in _FLAGS):
+        return None
+    quoted, inverse = np.unique(columns["label"], return_inverse=True)
+    labels = [
+        canonical_class(token[1:-1].decode()) if len(token) >= 2 and token[:1] == token[-1:] == b'"' else None
+        for token in quoted.tolist()
+    ]
+    if None in labels:
+        return None
+    records = np.empty(len(columns), RECORD_DTYPE)
+    for name in ("track_id", *_BOX, "frame"):
+        records[name] = columns[name]
+    for flag in _FLAGS:
+        records[flag] = columns[flag] == b"1"
+    records["label"] = np.array(labels, dtype=RECORD_DTYPE["label"])[inverse]
+    return records
+
+
 def parse_sdd_annotations(
     source: str | Path | IO[str] | Iterable[str], path: str | None = None
 ) -> np.ndarray:
@@ -103,48 +196,22 @@ def parse_sdd_annotations(
 
     `source` may be a filesystem path, an open text stream, or any iterable
     of lines. Blank lines are skipped; row order is preserved. Malformed
-    rows, including non-finite coordinates, flags other than 0/1 and
-    integers outside int64, raise ParseError naming the 1-based line number.
+    rows, including non-finite coordinates, boxes whose center overflows,
+    flags other than 0/1 and integers outside int64, raise ParseError naming
+    the 1-based line number.
     """
-    lines, inferred = _iter_lines(source)
-    path = path or inferred
-    records: list[tuple] = []
-    close = getattr(lines, "close", None)
-    try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 10:
-                raise ParseError(f"expected 10 fields, got {len(parts)}", path, line_no)
-            quoted = parts[9]
-            if len(quoted) < 2 or quoted[0] != '"' or quoted[-1] != '"':
-                raise ParseError(f"label must be double-quoted, got {quoted!r}", path, line_no)
-            label = canonical_class(quoted[1:-1])
-            if label is None:
-                raise ParseError(f"unknown class label {quoted[1:-1]!r}", path, line_no)
-            record = (
-                _parse_int(parts[0], "track_id", path, line_no),
-                _parse_float(parts[1], "xmin", path, line_no),
-                _parse_float(parts[2], "ymin", path, line_no),
-                _parse_float(parts[3], "xmax", path, line_no),
-                _parse_float(parts[4], "ymax", path, line_no),
-                _parse_int(parts[5], "frame", path, line_no),
-                parts[6] == "1",
-                parts[7] == "1",
-                parts[8] == "1",
-                label,
-            )
-            # Flags are checked after the numbers, so a row's first bad field is reported.
-            for what, token in zip(_FLAGS, parts[6:9]):
-                if token != "0" and token != "1":
-                    raise ParseError(f"field {what!r} must be 0 or 1, got {token!r}", path, line_no)
-            records.append(record)
-    finally:
-        if close is not None and isinstance(source, (str, Path)):
-            close()
-    return np.array(records, dtype=RECORD_DTYPE)
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text(encoding="utf-8")
+        path = path or str(Path(source))
+        records = _parse_columns(text)
+        return _parse_rows(io.StringIO(text), path) if records is None else records
+    lines = list(source)
+    # One line of text per element, stripped as `_parse_rows` strips it.
+    text = "\n".join(line.strip() for line in lines)
+    path = path or str(getattr(source, "name", "<input>"))
+    # An element with a line break inside is one row to `_parse_rows`, two to numpy.
+    records = _parse_columns(text) if text.count("\n") < len(lines) else None
+    return _parse_rows(lines, path) if records is None else records
 
 
 def format_sdd_row(record: np.void) -> str:
@@ -169,13 +236,15 @@ def assemble_trajectories(
 
     Centers are bounding-box midpoints. A track's class label is taken from
     its first frame; label changes mid-track are recorded in diagnostics.
-    Duplicate (track, frame) pairs mean corrupt input.
+    Duplicate (track, frame) pairs and non-finite centers mean corrupt input.
     """
     track_ids = records["track_id"]
     points = np.empty(len(records), POINT_DTYPE)
     points["frame"] = records["frame"]
-    points["x"] = (records["xmin"] + records["xmax"]) / 2.0
-    points["y"] = (records["ymin"] + records["ymax"]) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        points["x"] = (records["xmin"] + records["xmax"]) / 2.0
+        points["y"] = (records["ymin"] + records["ymax"]) / 2.0
+    finite = np.isfinite(points["x"]) & np.isfinite(points["y"])
     for flag in _FLAGS:
         points[flag] = records[flag]
 
@@ -188,6 +257,12 @@ def assemble_trajectories(
         if duplicate.size:
             raise StructuralError(
                 f"track {track_id} of {source.key()}: duplicate frame {frames[duplicate[0]]}"
+            )
+        overflow = np.flatnonzero(~finite[rows])
+        if overflow.size:
+            raise StructuralError(
+                f"track {track_id} of {source.key()}: box center at frame "
+                f"{frames[overflow[0]]} is not finite"
             )
         labels_in_order = list(dict.fromkeys(records["label"][rows].tolist()))
         if diagnostics is not None and len(labels_in_order) > 1:

@@ -10,8 +10,9 @@ generated flags (uint8, 0 or 1).
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -143,6 +144,25 @@ def split_tracks(track_ids: np.ndarray, frames: np.ndarray) -> list[np.ndarray]:
     order = np.lexsort((frames, track_ids))
     cuts = np.flatnonzero(np.diff(track_ids[order])) + 1
     return np.split(order, cuts) if order.size else []
+
+
+def read_columns(text: IO[str], dtype: np.dtype, **options) -> np.ndarray | None:
+    """Read delimited text into a 1-D array of `dtype` with one np.loadtxt call.
+
+    Returns None when numpy cannot read the text as given: a field that
+    does not convert, a wrong column count, or no rows at all. The caller's
+    per-row loop then reads it, and that loop is the only place that names
+    a bad row. Every numpy warning counts as a failure, so the "no data"
+    warning does not escape and numpy < 2, which reads "7.0" as an integer
+    with a DeprecationWarning, is not more lenient than the loop. Comments
+    are off: "#" is data to the loop.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(text, dtype=dtype, comments=None, ndmin=1, **options)
+        except (ValueError, Warning):
+            return None
 
 
 def scene_diagonal(trajectories: Sequence[Trajectory]) -> float:
