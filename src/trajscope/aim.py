@@ -27,6 +27,13 @@ per-video scale, fitted by the caller. V, D and A equal the one-frame
 `compute_kinematics` bit for bit; H and rho agree with
 `compute_kinematics`/`compute_rho` to rounding (their window means and
 transcendental functions are evaluated by numpy).
+
+`final_bounds` folds an upper bound on the dependence estimate
+(`mi_prefix_bound`, no joint counts) through the same rho series and
+recurrence. A top-k ranking can then measure pairs in decreasing order of
+their bound and stop once the k-th best final value is above the next
+bound: every pair left is below it, so the selection is the one that
+measuring every pair would give.
 """
 from __future__ import annotations
 
@@ -34,13 +41,12 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, mi_prefix_series
+from .mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, mi_prefix_bound, mi_prefix_series
 from .types import (
     ConfigError,
     DomainError,
@@ -193,19 +199,40 @@ class MeasureSeries:
         return float(self.aim[-1])
 
 
-def _longest_uniform_run(frames: np.ndarray) -> np.ndarray:
-    """Longest slice with constant frame spacing (earliest wins ties)."""
+def _uniform_run(frames: np.ndarray) -> slice:
+    """The longest slice of `frames` with constant spacing (earliest wins ties)."""
     if frames.size <= 2:
-        return frames
+        return slice(0, frames.size)
     diffs = np.diff(frames)
-    best_start, best_stop = 0, 1  # diff-index range of the best run
-    start = 0
-    for k in range(1, diffs.size + 1):
-        if k == diffs.size or diffs[k] != diffs[start]:
-            if k - start > best_stop - best_start:
-                best_start, best_stop = start, k
-            start = k
-    return frames[best_start : best_stop + 1]
+    # diff-index starts of the runs of equal diffs, and their lengths
+    starts = np.flatnonzero(np.concatenate(([True], diffs[1:] != diffs[:-1])))
+    lengths = np.diff(np.append(starts, diffs.size))
+    best = int(np.argmax(lengths))  # the first maximum
+    start = int(starts[best])
+    return slice(start, start + int(lengths[best]) + 1)
+
+
+def _run_rows(
+    fa: np.ndarray, fb: np.ndarray, lo: int, hi: int, gap_free: bool
+) -> tuple[slice | np.ndarray, slice | np.ndarray]:
+    """Rows of a and of b holding the longest constant-spacing run of the
+    frames both tracks have in [lo, hi], their overlap.
+
+    Frames are strictly increasing. When both tracks are gap-free
+    (`gap_free`), every frame of the overlap is common, so the rows are
+    slices. Otherwise one binary search of a's frames in the overlap into b
+    finds the common frames, and `_uniform_run` picks the run.
+    """
+    if gap_free:
+        a0, b0 = int(fa[0]), int(fb[0])
+        return slice(lo - a0, hi + 1 - a0), slice(lo - b0, hi + 1 - b0)
+    a_start = int(np.searchsorted(fa, lo))
+    window = fa[a_start : int(np.searchsorted(fa, hi, side="right"))]
+    in_b = np.searchsorted(fb, window)  # below len(fb), since hi <= fb[-1]
+    hit = fb[in_b] == window
+    rows_a, rows_b = a_start + np.flatnonzero(hit), in_b[hit]
+    run = _uniform_run(fa[rows_a])
+    return rows_a[run], rows_b[run]
 
 
 def extract_interactions(
@@ -221,6 +248,10 @@ def extract_interactions(
     unordered pair yields both directions, next to each other and in
     deterministic order by (source, track id, segment); the first of the two
     has the lower key as agent_i.
+
+    Each track's frame interval is compared with every later track's at
+    once, and only pairs whose overlap could hold the run are searched
+    (`_run_rows`).
     """
     if n_window < 1:
         raise ConfigError(f"n_window must be >= 1, got {n_window}")
@@ -232,21 +263,25 @@ def extract_interactions(
     ordered = sorted(
         trajectories, key=lambda t: (t.source.key(), t.track_id, t.segment)
     )
+    tracks = [(t, t.frames(), t.xy()) for t in ordered if len(t)]
+    first = np.array([frames[0] for _, frames, _ in tracks], dtype=np.int64)
+    last = np.array([frames[-1] for _, frames, _ in tracks], dtype=np.int64)
+    gap_free = (last - first == np.array([len(f) for _, f, _ in tracks]) - 1).tolist()
     pairs: list[InteractionPair] = []
-    cache = [(t, t.frames(), t.xy()) for t in ordered if len(t)]
-    for (ta, fa, xa), (tb, fb, xb) in combinations(cache, 2):
+    for a, (ta, fa, xa) in enumerate(tracks):
+        lo = np.maximum(first[a], first[a + 1 :])
+        hi = np.minimum(last[a], last[a + 1 :])
         # a track's frames are distinct: the common run spans at most
-        # min(last) - max(first) + 1 frames and needs offset + 1
-        if min(fa[-1], fb[-1]) - max(fa[0], fb[0]) < offset:
-            continue
-        common = np.intersect1d(fa, fb)
-        run = _longest_uniform_run(common)
-        if run.size < offset + 1:
-            continue
-        pa = xa[np.searchsorted(fa, run)]
-        pb = xb[np.searchsorted(fb, run)]
-        forward = InteractionPair(ta, tb, run, pa, pb, n_window)
-        pairs += (forward, forward.reversed())
+        # hi - lo + 1 frames and needs offset + 1
+        near = np.flatnonzero(hi - lo >= offset)
+        for b, start, stop in zip((a + 1 + near).tolist(), lo[near].tolist(), hi[near].tolist()):
+            tb, fb, xb = tracks[b]
+            rows_a, rows_b = _run_rows(fa, fb, start, stop, gap_free[a] and gap_free[b])
+            frames = fa[rows_a]
+            if frames.size < offset + 1:
+                continue
+            forward = InteractionPair(ta, tb, frames, xa[rows_a], xb[rows_b], n_window)
+            pairs += (forward, forward.reversed())
     return pairs
 
 
@@ -513,6 +548,43 @@ def sweep(
         for direction in (variant, variant.reversed()) if both_directions else (variant,):
             out += _directed_series(direction, kin, mi, cfg, deltas)
     return out
+
+
+def final_bounds(
+    pair: InteractionPair,
+    *,
+    delta: float = DEFAULT_DELTA,
+    rho_config: RhoConfig | None = None,
+    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
+    weights: Sequence[float] | None = None,
+    n_min: int = DEFAULT_N_MIN,
+) -> tuple[float, float]:
+    """Upper bounds on the final aim of `pair` and of `pair.reversed()`.
+
+    The measurement's own rho series and recurrence fold `mi_prefix_bound`
+    in place of the estimate. Rounding is monotone, rho is non-negative and
+    the recurrence only multiplies by delta > 0 and adds non-negative terms,
+    so a computed estimate at most its computed bound at every frame gives a
+    computed final value at most the returned bound. It costs the
+    kinematics (cached on the pair, as `sweep` uses them) and the marginal
+    cells, but no joint counts. Checks and errors are those of `sweep`.
+    """
+    cfg = rho_config if rho_config is not None else RhoConfig()
+    cfg.validate()
+    delta = _checked_delta(delta)
+    kin = pair.kinematics
+    bound = mi_prefix_bound(
+        np.stack([pair.xi, pair.xj], axis=1),
+        range(pair.n_window + 1, len(pair.frames) + 1),
+        bandwidths=bandwidths,
+        weights=weights,
+        n_min=n_min,
+    )
+    forward, backward = (
+        float(_recurrence(_rho_series(kin, _headings(direction), cfg) * bound, delta)[-1])
+        for direction in (pair, pair.reversed())
+    )
+    return forward, backward
 
 
 def measure_interaction(

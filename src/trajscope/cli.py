@@ -17,7 +17,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import heapq
 import json
 import math
 import sys
@@ -33,6 +32,7 @@ from .aim import (
     MeasureSeries,
     RhoConfig,
     extract_interactions,
+    final_bounds,
     fit_normalizers,
     sweep,
 )
@@ -493,40 +493,45 @@ def _series_suffix(series: MeasureSeries, swept: bool) -> str:
     return f"__d{series.delta}__n{series.n_window}"
 
 
+_SERIES_FIELDS = ("frame", "xi", "yi", "xj", "yj", "mi", "rho", "aim")
+# One CSV line per frame: "%.6f" formats a float as _write_table's f"{v:.6f}" does.
+_SERIES_CSV_ROW = ",".join(["%d"] + ["%.6f"] * (len(_SERIES_FIELDS) - 1)) + "\n"
+
+
 def _export_series(
     cfg: RunConfig, video_key: tuple[str, str, str], series: MeasureSeries, swept: bool
 ) -> None:
+    """Write one series as _write_table would, a column at a time, plus its sidecar."""
     pair = series.pair
     base_name = (
         f"{video_key[0]}__{video_key[1]}__{video_key[2]}"
         f"__pair_{pair.agent_i.uid}_{pair.agent_j.uid}{_series_suffix(series, swept)}"
     )
     base = cfg.aim_dir / base_name
-    rows = []
-    offset = series.n_window
-    for k, frame in enumerate(series.frames):
-        xi = pair.xi[offset + k]
-        xj = pair.xj[offset + k]
-        rows.append(
-            {
-                "frame": int(frame),
-                "xi": float(xi[0]),
-                "yi": float(xi[1]),
-                "xj": float(xj[0]),
-                "yj": float(xj[1]),
-                "mi": float(series.mi[k]),
-                "rho": float(series.rho[k]),
-                "aim": float(series.aim[k]),
-            }
-        )
-    float_fields = {name: 6 for name in ("xi", "yi", "xj", "yj", "mi", "rho", "aim")}
-    _write_table(
-        base,
-        ("frame", "xi", "yi", "xj", "yj", "mi", "rho", "aim"),
-        rows,
-        float_fields,
-        cfg.export_format,
-    )
+    base.parent.mkdir(parents=True, exist_ok=True)
+    measured = slice(series.n_window, None)
+    columns = [
+        series.frames,
+        pair.xi[measured, 0],
+        pair.xi[measured, 1],
+        pair.xj[measured, 0],
+        pair.xj[measured, 1],
+        series.mi,
+        series.rho,
+        series.aim,
+    ]
+    rows = list(zip(*(column.tolist() for column in columns)))
+    if cfg.export_format in ("csv", "both"):
+        with open(base.parent / f"{base.name}.csv", "w", newline="") as fh:
+            fh.write(",".join(_SERIES_FIELDS) + "\n")
+            fh.writelines(_SERIES_CSV_ROW % row for row in rows)
+    if cfg.export_format in ("jsonl", "both"):
+        with open(base.parent / f"{base.name}.jsonl", "w") as fh:
+            for frame, *values in rows:
+                payload = dict(zip(_SERIES_FIELDS[1:], (round(v, 6) for v in values)))
+                payload["frame"] = frame
+                fh.write(json.dumps(payload, sort_keys=True))
+                fh.write("\n")
     rho_cfg = series.rho_config or RhoConfig()
     meta = {
         "dataset": video_key[0],
@@ -591,37 +596,36 @@ def cmd_aim(args: argparse.Namespace) -> int:
     by_video: dict[tuple[str, str, str], list[Trajectory]] = {}
     for traj in trajectories:
         by_video.setdefault(traj.source.key(), []).append(traj)
-    fit = cfg.fit_v0 or cfg.fit_a0
-    fit_pairs = (
-        {key: extract_interactions(by_video[key], n_window) for key in sorted(by_video)}
-        if fit
-        else {}
-    )
-
-    def forward_pairs() -> Iterator[tuple[tuple[str, str, str], InteractionPair]]:
-        """One direction of every measurable pair, video by video.
-
-        Without a fit, only one video's pairs are in memory at a time: the
-        loop below holds the only reference to them.
-        """
-        for key in sorted(by_video):
-            # extract_interactions puts both directions of a pair next to each other
-            for pair in video_pairs(key)[::2]:
-                yield key, pair
+    videos = sorted(by_video)
+    considered = sum(len(trajs) * (len(trajs) - 1) // 2 for trajs in by_video.values())
 
     def video_pairs(key: tuple[str, str, str]) -> list[InteractionPair]:
-        return fit_pairs.pop(key) if fit else extract_interactions(by_video[key], n_window)
+        # extract_interactions puts both directions of a pair next to each other
+        return extract_interactions(by_video[key], n_window)[::2]
 
+    fit = cfg.fit_v0 or cfg.fit_a0
+    fit_pairs = {key: video_pairs(key) for key in videos} if fit else {}
     base_rho = cfg.rho
     if fit:
         fitted = fit_normalizers(
-            [pair for key in fit_pairs for pair in fit_pairs[key][::2]], base=base_rho
+            [pair for key in videos for pair in fit_pairs[key]], base=base_rho
         )
         base_rho = dataclasses.replace(
             base_rho,
             v0=fitted.v0 if cfg.fit_v0 else base_rho.v0,
             a0=fitted.a0 if cfg.fit_a0 else base_rho.a0,
         )
+
+    def candidates() -> Iterator[list[tuple[tuple[str, str, str], InteractionPair]]]:
+        """One direction of every measurable pair, in batches: the whole store
+        when the fit already holds it, else one video at a time. The loops
+        below drop each batch before asking for the next, so that without a
+        fit only one video's pairs are in memory."""
+        if fit:
+            yield [(key, pair) for key in videos for pair in fit_pairs.pop(key)]
+        else:
+            for key in videos:
+                yield [(key, pair) for pair in video_pairs(key)]
 
     @functools.cache
     def rho_for(key: tuple[str, str, str]) -> RhoConfig:
@@ -632,46 +636,65 @@ def cmd_aim(args: argparse.Namespace) -> int:
             return base_rho
         return dataclasses.replace(base_rho, sigma_d=diagonal / 8.0)
 
+    measurable = measured = 0
     exports: list[tuple[tuple[str, str, str], MeasureSeries]] = []
     if named is not None:
-        selected = [
-            (key, direction)
-            for key, pair in forward_pairs()
-            for direction in (pair, pair.reversed())
-            if direction.key == named
-        ]
+        selected = []
+        for batch in candidates():
+            measurable += len(batch)
+            selected += [
+                (key, direction)
+                for key, pair in batch
+                for direction in (pair, pair.reversed())
+                if direction.key == named
+            ]
+            del batch
         if not selected:
             raise InsufficientDataError(
                 f"tracks {named[0]} and {named[1]} share too few co-present frames "
                 f"(need {n_window + 1} at constant spacing in one video)"
             )
         for key, pair in selected:
+            measured += 1
             for series in sweep(pair, deltas, n_values, rho_config=rho_for(key), **measure_options):
                 exports.append((key, series))
+        skipped = 0
     else:
+        # The best top_k series so far, best first: the highest final value,
+        # ties to the lower video key, then the lower pair key.
+        def rank(item: tuple[tuple[str, str, str], MeasureSeries]) -> tuple:
+            return (-item[1].final, item[0], item[1].pair.key)
 
-        def measured() -> Iterator[tuple[tuple[str, str, str], MeasureSeries]]:
-            for key, pair in forward_pairs():
-                for series in sweep(
+        selected = []
+        for batch in candidates():
+            measurable += len(batch)
+            bounds = [
+                max(final_bounds(pair, delta=cfg.delta, rho_config=rho_for(key), **measure_options))
+                for key, pair in batch
+            ]
+            ranked = sorted(zip(bounds, batch), key=lambda c: (-c[0], c[1][0], c[1][1].key))
+            for bound, (key, pair) in ranked:
+                # bounds only fall from here on, and a series whose final value is
+                # below the k-th best cannot enter the selection, even by a tie
+                if len(selected) == top_k and selected[-1][1].final > bound:
+                    break
+                measured += 1
+                series = sweep(
                     pair,
                     [cfg.delta],
                     [n_window],
                     rho_config=rho_for(key),
                     both_directions=True,
                     **measure_options,
-                ):
-                    yield key, series
-
-        # keeps only the best top_k series while measuring; ties go to the
-        # lower video key, then the lower pair key
-        selected = heapq.nsmallest(
-            top_k, measured(), key=lambda item: (-item[1].final, item[0], item[1].pair.key)
-        )
+                )
+                selected = sorted(selected + [(key, s) for s in series], key=rank)[:top_k]
+            del batch, ranked
         if not selected:
             raise InsufficientDataError(
                 "no measurable pairs in the store "
                 f"(need {n_window + 1} co-present frames at constant spacing)"
             )
+        skipped = measurable - measured
         for key, best in selected:
             if swept:
                 for series in sweep(
@@ -684,7 +707,9 @@ def cmd_aim(args: argparse.Namespace) -> int:
     for key, series in exports:
         _export_series(cfg, key, series, swept)
     _status(
-        f"exported {len(exports)} measure series for {len(selected)} pairs to {cfg.aim_dir}"
+        f"exported {len(exports)} measure series for {len(selected)} pairs to {cfg.aim_dir} "
+        f"({considered} pairs considered, {measurable} measurable, {measured} measured, "
+        f"{skipped} skipped by the bound)"
     )
     return 0
 

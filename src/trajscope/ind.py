@@ -24,8 +24,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .types import (
     SourceRef,
     StructuralError,
     Trajectory,
+    not_utf8,
     read_columns,
     split_tracks,
 )
@@ -61,14 +63,22 @@ def pixels_to_meters(x_px: float, y_px: float, factor: float) -> tuple[float, fl
     return x_px * factor, -y_px * factor
 
 
-def _open(source: str | Path | IO[str]) -> tuple[IO[str], str]:
+@contextmanager
+def _opened(source: str | Path | IO[str]) -> Iterator[tuple[IO[str], str]]:
     """A text stream from the start of the source, which can be rewound, and its name.
 
-    A file is opened as csv wants it (newline=""); a stream is read into memory.
+    A file is opened as csv wants it (newline=""); a stream is read into
+    memory. A file that is not UTF-8 ends as a ParseError naming its line.
     """
     if isinstance(source, (str, Path)):
-        return Path(source).open("r", encoding="utf-8", newline=""), str(Path(source))
-    return io.StringIO(source.read(), newline=""), str(getattr(source, "name", "<input>"))
+        stream, path = Path(source).open("r", encoding="utf-8", newline=""), str(Path(source))
+    else:
+        stream, path = io.StringIO(source.read(), newline=""), str(getattr(source, "name", "<input>"))
+    with stream:
+        try:
+            yield stream, path
+        except UnicodeDecodeError:
+            raise not_utf8(source) from None
 
 
 def _reader(stream: IO[str], path: str, required: Iterable[str]) -> csv.DictReader:
@@ -158,8 +168,7 @@ def parse_ind_tracks(
     from tracksMeta, a non-positive conversion factor, duplicate frames,
     frame gaps within a track, or a frame count disagreeing with numFrames.
     """
-    stream, rec_path = _open(recording_meta)
-    with stream:
+    with _opened(recording_meta) as (stream, rec_path):
         rec_rows = list(_reader(stream, rec_path, ["recordingId", "orthoPxToMeter"]))
     if len(rec_rows) != 1:
         raise StructuralError(f"{rec_path}: expected exactly one recording row, got {len(rec_rows)}")
@@ -172,10 +181,9 @@ def parse_ind_tracks(
 
     source = SourceRef(dataset="ind", scene=f"location{location}", video=recording_id)
 
-    stream, meta_path = _open(tracks_meta)
     classes: dict[int, str] = {}
     num_frames: dict[int, int] = {}
-    with stream:
+    with _opened(tracks_meta) as (stream, meta_path):
         meta_reader = _reader(stream, meta_path, ["trackId", "numFrames", "class"])
         for row in meta_reader:
             line_no = meta_reader.line_num
@@ -187,8 +195,7 @@ def parse_ind_tracks(
             classes[track_id] = mapped
             num_frames[track_id] = _int(row, "numFrames", meta_path, line_no)
 
-    stream, tracks_path = _open(tracks)
-    with stream:
+    with _opened(tracks) as (stream, tracks_path):
         columns = _track_columns(stream, _reader(stream, tracks_path, _TRACK_COLUMNS).fieldnames)
         if columns is None:
             stream.seek(0)

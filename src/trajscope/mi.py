@@ -22,8 +22,12 @@ order. That makes estimates bit-for-bit reproducible, exactly symmetric in
 `HashMIState` recount. The symmetry is why `aim` computes one series per
 unordered pair and shares it between the two directions.
 
-Streams must be finite: `mi_prefix_series` checks each stream once and
-raises DomainError (the ingest parsers already reject non-finite input).
+`mi_prefix_bound` gives a cheap upper bound on every prefix estimate from
+the occupied marginal cells alone (no joint counts), so a caller ranking
+many pairs can skip the ones that cannot win.
+
+Streams must be finite: both functions check each stream once and raise
+DomainError (the ingest parsers already reject non-finite input).
 """
 from __future__ import annotations
 
@@ -40,6 +44,9 @@ DEFAULT_N_MIN = 10
 # Prefix counts are built for a block of eval points at once; this caps a
 # block's count matrices at that many cells, whatever the stream length.
 _BLOCK_CELLS = 1 << 12
+# Relative margin added to `mi_prefix_bound`; it dwarfs the few-ulp rounding
+# of the estimate and of the bound (see there).
+BOUND_MARGIN = 1e-9
 
 Coord = float | Sequence[float]
 
@@ -131,15 +138,21 @@ class HashMIState:
         return _ensemble(self.weights, band_sums)
 
 
-def _first_seen_codes(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Codes 0..k-1 for the distinct rows of `columns`, numbered in order of
-    first occurrence, and the row where each code first occurs (increasing)."""
+def _first_seen(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `columns` in sorted order, and where each distinct row starts in it."""
     order = np.lexsort(columns[::-1])
     new = np.zeros(len(order), dtype=bool)
     new[:1] = True
     for column in columns:
         ordered = column[order]
         new[1:] |= ordered[1:] != ordered[:-1]
+    return order, new
+
+
+def _first_seen_codes(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Codes 0..k-1 for the distinct rows of `columns`, numbered in order of
+    first occurrence, and the row where each code first occurs (increasing)."""
+    order, new = _first_seen(columns)
     # lexsort is stable, so each run of equal rows starts at its first occurrence
     first = order[new]
     rank = np.empty_like(first)
@@ -163,7 +176,7 @@ def _stream(values, what: str) -> np.ndarray:
     return stream
 
 
-def _band_prefix_sums(x_cells: np.ndarray, y_cells: np.ndarray, points: list[int]) -> list[float]:
+def _band_prefix_sums(x_cells: np.ndarray, y_cells: np.ndarray, points: np.ndarray) -> list[float]:
     """fsum of one bandwidth's cell terms after each prefix length in `points`.
 
     Cells are numbered by first occurrence, so the cells occupied after t
@@ -182,7 +195,7 @@ def _band_prefix_sums(x_cells: np.ndarray, y_cells: np.ndarray, points: list[int
     counted = 0
     for start in range(0, len(points), block):
         ts = points[start : start + block]
-        t = ts[-1]
+        t = int(ts[-1])
         # sample k first counts toward the first prefix longer than k
         rows = np.searchsorted(ts, np.arange(counted, t), side="right")
         grown = []
@@ -194,10 +207,46 @@ def _band_prefix_sums(x_cells: np.ndarray, y_cells: np.ndarray, points: list[int
         counted = t
         x_grown, y_grown, joint_grown = grown
         k = joint_grown.shape[1]
-        n = np.array(ts, dtype=np.int64)[:, None]
+        n = ts[:, None]
         terms = _cell_terms(joint_grown, x_grown[:, jx[:k]], y_grown[:, jy[:k]], n)
         sums += [math.fsum(row) for row in terms.tolist()]
     return sums
+
+
+def _prefix_input(
+    pairs, eval_points: Sequence[int], bandwidths, weights, n_min: int
+) -> tuple[HashMIState, np.ndarray, np.ndarray, np.ndarray]:
+    """Checked settings, eval points and the (x, y) streams cut to the last point.
+
+    Both prefix functions take the same arguments and raise the same errors
+    through this. With no eval points, the streams are empty and unchecked.
+    """
+    settings = HashMIState(bandwidths=bandwidths, weights=weights, n_min=n_min)
+    points = np.asarray(eval_points, dtype=np.int64).reshape(-1)
+    if (np.diff(points) <= 0).any():
+        raise ConfigError(f"eval points must be strictly increasing, got {points.tolist()!r}")
+    if points.size and points[0] < n_min:
+        raise InsufficientDataError(
+            f"first eval point {points[0]} is below the {n_min}-sample minimum"
+        )
+    if not points.size:
+        empty = np.zeros((0, 1))
+        return settings, points, empty, empty
+    samples = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    if points[-1] > len(samples):
+        beyond = points[points > len(samples)][0]
+        raise ConfigError(f"eval point {beyond} exceeds the available {len(samples)} samples")
+    samples = samples[: points[-1]]
+    if isinstance(samples, np.ndarray):
+        if samples.ndim < 2 or samples.shape[1] != 2:
+            raise StructuralError(f"samples must be (x, y) pairs, got shape {samples.shape}")
+        x_values, y_values = samples[:, 0], samples[:, 1]
+    else:
+        try:
+            x_values, y_values = zip(*samples)
+        except (TypeError, ValueError):
+            raise StructuralError("samples must be (x, y) pairs") from None
+    return settings, points, _stream(x_values, "x"), _stream(y_values, "y")
 
 
 def mi_prefix_series(
@@ -215,33 +264,52 @@ def mi_prefix_series(
     from cumulative sums of the new samples' cells, so every value is
     identical to re-counting that prefix from scratch with HashMIState.
     """
-    settings = HashMIState(bandwidths=bandwidths, weights=weights, n_min=n_min)
-    points = [int(t) for t in eval_points]
-    if any(b <= a for a, b in zip(points, points[1:])):
-        raise ConfigError(f"eval points must be strictly increasing, got {points!r}")
-    if points and points[0] < n_min:
-        raise InsufficientDataError(
-            f"first eval point {points[0]} is below the {n_min}-sample minimum"
-        )
-    if not points:
+    settings, points, x, y = _prefix_input(pairs, eval_points, bandwidths, weights, n_min)
+    if not points.size:
         return []
-    samples = pairs if isinstance(pairs, np.ndarray) else list(pairs)
-    if points[-1] > len(samples):
-        beyond = next(t for t in points if t > len(samples))
-        raise ConfigError(f"eval point {beyond} exceeds the available {len(samples)} samples")
-    samples = samples[: points[-1]]
-    if isinstance(samples, np.ndarray):
-        if samples.ndim < 2 or samples.shape[1] != 2:
-            raise StructuralError(f"samples must be (x, y) pairs, got shape {samples.shape}")
-        x_values, y_values = samples[:, 0], samples[:, 1]
-    else:
-        try:
-            x_values, y_values = zip(*samples)
-        except (TypeError, ValueError):
-            raise StructuralError("samples must be (x, y) pairs") from None
-    x, y = _stream(x_values, "x"), _stream(y_values, "y")
     band_sums = [
         _band_prefix_sums(np.floor(x / eps), np.floor(y / eps), points)
         for eps in settings.bandwidths
     ]
-    return [(t, _ensemble(settings.weights, sums)) for t, sums in zip(points, zip(*band_sums))]
+    return [
+        (t, _ensemble(settings.weights, sums))
+        for t, sums in zip(points.tolist(), zip(*band_sums))
+    ]
+
+
+def mi_prefix_bound(
+    pairs: np.ndarray | Sequence[tuple[Coord, Coord]] | Iterable[tuple[Coord, Coord]],
+    eval_points: Sequence[int],
+    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
+    weights: Sequence[float] | None = None,
+    n_min: int = DEFAULT_N_MIN,
+) -> np.ndarray:
+    """An upper bound on each value `mi_prefix_series` returns for the same arguments.
+
+    Per bandwidth, the estimate after t samples is below (min(Kx, Ky) + 1) / 2,
+    where Kx and Ky count the x and y cells occupied by then: each cell term
+    is (nij/n) * g(r) with r = nij*n / (nx*ny), g(r) < (r + 1) / 2 for r > 0,
+    so a term is below nij**2 / (2*nx*ny) + nij / (2n); these sum to at most
+    (Kx + 1) / 2 because nij <= ny and the nij of one x cell sum to nx, and
+    likewise to (Ky + 1) / 2. The bound is the weighted sum of the per-band
+    values, times 1 + BOUND_MARGIN. It needs only the first row of each
+    marginal cell, not the joint counts.
+
+    Computed values keep the order. Counts and their products are exact
+    integers, so each computed cell term is off by a few ulps of
+    nij**2 / (nx*ny) + nij / n, the quantity summed above; a band's fsum is
+    then within a few ulps of (min(Kx, Ky) + 1) / 2 of its exact value, and
+    the computed bound within a few ulps of its own. BOUND_MARGIN is far
+    larger than both, so every computed estimate is at most its computed
+    bound. Arguments are checked, and raise, exactly as in `mi_prefix_series`.
+    """
+    settings, points, x, y = _prefix_input(pairs, eval_points, bandwidths, weights, n_min)
+    total = np.zeros(len(points))
+    for weight, eps in zip(settings.weights, settings.bandwidths):
+        occupied = [
+            # the cells seen in the first t samples are those first seen at a row below t
+            np.searchsorted(np.sort(order[new]), points)
+            for order, new in (_first_seen(list(np.floor(s / eps).T)) for s in (x, y))
+        ]
+        total += weight * ((np.minimum(*occupied) + 1) / 2)
+    return total * (1.0 + BOUND_MARGIN)

@@ -31,6 +31,7 @@ from .types import (
     StructuralError,
     Trajectory,
     canonical_class,
+    not_utf8,
     read_columns,
     split_tracks,
 )
@@ -201,7 +202,10 @@ def parse_sdd_annotations(
     the 1-based line number.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise not_utf8(source) from None
         path = path or str(Path(source))
         records = _parse_columns(text)
         return _parse_rows(io.StringIO(text), path) if records is None else records

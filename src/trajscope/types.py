@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
@@ -47,6 +48,18 @@ class ParseError(ToolError):
         self.line_no = line_no
         where = path if line_no is None else f"{path}:{line_no}"
         super().__init__(f"{where}: {message}")
+
+
+def not_utf8(path) -> ParseError:
+    """The ParseError for a file that does not decode as UTF-8, naming the
+    line of its first bad byte (lines counted by "\\n")."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        return ParseError(f"not valid UTF-8 (byte 0x{data[exc.start]:02x})", str(path), line_no)
+    return ParseError("not valid UTF-8", str(path))
 
 
 class StructuralError(ToolError):

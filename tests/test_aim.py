@@ -19,11 +19,12 @@ from trajscope.aim import (
     compute_kinematics,
     compute_rho,
     extract_interactions,
+    final_bounds,
     fit_normalizers,
     measure_interaction,
     sweep,
 )
-from trajscope.types import ConfigError, DomainError, InsufficientDataError, StructuralError
+from trajscope.types import ConfigError, DomainError, InsufficientDataError, StructuralError, Trajectory
 
 
 def pair_from(coords_i, coords_j, n_window: int, start_frame: int = 0) -> InteractionPair:
@@ -295,13 +296,28 @@ def test_extract_deterministic_order() -> None:
     assert ids == [(1, 3), (3, 1), (1, 5), (5, 1), (3, 5), (5, 3)]
 
 
+def longest_uniform_run_oracle(frames: np.ndarray) -> np.ndarray:
+    """The loop that found the longest constant-spacing run (earliest wins ties)."""
+    if frames.size <= 2:
+        return frames
+    diffs = np.diff(frames)
+    best_start, best_stop = 0, 1  # diff-index range of the best run
+    start = 0
+    for k in range(1, diffs.size + 1):
+        if k == diffs.size or diffs[k] != diffs[start]:
+            if k - start > best_stop - best_start:
+                best_start, best_stop = start, k
+            start = k
+    return frames[best_start : best_stop + 1]
+
+
 def pairs_oracle(trajs, n_window: int, offset: int | None = None) -> list:
     """Extraction without interval pruning: every pair's frames are intersected."""
     offset = n_window if offset is None else offset
     ordered = sorted(trajs, key=lambda t: (t.source.key(), t.track_id, t.segment))
     found = []
     for ta, tb in combinations(ordered, 2):
-        run = aim._longest_uniform_run(np.intersect1d(ta.frames(), tb.frames()))
+        run = longest_uniform_run_oracle(np.intersect1d(ta.frames(), tb.frames()))
         if run.size >= offset + 1:
             found.append((ta.uid, tb.uid, run.tolist()))
     return found
@@ -324,8 +340,8 @@ def test_extract_skips_intersection_when_intervals_are_too_short(monkeypatch) ->
     ]
     expected = pairs_oracle(trajs, n_window=5)
     calls = []
-    intersect1d = np.intersect1d
-    monkeypatch.setattr(np, "intersect1d", lambda a, b: calls.append(1) or intersect1d(a, b))
+    run_rows = aim._run_rows
+    monkeypatch.setattr(aim, "_run_rows", lambda *args: calls.append(1) or run_rows(*args))
     pairs = extract_interactions(trajs, n_window=5)
     # only (1, 2) and (2, 4) overlap by the 6 frames a 5-frame window and one sample need
     assert len(calls) == 2
@@ -352,6 +368,89 @@ def test_extract_matches_unpruned_oracle(spans, n_window, extra) -> None:
     offset = n_window + extra
     pairs = extract_interactions(trajs, n_window=n_window, t_prime_offset=offset)
     assert pair_keys(pairs) == pairs_oracle(trajs, n_window, offset)
+
+
+def traj_with_frames(frames, track_id: int) -> Trajectory:
+    """A track on the given frames, with coordinates unique to the track and frame."""
+    frames = np.asarray(frames, dtype=np.int64)
+    coords = [(float(f) + 0.25 * track_id, 1000.0 * track_id - f) for f in frames.tolist()]
+    traj = make_traj(coords, track_id=track_id)
+    traj.points["frame"] = frames
+    return traj
+
+
+def full_oracle(trajs, n_window: int, offset: int) -> list:
+    """Every pair's common run and coordinates, from `np.intersect1d` and the old loop."""
+    ordered = sorted(trajs, key=lambda t: (t.source.key(), t.track_id, t.segment))
+    found = []
+    for ta, tb in combinations(ordered, 2):
+        fa, fb = ta.frames(), tb.frames()
+        run = longest_uniform_run_oracle(np.intersect1d(fa, fb))
+        if run.size >= offset + 1:
+            xa = ta.xy()[np.searchsorted(fa, run)]
+            xb = tb.xy()[np.searchsorted(fb, run)]
+            found.append((ta.uid, tb.uid, run.tolist(), xa.tolist(), xb.tolist()))
+    return found
+
+
+def extracted(pairs) -> list:
+    pair_keys(pairs)  # directions alternate
+    for forward, backward in zip(pairs[::2], pairs[1::2]):
+        assert backward.frames is forward.frames
+        assert backward.xi is forward.xj and backward.xj is forward.xi
+    return [
+        (p.agent_i.uid, p.agent_j.uid, p.frames.tolist(), p.xi.tolist(), p.xj.tolist())
+        for p in pairs[::2]
+    ]
+
+
+# One track: a start frame, then steps; gaps, spacing changes and equal-length
+# runs all come from the steps.
+track_steps = st.tuples(
+    st.integers(0, 12),
+    st.lists(st.sampled_from((1, 1, 1, 2, 2, 3, 5)), min_size=0, max_size=14),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(track_steps, min_size=2, max_size=6), st.integers(1, 3), st.integers(0, 2))
+def test_extract_with_gaps_matches_the_intersect_oracle(tracks, n_window, extra) -> None:
+    trajs = [
+        traj_with_frames(start + np.cumsum([0, *steps]), track_id=k)
+        for k, (start, steps) in enumerate(tracks)
+    ]
+    offset = n_window + extra
+    pairs = extract_interactions(trajs, n_window=n_window, t_prime_offset=offset)
+    assert extracted(pairs) == full_oracle(trajs, n_window, offset)
+
+
+@pytest.mark.parametrize(
+    "frames_a, frames_b, run",
+    [
+        # common 0 1 2 4 6: runs 0-2 and 2-6 both span two steps; the earliest wins
+        ([0, 1, 2, 4, 6], [0, 1, 2, 3, 4, 5, 6], [0, 1, 2]),
+        ([0, 2, 4, 5, 6], list(range(8)), [0, 2, 4]),
+        # a gap-free track against one with a gap: the slice would hold frame 3
+        ([0, 1, 2, 4, 5, 6, 7], list(range(9)), [4, 5, 6, 7]),
+        (list(range(9)), [0, 1, 2, 4, 5, 6, 7], [4, 5, 6, 7]),
+        # overlaps of one and two frames
+        ([0, 1, 2], [2, 3, 4], None),
+        ([0, 1, 2], [1, 2, 3], [1, 2]),
+        ([0, 3, 6], [3, 6, 9], [3, 6]),
+    ],
+)
+def test_extract_picks_the_earliest_longest_common_run(frames_a, frames_b, run) -> None:
+    trajs = [traj_with_frames(frames_a, 1), traj_with_frames(frames_b, 2)]
+    pairs = extract_interactions(trajs, n_window=1)
+    assert extracted(pairs) == full_oracle(trajs, 1, 1)
+    assert [p.frames.tolist() for p in pairs[:1]] == ([run] if run else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=0, max_size=25, unique=True))
+def test_uniform_run_matches_the_loop(frames) -> None:
+    frames = np.array(sorted(frames), dtype=np.int64)
+    assert frames[aim._uniform_run(frames)].tolist() == longest_uniform_run_oracle(frames).tolist()
 
 
 # --- end-to-end measurement ----------------------------------------------------------
@@ -433,3 +532,58 @@ def test_fit_normalizers() -> None:
     kins = [compute_kinematics(pair, int(t), 20) for t in pair.frames[20:]]
     assert fitted.v0 == float(np.median([k.v for k in kins]))
     assert fitted.a0 == float(np.median([k.a for k in kins]))
+
+
+# --- upper bounds for the ranking -------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(2, 70),
+    n_window=st.integers(1, 6),
+    n_min=st.integers(1, 7),
+    delta=st.sampled_from((1.0, 0.98, 0.5, 0.013)),
+    alpha=st.sampled_from((0.0, 0.3, 2.0)),
+    flags=st.tuples(*[st.booleans()] * 4),
+    bandwidths=st.one_of(st.none(), st.lists(st.floats(0.5, 60.0), min_size=1, max_size=3)),
+    parked=st.booleans(),
+)
+def test_final_bounds_cover_the_measured_finals(
+    seed, length, n_window, n_min, delta, alpha, flags, bandwidths, parked
+) -> None:
+    length = max(length, n_window + 1, n_min)
+    rng = np.random.default_rng(seed)
+    xi = np.round(np.cumsum(rng.normal(0, 4, (length, 2)), axis=0), 1)
+    # a parked agent j occupies one cell, so the estimate is 0 and the bound is not
+    xj = np.full_like(xi, 7.0) if parked else xi + np.cumsum(rng.normal(0, 3, (length, 2)), axis=0)
+    pair = pair_from(xi.tolist(), xj.tolist(), n_window)
+    use_v, use_d, use_h, use_a = flags
+    cfg = RhoConfig(alpha=alpha, v0=2.0, sigma_d=40.0, a0=0.5, use_v=use_v, use_d=use_d, use_h=use_h, use_a=use_a)
+    options = dict(bandwidths=bandwidths or aim.DEFAULT_BANDWIDTHS, n_min=max(1, min(n_min, n_window + 1)))
+    if bandwidths:
+        raw = rng.uniform(0.1, 1.0, len(bandwidths))
+        options["weights"] = (raw / raw.sum()).tolist()
+    forward, backward = sweep(pair, [delta], [n_window], rho_config=cfg, both_directions=True, **options)
+    bounds = final_bounds(pair, delta=delta, rho_config=cfg, **options)
+    assert bounds[0] >= forward.final and bounds[1] >= backward.final
+    assert min(bounds) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        (dict(n_min=7), InsufficientDataError),
+        (dict(delta=0.0), ConfigError),
+        (dict(rho_config=RhoConfig(v0=-1.0)), ConfigError),
+        (dict(weights=[1.0]), ConfigError),
+    ],
+)
+def test_final_bounds_raise_as_the_measurement_does(kwargs, error) -> None:
+    pair = crossing_pair(n=40, n_window=5)
+    options = {k: v for k, v in kwargs.items() if k != "delta"}
+    with pytest.raises(error) as measured:
+        sweep(pair, [kwargs.get("delta", 0.98)], [5], **options)
+    with pytest.raises(error) as bounded:
+        final_bounds(pair, **kwargs)
+    assert str(bounded.value) == str(measured.value)

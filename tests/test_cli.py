@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trajscope import aim, cli
@@ -11,6 +14,7 @@ from trajscope.aim import (
     extract_interactions,
     fit_normalizers,
     measure_interaction,
+    sweep,
 )
 from trajscope.cli import load_run_config, main
 from trajscope.preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
@@ -321,7 +325,18 @@ def test_aim_top_k_exports_the_ranked_series(tmp_path, monkeypatch) -> None:
     pairs = {key: extract_interactions(trajs, 5) for key, trajs in by_video.items()}
     n_unordered = sum(len(p) // 2 for p in pairs.values())
     assert n_unordered == 3
-    assert len(mi_calls) == n_unordered  # one MI series serves both directions
+    # at most one MI series per unordered pair (it serves both directions),
+    # and exactly one for the pair of each exported series
+    measured = [
+        next(
+            frozenset(p.key)
+            for ps in pairs.values()
+            for p in ps[::2]
+            if np.array_equal(args[0], np.stack([p.xi, p.xj], axis=1))
+        )
+        for args in mi_calls
+    ]
+    assert len(measured) == len(set(measured)) <= n_unordered
     # one kinematics pass per pair serves the fit and both directions
     assert len(kinematics_calls) == n_unordered
 
@@ -337,6 +352,7 @@ def test_aim_top_k_exports_the_ranked_series(tmp_path, monkeypatch) -> None:
         rho = RhoConfig(**{f: meta[f] for f in ("alpha", "v0", "sigma_d", "a0", "use_v", "use_d", "use_h", "use_a")})
         alone = measure_interaction(pair, delta=meta["delta"], rho_config=rho, n_min=meta["n_min"])
         cli._export_series(cfg, key, alone, swept=False)
+        assert frozenset(pair.key) in measured
         stem = meta_path.name[: -len(".meta.json")]
         for suffix in (".csv", ".jsonl", ".meta.json"):
             exported = (out / "aim" / f"{stem}{suffix}").read_bytes()
@@ -358,6 +374,142 @@ def test_aim_pair_fits_sigma_d_from_the_whole_video(tmp_path) -> None:
     assert scene_diagonal(named) != scene_diagonal(video)
     assert meta["sigma_d"] == scene_diagonal(video) / 8.0
     assert (meta["v0"], meta["a0"]) == (1.0, 0.25)
+
+
+def write_walker_tree(root: Path, seed: int, tracks: dict[str, int], copy: bool = False) -> Path:
+    """Random walkers with integer coordinates, per video; with `copy`, every
+    video holds the first video's walkers."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for n_tracks in tracks.values():
+        rows = []
+        for track in range(n_tracks):
+            start, length = int(rng.integers(0, 12)), int(rng.integers(14, 45))
+            steps = rng.integers(-3, 4, (length, 2))
+            steps[0] = rng.integers(0, 600, 2)
+            xy = np.cumsum(steps, axis=0).tolist()
+            rows += [sdd_row(track, x, y, start + k) for k, (x, y) in enumerate(xy)]
+        texts.append("\n".join(rows) + "\n")
+    for video, text in zip(tracks, [texts[0]] * len(texts) if copy else texts):
+        (root / "annotations" / "walk" / video).mkdir(parents=True)
+        (root / "annotations" / "walk" / video / "annotations.txt").write_text(text)
+    return root / "annotations"
+
+
+def write_parked_tree(root: Path, n_tracks: int) -> Path:
+    rows = [sdd_row(track, 50 + 3 * track, 80, frame) for track in range(n_tracks) for frame in range(20)]
+    (root / "annotations" / "lot" / "video0").mkdir(parents=True)
+    (root / "annotations" / "lot" / "video0" / "annotations.txt").write_text("\n".join(rows) + "\n")
+    return root / "annotations"
+
+
+def by_video_of(trajectories) -> dict:
+    by_video: dict = {}
+    for traj in trajectories:
+        by_video.setdefault(traj.source.key(), []).append(traj)
+    return by_video
+
+
+def top_k_oracle(config: Path, k: int, expected_out: Path) -> None:
+    """The ranking without pruning: measure every pair, export the k best series."""
+    cfg = load_run_config(config)
+    by_video = by_video_of(load_store(cfg.store_dir))
+    pairs = {key: extract_interactions(by_video[key], 5)[::2] for key in sorted(by_video)}
+    rho = cfg.rho
+    if cfg.fit_v0 or cfg.fit_a0:
+        fitted = fit_normalizers([p for ps in pairs.values() for p in ps], base=rho)
+        rho = dataclasses.replace(
+            rho, v0=fitted.v0 if cfg.fit_v0 else rho.v0, a0=fitted.a0 if cfg.fit_a0 else rho.a0
+        )
+    measured = []
+    for key, video_pairs in pairs.items():
+        video_rho = rho
+        if cfg.fit_sigma_d and scene_diagonal(by_video[key]) > 0:
+            video_rho = dataclasses.replace(rho, sigma_d=scene_diagonal(by_video[key]) / 8.0)
+        for pair in video_pairs:
+            for series in sweep(
+                pair, [cfg.delta], [5], rho_config=video_rho, both_directions=True,
+                bandwidths=cfg.bandwidths, weights=cfg.weights, n_min=cfg.n_min,
+            ):
+                measured.append((key, series))
+    best = heapq.nsmallest(k, measured, key=lambda item: (-item[1].final, item[0], item[1].pair.key))
+    expected = load_run_config(config, str(expected_out))
+    for key, series in best:
+        cli._export_series(expected, key, series, swept=False)
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "store, fitted, k",
+    [
+        ("walkers", True, 3),
+        ("walkers", False, 3),
+        ("walkers", True, 1000),  # more than the directed pairs
+        ("copies", False, 3),  # every value tied across the two videos
+        ("copies", True, 5),
+        ("parked", False, 2),  # alpha 0: every final and every bound is 0
+        ("parked", False, 3),
+    ],
+)
+def test_aim_pruned_top_k_equals_measuring_every_pair(tmp_path, capsys, store, fitted, k) -> None:
+    if store == "parked":
+        annotations = write_parked_tree(tmp_path, 4)
+    else:
+        annotations = write_walker_tree(
+            tmp_path, 7, {"video0": 7, "video1": 5} if store == "walkers" else {"video0": 6, "video1": 6},
+            copy=store == "copies",
+        )
+    out = tmp_path / "out"
+    config = (fitted_config if fitted else write_config)(tmp_path / "config.yaml", annotations, out)
+    if store == "parked":
+        config.write_text(config.read_text().replace("rho:\n", "rho:\n  alpha: 0.0\n"))
+    assert run(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert run(["aim", "--config", config, "--top-k", k]) == 0
+    status = capsys.readouterr().err
+    top_k_oracle(config, k, tmp_path / "expected")
+    exported = tree_bytes(out / "aim")
+    assert sorted(exported) == sorted(tree_bytes(tmp_path / "expected" / "aim"))
+    assert exported == tree_bytes(tmp_path / "expected" / "aim")
+    if store == "parked":
+        assert sorted(name for name in exported if name.endswith(".csv"))[:k] == sorted(
+            f"sdd__lot__video0__pair_{i}_{j}.csv" for i, j in [(0, 1), (0, 2), (0, 3)][:k]
+        )
+    assert "skipped by the bound" in status
+
+
+def test_aim_status_counts_the_pairs(tmp_path, monkeypatch, capsys) -> None:
+    annotations = write_walker_tree(tmp_path, 7, {"video0": 7, "video1": 5})
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "config.yaml", annotations, out)
+    assert run(["ingest", "--config", config]) == 0
+    measurable = sum(
+        len(extract_interactions(trajs, 5)) // 2
+        for trajs in by_video_of(load_store(out / "store")).values()
+    )
+    mi_calls = counting(monkeypatch, aim, "mi_prefix_series")
+    capsys.readouterr()
+    assert run(["aim", "--config", config, "--top-k", "2"]) == 0
+    measured = len(mi_calls)
+    assert 0 < measured < measurable
+    assert capsys.readouterr().err == (
+        f"exported 2 measure series for 2 pairs to {out / 'aim'} (31 pairs considered, "
+        f"{measurable} measurable, {measured} measured, {measurable - measured} skipped by the bound)\n"
+    )
+
+
+@pytest.mark.parametrize("fitted", [False, True])
+def test_aim_n_min_above_the_first_eval_point_is_one_error_line(tmp_path, capsys, fitted) -> None:
+    annotations = write_sdd_tree(tmp_path)
+    config = (fitted_config if fitted else write_config)(tmp_path / "c.yaml", annotations, tmp_path / "out")
+    config.write_text(config.read_text().replace("n_min: 6", "n_min: 7"))
+    assert run(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert run(["aim", "--config", config]) == 1
+    assert capsys.readouterr().err == "error: first eval point 6 is below the 7-sample minimum\n"
 
 
 def test_aim_sweep(workspace) -> None:
@@ -484,3 +636,15 @@ def test_outputs_byte_identical_across_runs(tmp_path) -> None:
 def test_usage_error_unknown_command(capsys) -> None:
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_ingest_non_utf8_input_is_one_error_line(tmp_path, capsys) -> None:
+    annotations = write_sdd_tree(tmp_path)
+    bad = annotations / "quad" / "video1" / "annotations.txt"
+    lines = bad.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"Pedestrian"', b'"Pedestri\xffn"')
+    bad.write_bytes(b"\n".join(lines))
+    config = write_config(tmp_path / "config.yaml", annotations, tmp_path / "out")
+    assert run(["ingest", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:3: not valid UTF-8 (byte 0xff)\n"

@@ -487,3 +487,25 @@ def test_header_only_tracks_parse_without_warnings(tmp_path) -> None:
         warnings.simplefilter("error")
         assert parse_ind_tracks(*paths) == []
         assert parse_ind_tracks(*build([], ["7,0,0,0,1,car\n"])) == []
+
+
+@pytest.mark.parametrize("kind, line_no", [("tracks", 3), ("tracksMeta", 2), ("recordingMeta", 1)])
+def test_non_utf8_file_is_parse_error_naming_its_line(tmp_path, kind: str, line_no: int) -> None:
+    paths = write_recording(tmp_path, ["7,0,0,0,1,1,0\n", "7,0,1,0,1,1,0\n"], ["7,0,0,1,2,car\n"])
+    path = tmp_path / f"07_{kind}.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] = lines[line_no - 1].replace(b",", b",\xe9", 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        parse_ind_tracks(*paths)
+    assert str(err.value) == f"{path}:{line_no}: not valid UTF-8 (byte 0xe9)"
+
+
+def test_non_utf8_byte_deep_in_large_tracks_names_its_line(tmp_path) -> None:
+    paths = large_recording(tmp_path)
+    lines = paths[0].read_bytes().split(b"\n")
+    lines[4320] += b"\xff"
+    paths[0].write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        parse_ind_tracks(*paths)
+    assert str(err.value) == f"{paths[0]}:4321: not valid UTF-8 (byte 0xff)"

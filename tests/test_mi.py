@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trajscope.mi import DEFAULT_BANDWIDTHS, HashMIState, g_divergence, mi_prefix_series
-from trajscope.types import DomainError, InsufficientDataError
+from trajscope.mi import (
+    BOUND_MARGIN,
+    DEFAULT_BANDWIDTHS,
+    HashMIState,
+    g_divergence,
+    mi_prefix_bound,
+    mi_prefix_series,
+)
+from trajscope.types import ConfigError, DomainError, InsufficientDataError, StructuralError
 
 
 def state_for(xs, ys, **kwargs) -> HashMIState:
@@ -228,3 +239,99 @@ def test_prefix_series_validates_eval_points() -> None:
         mi_prefix_series(pairs, [5])
     with pytest.raises(ConfigError):
         mi_prefix_series(pairs, [20, 15])
+
+
+# --- upper bound ----------------------------------------------------------------------
+
+
+def bound_oracle(pairs, points, bandwidths=DEFAULT_BANDWIDTHS, weights=None) -> list[float]:
+    """(min(Kx, Ky) + 1) / 2 per band, weighted, with cells counted in Python sets."""
+    weights = weights or [1.0 / len(bandwidths)] * len(bandwidths)
+    bounds = []
+    for t in points:
+        total = 0.0
+        for w, eps in zip(weights, bandwidths):
+            occupied = [
+                len({tuple(math.floor(c / eps) for c in np.atleast_1d(sample[side])) for sample in pairs[:t]})
+                for side in (0, 1)
+            ]
+            total += w * ((min(occupied) + 1) / 2)
+        bounds.append(total * (1.0 + BOUND_MARGIN))
+    return bounds
+
+
+def random_walk_pairs(seed: int, n: int, dims: int = 2) -> list:
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.normal(0, 6, (n, dims)), axis=0)
+    ys = xs + np.cumsum(rng.normal(0, 9, (n, dims)), axis=0)
+    return [(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+@pytest.mark.parametrize(
+    "seed, dims, bandwidths, weights",
+    [
+        (31, 2, DEFAULT_BANDWIDTHS, None),
+        (32, 1, (3.0, 50.0), [0.8, 0.2]),
+        (33, 2, (5.0,), None),
+    ],
+)
+def test_bound_counts_the_cells_occupied_by_each_prefix(seed, dims, bandwidths, weights) -> None:
+    pairs = random_walk_pairs(seed, 300, dims)
+    if dims == 1:
+        pairs = [(x[0], y[0]) for x, y in pairs]
+    points = list(range(4, 301, 3))
+    bound = mi_prefix_bound(pairs, points, bandwidths=bandwidths, weights=weights, n_min=4)
+    assert bound.tolist() == bound_oracle(pairs, points, bandwidths, weights)
+
+
+def test_bound_of_a_hand_counted_stream() -> None:
+    # x cells 0, 0, 1, 2; y cells 5, 6, 6, 6 at bandwidth 1: min(Kx, Ky) = 1, 1, 2, 2
+    pairs = [(0.5, 5.0), (0.2, 6.1), (1.5, 6.9), (2.0, 6.0)]
+    bound = mi_prefix_bound(pairs, [1, 2, 3, 4], bandwidths=[1.0], n_min=1)
+    assert bound.tolist() == [v * (1.0 + BOUND_MARGIN) for v in (1.0, 1.0, 1.5, 1.5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(12, 120),
+    st.lists(st.floats(0.5, 80.0), min_size=1, max_size=4),
+    st.integers(1, 12),
+    st.sampled_from([0.0, 0.3, 3.0]),
+)
+def test_bound_is_at_least_every_prefix_estimate(seed, n, bandwidths, n_min, spread) -> None:
+    rng = np.random.default_rng(seed)
+    xs = np.round(np.cumsum(rng.normal(0, 5, (n, 2)), axis=0))
+    ys = xs + rng.normal(0, spread, (n, 2))  # spread 0: identical streams
+    raw = rng.uniform(0.1, 1.0, len(bandwidths))
+    weights = (raw / raw.sum()).tolist()
+    samples = np.stack([xs, ys], axis=1)
+    points = range(n_min, n + 1)
+    estimates = [v for _, v in mi_prefix_series(samples, points, bandwidths, weights, n_min)]
+    bound = mi_prefix_bound(samples, points, bandwidths, weights, n_min)
+    assert (np.array(estimates) <= bound).all()
+    # the bound also holds without its margin on these streams
+    assert (np.array(estimates) < bound / (1.0 + BOUND_MARGIN)).all()
+
+
+def test_bound_checks_its_arguments_as_the_series_does() -> None:
+    pairs = [(float(i), float(i)) for i in range(30)]
+    cases = [
+        (dict(eval_points=[5]), InsufficientDataError),
+        (dict(eval_points=[20, 15]), ConfigError),
+        (dict(eval_points=[31]), ConfigError),
+        (dict(eval_points=[20], bandwidths=[0.0]), ConfigError),
+        (dict(eval_points=[20], weights=[0.5, 0.4, 0.2, 0.0]), ConfigError),
+    ]
+    for kwargs, error in cases:
+        messages = []
+        for fn in (mi_prefix_series, mi_prefix_bound):
+            with pytest.raises(error) as err:
+                fn(pairs, **kwargs)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    with pytest.raises(StructuralError):
+        mi_prefix_bound(np.zeros((20, 3)), [20])
+    with pytest.raises(DomainError):
+        mi_prefix_bound([(math.inf, 0.0)] * 20, [20])
+    assert mi_prefix_bound(pairs, []).tolist() == []

@@ -665,3 +665,11 @@ def test_empty_file_parses_without_warnings(tmp_path, text: str) -> None:
         for source in (path, io.StringIO(text), text.splitlines()):
             records = parse_sdd_annotations(source)
             assert records.dtype == RECORD_DTYPE and len(records) == 0
+
+
+def test_non_utf8_file_is_parse_error_naming_its_line(tmp_path) -> None:
+    path = tmp_path / "annotations.txt"
+    path.write_bytes(b'1 0 0 2 2 0 0 0 0 "Biker"\r\n1 0 0 2 2 1 0 0 0 "Bik\xffer"\r\n')
+    with pytest.raises(ParseError) as err:
+        parse_sdd_annotations(path)
+    assert str(err.value) == f"{path}:2: not valid UTF-8 (byte 0xff)"
