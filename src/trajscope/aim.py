@@ -23,10 +23,10 @@ sliding-window sums, once per pair object; they are symmetric in the two
 agents, and so is the dependence estimate, so `sweep(..., both_directions=True)`
 computes each once for both directions and only H, rho and the recurrence
 per direction. The v0/a0 fit reads the same cached arrays; sigma_d is a
-per-video scale, fitted by the caller. V, D and A equal the one-frame
-`compute_kinematics` bit for bit; H and rho agree with
-`compute_kinematics`/`compute_rho` to rounding (their window means and
-transcendental functions are evaluated by numpy).
+per-video scale, fitted by the caller. `compute_kinematics` and
+`compute_rho` are one-frame entry points to the same code: the first runs
+it on the one window that ends at a frame, the second on one-element
+arrays, so both equal the series bit for bit.
 
 `final_bounds` folds an upper bound on the dependence estimate
 (`mi_prefix_bound`, no joint counts) through the same rho series and
@@ -290,7 +290,8 @@ def compute_kinematics(pair: InteractionPair, t: int, n_window: int | None = Non
 
     The window spans indices [it - n, it] of the common run, i.e. n steps
     and n+1 positions. Requesting a frame with fewer than n frames of
-    co-presence behind it is a domain error.
+    co-presence behind it is a domain error. The values are those of
+    `InteractionPair.kinematics` and `_headings` on that window alone.
     """
     n = pair.n_window if n_window is None else int(n_window)
     if n < 1:
@@ -300,42 +301,21 @@ def compute_kinematics(pair: InteractionPair, t: int, n_window: int | None = Non
         raise DomainError(
             f"frame {t} has only {it} co-present steps behind it, need {n}"
         )
-    seg_i = pair.xi[it - n : it + 1]
-    seg_j = pair.xj[it - n : it + 1]
-    steps_i = np.diff(seg_i, axis=0)
-    steps_j = np.diff(seg_j, axis=0)
-    speeds_i = np.hypot(steps_i[:, 0], steps_i[:, 1])
-    speeds_j = np.hypot(steps_j[:, 0], steps_j[:, 1])
-    v = float((speeds_i.sum() + speeds_j.sum()) / n)
-
-    gaps = seg_i[1:] - seg_j[1:]
-    d = float(np.hypot(gaps[:, 0], gaps[:, 1]).mean())
-
-    angles: list[float] = []
-    for k in range(n):
-        step = steps_i[k]
-        bearing = seg_j[k] - seg_i[k]
-        step_len = math.hypot(step[0], step[1])
-        bearing_len = math.hypot(bearing[0], bearing[1])
-        if step_len == 0.0 or bearing_len == 0.0:
-            continue
-        cross = step[0] * bearing[1] - step[1] * bearing[0]
-        dot = step[0] * bearing[0] + step[1] * bearing[1]
-        angles.append(math.atan2(abs(cross), dot))
-    h = float(np.mean(angles)) if angles else 0.0
-
-    if n >= 2:
-        a = float(
-            (np.abs(np.diff(speeds_i)).sum() + np.abs(np.diff(speeds_j)).sum())
-            / (n - 1)
-        )
-    else:
-        a = 0.0
-    return Kinematics(v=v, d=d, h=h, a=a)
+    rows = slice(it - n, it + 1)
+    window = InteractionPair(
+        pair.agent_i, pair.agent_j, pair.frames[rows], pair.xi[rows], pair.xj[rows], n
+    )
+    kin = window.kinematics
+    return Kinematics(
+        v=float(kin.v[0]), d=float(kin.d[0]), h=float(_headings(window)[0]), a=float(kin.a[0])
+    )
 
 
 def compute_rho(kin: Kinematics, config: RhoConfig | None = None) -> float:
-    """Physics weight in [0, inf); see RhoConfig for the factor shapes."""
+    """Physics weight in [0, inf); see RhoConfig for the factor shapes.
+
+    `_rho_series` on one-element arrays, after the input checks.
+    """
     cfg = config if config is not None else RhoConfig()
     cfg.validate()
     if kin.v < 0 or kin.d < 0 or kin.a < 0:
@@ -343,18 +323,8 @@ def compute_rho(kin: Kinematics, config: RhoConfig | None = None) -> float:
     if not -1e-9 <= kin.h <= math.pi + 1e-9:
         raise DomainError(f"heading angle must be in [0, pi], got {kin.h!r}")
 
-    v_term = 1.0
-    if cfg.use_v:
-        v_star = kin.v / (kin.v + cfg.v0)
-        if cfg.use_a:
-            v_star += kin.a / (kin.a + cfg.a0)
-        v_term = cfg.alpha + v_star
-    d_term = math.exp(-kin.d / cfg.sigma_d) if cfg.use_d else 1.0
-    h_term = 1.0
-    if cfg.use_h:
-        h = min(max(kin.h, 0.0), math.pi)
-        h_term = 1.0 + (1.0 - 2.0 * h / math.pi)
-    return v_term * d_term * h_term
+    v, d, a, h = np.array([[kin.v], [kin.d], [kin.a], [kin.h]], dtype=np.float64)
+    return float(_rho_series(PairKinematics(v=v, d=d, a=a), h, cfg)[0])
 
 
 # --- whole-series measurement ---------------------------------------------------------
@@ -364,8 +334,8 @@ def compute_rho(kin: Kinematics, config: RhoConfig | None = None) -> float:
 class PairKinematics:
     """Direction-free windowed kinematics of a pair at every measured frame.
 
-    Entry k belongs to frame frames[n_window + k] and equals the v, d and a
-    of compute_kinematics at that frame, in either direction. Built by
+    Entry k belongs to frame frames[n_window + k]: the v, d and a of the
+    n_window steps ending there, the same in either direction. Built by
     `InteractionPair.kinematics`.
     """
 
@@ -385,7 +355,11 @@ def _speeds(x: np.ndarray) -> np.ndarray:
 
 
 def _headings(pair: InteractionPair) -> np.ndarray:
-    """compute_kinematics' h at every measured frame, for the pair's direction."""
+    """h at every measured frame, for the pair's direction (see Kinematics).
+
+    A step where agent I does not move, or coincides with J, has no angle
+    and leaves the window's mean; a window with no angle has h = 0.
+    """
     n = pair.n_window
     steps = np.diff(pair.xi, axis=0)
     bearings = pair.xj[:-1] - pair.xi[:-1]
@@ -400,7 +374,7 @@ def _headings(pair: InteractionPair) -> np.ndarray:
 
 
 def _rho_series(kin: PairKinematics, h: np.ndarray, cfg: RhoConfig) -> np.ndarray:
-    """compute_rho at every measured frame; cfg must already be validated."""
+    """rho at every measured frame (see RhoConfig); cfg must already be validated."""
     v_term = d_term = h_term = np.ones_like(h)
     if cfg.use_v:
         v_star = kin.v / (kin.v + cfg.v0)
@@ -473,6 +447,11 @@ def accumulate_aim(
     )
 
 
+def _prefix_stream(pair: InteractionPair) -> tuple[np.ndarray, range]:
+    """The (L, 2, 2) sample stream and the prefix length at each measured frame."""
+    return np.stack([pair.xi, pair.xj], axis=1), range(pair.n_window + 1, len(pair.frames) + 1)
+
+
 def _prefix_mi(
     pair: InteractionPair,
     bandwidths: Sequence[float],
@@ -481,8 +460,7 @@ def _prefix_mi(
 ) -> np.ndarray:
     """Dependence estimate at every measured frame, over all samples up to it."""
     prefix = mi_prefix_series(
-        np.stack([pair.xi, pair.xj], axis=1),
-        range(pair.n_window + 1, len(pair.frames) + 1),
+        *_prefix_stream(pair),
         bandwidths=bandwidths,
         weights=weights,
         n_min=n_min,
@@ -574,8 +552,7 @@ def final_bounds(
     delta = _checked_delta(delta)
     kin = pair.kinematics
     bound = mi_prefix_bound(
-        np.stack([pair.xi, pair.xj], axis=1),
-        range(pair.n_window + 1, len(pair.frames) + 1),
+        *_prefix_stream(pair),
         bandwidths=bandwidths,
         weights=weights,
         n_min=n_min,

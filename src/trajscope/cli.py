@@ -62,6 +62,7 @@ from .types import (
     SourceRef,
     ToolError,
     Trajectory,
+    not_utf8,
     scene_diagonal,
 )
 
@@ -85,12 +86,13 @@ class RunConfig:
     fit_v0: bool
     fit_sigma_d: bool
     fit_a0: bool
-    delta: float
-    n_window: int | None
-    bandwidths: tuple[float, ...]
-    weights: tuple[float, ...] | None
-    n_min: int
     export_format: str
+    # the aim: and mi: sections
+    delta: float = DEFAULT_DELTA
+    n_window: int | None = None
+    bandwidths: tuple[float, ...] = DEFAULT_BANDWIDTHS
+    weights: tuple[float, ...] | None = None
+    n_min: int = DEFAULT_N_MIN
 
     @property
     def store_dir(self) -> Path:
@@ -105,15 +107,24 @@ class RunConfig:
         return self.out / "aim"
 
 
-def _section(raw: Mapping, name: str, allowed: Sequence[str]) -> dict:
-    section = raw.get(name) or {}
-    if not isinstance(section, Mapping):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {unknown}")
-    return dict(section)
-
+# section -> key -> kind, in the order the keys are checked. An absent key
+# takes the default of the field it fills (PreprocessConfig, RhoConfig, or
+# RunConfig for aim: and mi:).
+_SECTIONS: dict[str, dict[str, type]] = {
+    "preprocess": {
+        "lost_policy": LostPolicy, "drop_generated": bool, "target_rate": float,
+        "observe_len": int, "predict_len": int, "stride": int,
+    },
+    "rho": {
+        "alpha": float, "v0": float, "sigma_d": float, "a0": float,
+        "use_v": bool, "use_d": bool, "use_h": bool, "use_a": bool,
+    },
+    "aim": {"delta": float, "n_window": int},
+    "mi": {"bandwidths": tuple, "weights": tuple, "n_min": int},
+}
+# Keys where null means the same as absent: the default, or for rho's
+# normalizer constants a fit from the data.
+_NULLABLE = {"preprocess.stride", "rho.v0", "rho.sigma_d", "rho.a0", "aim.n_window", "mi.weights"}
 
 _EXPECTED = {
     int: "an integer",
@@ -124,12 +135,15 @@ _EXPECTED = {
 }
 
 
-def _convert(key: str, value, kind: type):
-    """One config value as `kind`, or a ConfigError naming the key.
+def _convert(key: str, value, kind: type, what: str = "config key"):
+    """One value as `kind`, or a ConfigError naming the key (`what` says
+    whether it is a config key or a command-line option).
 
     `tuple` means a list of floats. A bool must be a YAML boolean (a quoted
     "false" is not one); numbers must be finite, and integers integral.
     """
+    if kind is LostPolicy:
+        return LostPolicy.parse(value)
     if kind is tuple:
         if isinstance(value, (list, tuple)):
             return tuple(_convert(key, item, float) for item in value)
@@ -143,7 +157,23 @@ def _convert(key: str, value, kind: type):
             number = math.nan
         if math.isfinite(number) and (kind is float or number.is_integer()):
             return kind(value) if isinstance(value, int) else kind(number)
-    raise ConfigError(f"config key {key} must be {_EXPECTED[kind]}, got {value!r}")
+    raise ConfigError(f"{what} {key} must be {_EXPECTED[kind]}, got {value!r}")
+
+
+def _section(raw: Mapping, name: str) -> dict:
+    """The converted values of a config section's keys that are set."""
+    kinds = _SECTIONS[name]
+    section = raw.get(name) or {}
+    if not isinstance(section, Mapping):
+        raise ConfigError(f"config section {name!r} must be a mapping")
+    unknown = sorted(set(section) - set(kinds))
+    if unknown:
+        raise ConfigError(f"unknown keys in config section {name!r}: {unknown}")
+    return {
+        key: _convert(f"{name}.{key}", section[key], kind)
+        for key, kind in kinds.items()
+        if key in section and not (section[key] is None and f"{name}.{key}" in _NULLABLE)
+    }
 
 
 def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
@@ -151,14 +181,16 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     if not config_file.is_file():
         raise ConfigError(f"config file does not exist: {config_file}")
     try:
-        raw = yaml.safe_load(config_file.read_text())
+        raw = yaml.safe_load(config_file.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise not_utf8(config_file) from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{config_file}:{mark.line + 1}" if mark is not None else str(config_file)
         raise ConfigError(f"{where}: not valid YAML ({getattr(exc, 'problem', exc)})") from None
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config file {config_file} must contain a mapping")
-    allowed_top = ("dataset", "inputs", "out", "registry", "preprocess", "rho", "aim", "mi", "export_format")
+    allowed_top = ("dataset", "inputs", "out", "registry", *_SECTIONS, "export_format")
     unknown = sorted(set(raw) - set(allowed_top))
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {unknown}")
@@ -187,59 +219,20 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     if registry_path is not None and not registry_path.is_file():
         raise ConfigError(f"registry file does not exist: {registry_path}")
 
-    pp = _section(
-        raw, "preprocess",
-        ("lost_policy", "drop_generated", "target_rate", "observe_len", "predict_len", "stride"),
-    )
-    preprocess = PreprocessConfig(
-        lost_policy=LostPolicy.parse(pp.get("lost_policy", LostPolicy.FILTER_KEEP_FIRST)),
-        drop_generated=_convert("preprocess.drop_generated", pp.get("drop_generated", False), bool),
-        target_rate=_convert("preprocess.target_rate", pp.get("target_rate", 2.5), float),
-        observe_len=_convert("preprocess.observe_len", pp.get("observe_len", 8), int),
-        predict_len=_convert("preprocess.predict_len", pp.get("predict_len", 12), int),
-        stride=(
-            None if pp.get("stride") is None else _convert("preprocess.stride", pp["stride"], int)
-        ),
-    )
+    preprocess = PreprocessConfig(**_section(raw, "preprocess"))
     preprocess.validate()
-
-    rho_raw = _section(
-        raw, "rho", ("alpha", "v0", "sigma_d", "a0", "use_v", "use_d", "use_h", "use_a")
-    )
-    defaults = RhoConfig()
-    # null (or absent) normalizer constants mean: fit them from the data
-    fit_v0 = rho_raw.get("v0") is None
-    fit_sigma_d = rho_raw.get("sigma_d") is None
-    fit_a0 = rho_raw.get("a0") is None
-    rho = RhoConfig(
-        alpha=_convert("rho.alpha", rho_raw.get("alpha", defaults.alpha), float),
-        v0=defaults.v0 if fit_v0 else _convert("rho.v0", rho_raw["v0"], float),
-        sigma_d=(
-            defaults.sigma_d if fit_sigma_d else _convert("rho.sigma_d", rho_raw["sigma_d"], float)
-        ),
-        a0=defaults.a0 if fit_a0 else _convert("rho.a0", rho_raw["a0"], float),
-        use_v=_convert("rho.use_v", rho_raw.get("use_v", True), bool),
-        use_d=_convert("rho.use_d", rho_raw.get("use_d", True), bool),
-        use_h=_convert("rho.use_h", rho_raw.get("use_h", True), bool),
-        use_a=_convert("rho.use_a", rho_raw.get("use_a", False), bool),
-    )
+    rho_given = _section(raw, "rho")
+    rho = RhoConfig(**rho_given)
     rho.validate()
 
-    aim_raw = _section(raw, "aim", ("delta", "n_window"))
-    delta = _convert("aim.delta", aim_raw.get("delta", DEFAULT_DELTA), float)
+    aim_mi = _section(raw, "aim")
+    delta = aim_mi.get("delta", DEFAULT_DELTA)
     if not 0.0 < delta <= 1.0:
         raise ConfigError(f"aim.delta must be in (0, 1], got {delta!r}")
-    n_window = aim_raw.get("n_window")
-    if n_window is not None:
-        n_window = _convert("aim.n_window", n_window, int)
-        if n_window < 1:
-            raise ConfigError(f"aim.n_window must be >= 1, got {n_window}")
-
-    mi_raw = _section(raw, "mi", ("bandwidths", "weights", "n_min"))
-    bandwidths = _convert("mi.bandwidths", mi_raw.get("bandwidths", DEFAULT_BANDWIDTHS), tuple)
-    weights_raw = mi_raw.get("weights")
-    weights = None if weights_raw is None else _convert("mi.weights", weights_raw, tuple)
-    n_min = _convert("mi.n_min", mi_raw.get("n_min", DEFAULT_N_MIN), int)
+    n_window = aim_mi.get("n_window")
+    if n_window is not None and n_window < 1:
+        raise ConfigError(f"aim.n_window must be >= 1, got {n_window}")
+    aim_mi.update(_section(raw, "mi"))
 
     export_format = raw.get("export_format", "both")
     if export_format not in EXPORT_FORMATS:
@@ -254,15 +247,12 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
         registry_path=registry_path,
         preprocess=preprocess,
         rho=rho,
-        fit_v0=fit_v0,
-        fit_sigma_d=fit_sigma_d,
-        fit_a0=fit_a0,
-        delta=delta,
-        n_window=n_window,
-        bandwidths=bandwidths,
-        weights=weights,
-        n_min=n_min,
+        # an unset normalizer constant is fitted from the data
+        fit_v0="v0" not in rho_given,
+        fit_sigma_d="sigma_d" not in rho_given,
+        fit_a0="a0" not in rho_given,
         export_format=export_format,
+        **aim_mi,
     )
 
 
@@ -439,35 +429,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
     )
 
     if cfg.dataset == "sdd":
-        overlap_csv_rows = []
-        overlap_jsonl_rows = []
-        for row in overlap_report(registry):
-            groups_flat = "|".join(
-                "-".join(str(v) for v in group) for group in row.simultaneous_groups
-            )
-            overlap_csv_rows.append(
-                {
-                    "scene": row.scene,
-                    "location_overlap": row.location_overlap,
-                    "time_overlap": row.time_overlap,
-                    "simultaneous_groups": groups_flat,
-                }
-            )
-            overlap_jsonl_rows.append(
-                {
-                    "scene": row.scene,
-                    "location_overlap": row.location_overlap,
-                    "time_overlap": row.time_overlap,
-                    "simultaneous_groups": [list(g) for g in row.simultaneous_groups],
-                }
-            )
+        overlap_rows = [dataclasses.asdict(row) for row in overlap_report(registry)]
+        # a CSV cell holds the groups as 1-2-3|4-5
+        flat_rows = [
+            {
+                **row,
+                "simultaneous_groups": "|".join(
+                    "-".join(map(str, group)) for group in row["simultaneous_groups"]
+                ),
+            }
+            for row in overlap_rows
+        ]
         written += _write_table(
             cfg.reports_dir / "overlap_report",
             ("scene", "location_overlap", "time_overlap", "simultaneous_groups"),
-            overlap_csv_rows,
+            flat_rows,
             {},
             cfg.export_format,
-            jsonl_rows=overlap_jsonl_rows,
+            jsonl_rows=overlap_rows,
         )
 
     _status(f"wrote {len(written)} report files to {cfg.reports_dir}")
@@ -477,13 +456,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # --- aim --------------------------------------------------------------------------
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"{what} must be a comma-separated list of numbers, got {text!r}")
+def _parse_list(text: str, option: str, kind: type) -> list:
+    """A comma-separated option value, each item converted as a config value is."""
+    values = [_convert(option, part, kind, "option") for part in text.split(",") if part.strip()]
     if not values:
-        raise ConfigError(f"{what} is empty")
+        raise ConfigError(f"{option} is empty")
     return values
 
 
@@ -532,7 +509,6 @@ def _export_series(
                 payload["frame"] = frame
                 fh.write(json.dumps(payload, sort_keys=True))
                 fh.write("\n")
-    rho_cfg = series.rho_config or RhoConfig()
     meta = {
         "dataset": video_key[0],
         "scene": video_key[1],
@@ -543,14 +519,7 @@ def _export_series(
         "class_j": pair.agent_j.class_label,
         "delta": series.delta,
         "n_window": series.n_window,
-        "alpha": rho_cfg.alpha,
-        "v0": rho_cfg.v0,
-        "sigma_d": rho_cfg.sigma_d,
-        "a0": rho_cfg.a0,
-        "use_v": rho_cfg.use_v,
-        "use_d": rho_cfg.use_d,
-        "use_h": rho_cfg.use_h,
-        "use_a": rho_cfg.use_a,
+        **dataclasses.asdict(series.rho_config or RhoConfig()),
         "bandwidths": list(cfg.bandwidths),
         "weights": None if cfg.weights is None else list(cfg.weights),
         "n_min": cfg.n_min,
@@ -574,9 +543,9 @@ def cmd_aim(args: argparse.Namespace) -> int:
     n_values = [n_window]
     swept = args.sweep_delta is not None or args.sweep_n is not None
     if args.sweep_delta is not None:
-        deltas = _parse_float_list(args.sweep_delta, "--sweep-delta")
+        deltas = _parse_list(args.sweep_delta, "--sweep-delta", float)
     if args.sweep_n is not None:
-        n_values = [int(n) for n in _parse_float_list(args.sweep_n, "--sweep-n")]
+        n_values = _parse_list(args.sweep_n, "--sweep-n", int)
 
     named: tuple[str, str] | None = None
     if args.pair:

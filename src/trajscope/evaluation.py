@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .preprocess import TrajectoryWindow
-from .types import StructuralError
+from .types import StructuralError, not_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -111,7 +111,10 @@ def predictor_from_mapping(mapping: Mapping[str, Sequence]) -> Predictor:
 def load_predictions(path) -> dict[str, np.ndarray]:
     """Read a JSONL predictions file into {window_id: (n, 2) points}."""
     out: dict[str, np.ndarray] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import yaml
 
-from .types import ConfigError
+from .types import ConfigError, not_utf8
 
 SCHEMA_VERSION = 1
 OVERLAP_LEVELS = ("none", "partial", "full")
@@ -184,6 +184,8 @@ def load_registry(path: str | Path | None = None) -> DatasetRegistry:
     with registry_path.open("r", encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)
+        except UnicodeDecodeError:
+            raise not_utf8(registry_path) from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"registry: {registry_path}: not valid YAML: {exc}") from None
 

@@ -17,10 +17,11 @@ from trajscope.aim import (
     sweep,
 )
 from trajscope.cli import load_run_config, main
+from trajscope.mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN
 from trajscope.preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from trajscope.registry import load_registry
 from trajscope.store import load_store
-from trajscope.types import scene_diagonal
+from trajscope.types import ConfigError, scene_diagonal
 
 
 def sdd_row(tid: int, x: int, y: int, frame: int, lost: int = 0, label: str = "Pedestrian") -> str:
@@ -150,6 +151,67 @@ def test_bad_config_value_or_io_failure_is_one_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+# the keys where null means the same as an absent key
+NULLABLE = {"preprocess.stride", "rho.v0", "rho.sigma_d", "rho.a0", "aim.n_window", "mi.weights"}
+# every key of the preprocess, rho, aim and mi sections
+SECTION_KEYS = [
+    "preprocess.lost_policy", "preprocess.drop_generated", "preprocess.target_rate",
+    "preprocess.observe_len", "preprocess.predict_len", "preprocess.stride",
+    "rho.alpha", "rho.v0", "rho.sigma_d", "rho.a0", "rho.use_v", "rho.use_d", "rho.use_h", "rho.use_a",
+    "aim.delta", "aim.n_window", "mi.bandwidths", "mi.weights", "mi.n_min",
+]
+
+
+def test_absent_config_keys_take_the_dataclass_defaults(tmp_path) -> None:
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: sdd\ninputs: [{tmp_path}]\nout: {tmp_path / 'out'}\n")
+    cfg = load_run_config(config)
+    assert cfg.preprocess == PreprocessConfig()
+    assert cfg.rho == RhoConfig()
+    assert (cfg.fit_v0, cfg.fit_sigma_d, cfg.fit_a0) == (True, True, True)
+    assert (cfg.delta, cfg.n_window, cfg.weights) == (aim.DEFAULT_DELTA, None, None)
+    assert (cfg.bandwidths, cfg.n_min) == (DEFAULT_BANDWIDTHS, DEFAULT_N_MIN)
+    assert cfg.export_format == "both"
+
+
+def test_every_config_key_is_read(tmp_path) -> None:
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"dataset: ind\ninputs: [{tmp_path}]\nout: {tmp_path / 'out'}\nexport_format: csv\n"
+        "preprocess: {lost_policy: KEEP_LOST, drop_generated: true, target_rate: 5,"
+        " observe_len: 3, predict_len: 4.0, stride: 2}\n"
+        "rho: {alpha: 0, v0: 2, sigma_d: 50.5, a0: 3, use_v: false, use_d: false,"
+        " use_h: false, use_a: true}\n"
+        "aim: {delta: 1, n_window: 7}\n"
+        "mi: {bandwidths: [4, 2.5], weights: [1, 3], n_min: 3}\n"
+    )
+    cfg = load_run_config(config)
+    assert cfg.preprocess == PreprocessConfig(LostPolicy.KEEP_LOST, True, 5.0, 3, 4, 2)
+    assert cfg.rho == RhoConfig(0.0, 2.0, 50.5, 3.0, False, False, False, True)
+    assert (cfg.fit_v0, cfg.fit_sigma_d, cfg.fit_a0) == (False, False, False)
+    assert (cfg.delta, cfg.n_window, cfg.n_min) == (1.0, 7, 3)
+    assert (cfg.bandwidths, cfg.weights) == ((4.0, 2.5), (1.0, 3.0))
+    assert (cfg.dataset, cfg.export_format) == ("ind", "csv")
+    # floats stay floats and integers integers, as the dataclasses declare them
+    assert type(cfg.preprocess.target_rate) is float and type(cfg.rho.v0) is float
+    assert type(cfg.preprocess.predict_len) is int
+
+
+@pytest.mark.parametrize("key", SECTION_KEYS)
+def test_null_config_value_is_absent_or_an_error_naming_the_key(tmp_path, key) -> None:
+    section, name = key.split(".")
+    base = f"dataset: sdd\ninputs: [{tmp_path}]\nout: {tmp_path / 'out'}\n"
+    absent = tmp_path / "absent.yaml"
+    absent.write_text(base)
+    null = tmp_path / "null.yaml"
+    null.write_text(base + f"{section}:\n  {name}: null\n")
+    if key in NULLABLE:
+        assert load_run_config(null) == load_run_config(absent)
+    else:
+        with pytest.raises(ConfigError, match=f"{key}|lost policy None"):
+            load_run_config(null)
 
 
 def test_ingest_ind_store(tmp_path, capsys) -> None:
@@ -533,6 +595,30 @@ def test_aim_sweep(workspace) -> None:
     ]
 
 
+@pytest.mark.parametrize(
+    "flag, value, expected",
+    [
+        ("--sweep-n", "5,nan", "an integer, got 'nan'"),
+        ("--sweep-n", "inf", "an integer, got 'inf'"),
+        ("--sweep-n", "5,30.7", "an integer, got '30.7'"),
+        ("--sweep-n", "1e400", "an integer, got '1e400'"),
+        ("--sweep-n", "five", "an integer, got 'five'"),
+        ("--sweep-delta", "1.0,nan", "a finite number, got 'nan'"),
+        ("--sweep-delta", "0.5,-inf", "a finite number, got '-inf'"),
+        ("--sweep-delta", "abc", "a finite number, got 'abc'"),
+    ],
+)
+def test_bad_sweep_item_is_one_error_line_naming_the_flag(
+    workspace, capsys, flag, value, expected
+) -> None:
+    _, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert run(["aim", "--config", config, "--pair", "0,1", flag, value]) == 1
+    assert capsys.readouterr().err == f"error: option {flag} must be {expected}\n"
+    assert not (out / "aim").exists()
+
+
 # --- eval ---------------------------------------------------------------------------
 
 
@@ -648,3 +734,12 @@ def test_ingest_non_utf8_input_is_one_error_line(tmp_path, capsys) -> None:
     assert run(["ingest", "--config", config]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}:3: not valid UTF-8 (byte 0xff)\n"
+
+
+def test_non_utf8_config_is_one_error_line(workspace, capsys) -> None:
+    _, _, _, config = workspace
+    lines = config.read_bytes().split(b"\n")
+    lines[3] = lines[3] + b"  # caf\xe9"
+    config.write_bytes(b"\n".join(lines))
+    assert run(["stats", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: {config}:4: not valid UTF-8 (byte 0xe9)\n"

@@ -17,7 +17,7 @@ from trajscope.evaluation import (
     fde,
 )
 from trajscope.preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory, window
-from trajscope.types import StructuralError
+from trajscope.types import ParseError, StructuralError
 
 CFG = PreprocessConfig(target_rate=2.5)  # identity resample at native 2.5
 
@@ -259,3 +259,11 @@ def test_load_predictions_rejects_bad_record(tmp_path) -> None:
     path.write_text("not json\n")
     with pytest.raises(StructuralError):
         load_predictions(path)
+
+
+def test_load_predictions_non_utf8_names_file_and_line(tmp_path) -> None:
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(b'{"window_id": "a", "points": [[0, 0]]}\n{"window_id": "caf\xe9"}\n')
+    with pytest.raises(ParseError) as err:
+        load_predictions(path)
+    assert str(err.value) == f"{path}:2: not valid UTF-8 (byte 0xe9)"

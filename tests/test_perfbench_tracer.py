@@ -9,7 +9,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import straight_line
 from test_cli import write_config, write_sdd_tree
+from trajscope import aim
 from trajscope.cli import main
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -53,3 +55,22 @@ def test_every_traced_name_resolves_and_the_tracer_restores_it(tmp_path) -> None
     assert tracer.groups["store.load"].calls == 1
     assert tracer.groups["aim.extract"].calls >= 1
     assert tracer.groups["types.array_conversion"].calls > 0
+
+
+def test_hot_functions_call_no_other_traced_function() -> None:
+    """A hot counter charges its time to the enclosing span without a stack
+    frame, so a traced call inside one would be counted twice. The one-frame
+    kinematics and rho call into the array path; none of it may be traced."""
+    layers = load_layers()
+    ti = straight_line(12, track_id=1)
+    tj = straight_line(12, step=(0.5, 1.0), origin=(3.0, 4.0), track_id=2)
+    pair, _ = aim.extract_interactions([ti, tj], n_window=4)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        kin = aim.compute_kinematics(pair, int(pair.frames[-1]))
+        aim.compute_rho(kin)
+    finally:
+        tracer.restore()
+    called = {group: stats.calls for group, stats in tracer.groups.items() if stats.calls}
+    assert called == {"aim.kinematics": 1, "aim.rho": 1}

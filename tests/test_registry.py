@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from trajscope.registry import load_registry
-from trajscope.types import ConfigError
+from trajscope.registry import default_registry_path, load_registry
+from trajscope.types import ConfigError, ParseError
 
 # The shipped registry is curated metadata; these are its load-bearing facts.
 EXPECTED_SPLITS = {
@@ -162,3 +162,14 @@ def test_nonpositive_frame_rate_is_an_error(tmp_path: Path) -> None:
     )
     with pytest.raises(ConfigError):
         load_registry(path)
+
+
+def test_non_utf8_registry_names_file_and_line(tmp_path: Path) -> None:
+    # past the shipped registry's text, so the bad byte is not in the first chunk read
+    shipped = default_registry_path().read_bytes()
+    path = tmp_path / "registry.yaml"
+    path.write_bytes(shipped + b"# caf\xe9\n")
+    with pytest.raises(ParseError) as err:
+        load_registry(path)
+    line_no = shipped.count(b"\n") + 1
+    assert str(err.value) == f"{path}:{line_no}: not valid UTF-8 (byte 0xe9)"
