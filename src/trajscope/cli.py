@@ -259,54 +259,52 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
 # --- report writing ---------------------------------------------------------------
 
 
-def _format_cell(value, decimals: int | None) -> str:
-    if decimals is not None and isinstance(value, float):
-        return f"{value:.{decimals}f}"
-    return str(value)
-
-
-def _json_value(value, decimals: int | None):
-    if decimals is not None and isinstance(value, float):
-        return round(value, decimals)
-    return value
+def _groups_text(groups: tuple[tuple[int, ...], ...]) -> str:
+    return "|".join("-".join(map(str, group)) for group in groups)
 
 
 def _write_table(
-    base: Path,
-    fieldnames: Sequence[str],
-    rows: Sequence[Mapping],
-    decimals: Mapping[str, int],
-    export_format: str,
-    jsonl_rows: Sequence[Mapping] | None = None,
+    base: Path, columns: Mapping[str, Sequence], decimals: Mapping[str, int], export_format: str
 ) -> list[Path]:
-    """Write rows as <base>.csv and/or <base>.jsonl with fixed formatting.
-
-    jsonl_rows overrides the record payload for the structured export when
-    the CSV needs a flattened rendering (e.g. nested group lists).
+    """Write a table, given as name -> column in field order, as <base>.csv
+    and/or <base>.jsonl. A column named in `decimals` holds floats: the CSV
+    prints that many decimals, the JSONL rounds them with Python's `round`.
+    A tuple of id groups is one CSV cell, 1-2-3|4-5; the JSONL keeps the
+    nested lists.
     """
     base.parent.mkdir(parents=True, exist_ok=True)
     written = []
     # append extensions rather than with_suffix: base names may contain dots
     if export_format in ("csv", "both"):
         path = base.parent / (base.name + ".csv")
+        cells = []
+        for name, column in columns.items():
+            if name in decimals:
+                spec = f".{decimals[name]}f"
+                cells.append([format(v, spec) for v in column])
+            else:
+                cells.append([_groups_text(v) if isinstance(v, tuple) else str(v) for v in column])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(fieldnames)
-            for row in rows:
-                writer.writerow(
-                    [_format_cell(row[f], decimals.get(f)) for f in fieldnames]
-                )
+            writer.writerow(list(columns))
+            writer.writerows(zip(*cells))
         written.append(path)
     if export_format in ("jsonl", "both"):
         path = base.parent / (base.name + ".jsonl")
-        source = jsonl_rows if jsonl_rows is not None else rows
+        names = sorted(columns)
+        values = [
+            [round(v, decimals[name]) for v in columns[name]] if name in decimals else columns[name]
+            for name in names
+        ]
         with open(path, "w") as fh:
-            for row in source:
-                payload = {k: _json_value(v, decimals.get(k)) for k, v in row.items()}
-                fh.write(json.dumps(payload, sort_keys=True))
-                fh.write("\n")
+            fh.writelines(json.dumps(dict(zip(names, row))) + "\n" for row in zip(*values))
         written.append(path)
     return written
+
+
+def _columns(rows: Sequence, names: Sequence[str]) -> dict[str, list]:
+    """The named attributes of each row, a column at a time."""
+    return {name: [getattr(row, name) for row in rows] for name in names}
 
 
 def _status(message: str) -> None:
@@ -324,34 +322,38 @@ def _load_registry(cfg: RunConfig) -> DatasetRegistry:
 # --- ingest -----------------------------------------------------------------------
 
 
+def _find(inputs: Sequence[Path], pattern: str) -> list[Path]:
+    """Each input that is a file, and the files matching `pattern` under
+    each input directory; a directory without any is an error."""
+    found: list[Path] = []
+    for path in inputs:
+        hits = [path] if path.is_file() else sorted(path.rglob(pattern))
+        if not hits:
+            raise ConfigError(f"no {pattern} files found under {path}")
+        found += hits
+    return found
+
+
+def _claim_video(files: dict[tuple[str, str], Path], video: tuple[str, str], path: Path) -> None:
+    """Record `path` as the input file of `video`; a second file for the same
+    video is an error (the same file reached twice is not)."""
+    first = files.setdefault(video, path)
+    if first.resolve() != path.resolve():
+        raise ConfigError(f"two input files for video {'/'.join(video)}: {first} and {path}")
+
+
 def _discover_sdd(inputs: Sequence[Path]) -> list[tuple[str, str, Path]]:
     found: dict[tuple[str, str], Path] = {}
-    for path in inputs:
-        if path.is_file():
-            hits = [path]
-        else:
-            hits = sorted(path.rglob("annotations.txt"))
-            if not hits:
-                raise ConfigError(f"no annotations.txt files found under {path}")
-        for hit in hits:
-            scene = hit.parent.parent.name
-            video = hit.parent.name
-            found[(scene, video)] = hit
+    for hit in _find(inputs, "annotations.txt"):
+        _claim_video(found, (hit.parent.parent.name, hit.parent.name), hit)
     return [(scene, video, found[(scene, video)]) for scene, video in sorted(found)]
 
 
 def _discover_ind(inputs: Sequence[Path]) -> list[tuple[Path, Path, Path]]:
-    tracks_files: list[Path] = []
-    for path in inputs:
-        if path.is_file():
-            tracks_files.append(path)
-        else:
-            hits = sorted(path.rglob("*_tracks.csv"))
-            if not hits:
-                raise ConfigError(f"no *_tracks.csv files found under {path}")
-            tracks_files.extend(hits)
+    # one entry per file, however many inputs reach it
+    tracks_files = {path.resolve(): path for path in _find(inputs, "*_tracks.csv")}
     triples = []
-    for tracks in sorted(set(tracks_files)):
+    for tracks in sorted(tracks_files.values()):
         if not tracks.name.endswith("_tracks.csv"):
             raise ConfigError(f"not a tracks file: {tracks}")
         prefix = tracks.name[: -len("_tracks.csv")]
@@ -376,12 +378,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             trajectories.extend(assemble_trajectories(records, source, diag))
             diagnostics[f"{scene}/{video}"] = diag.to_dict()
     else:
+        tracks_of: dict[tuple[str, str], Path] = {}
         for tracks, meta, recording in _discover_ind(cfg.inputs):
             parsed = parse_ind_tracks(tracks, meta, recording)
             trajectories.extend(parsed)
             if parsed:
-                key = "/".join(parsed[0].source.key()[1:])
-                diagnostics[key] = {
+                video = parsed[0].source.key()[1:]
+                _claim_video(tracks_of, video, tracks)
+                diagnostics["/".join(video)] = {
                     "tracks_file": tracks.name,
                     "n_trajectories": len(parsed),
                 }
@@ -404,49 +408,37 @@ def cmd_stats(args: argparse.Namespace) -> int:
         trajectories, registry=registry if cfg.dataset == "ind" else None
     )
 
-    written: list[Path] = []
-    lost_rows = [dataclasses.asdict(row) for row in lost_stats(groups)]
-    written += _write_table(
+    written = _write_table(
         cfg.reports_dir / "lost_stats",
-        ("scene", "n_trajectories", "pct_lost_start", "pct_lost_middle", "pct_lost_end"),
-        lost_rows,
+        _columns(
+            lost_stats(groups),
+            ("scene", "n_trajectories", "pct_lost_start", "pct_lost_middle", "pct_lost_end"),
+        ),
         {"pct_lost_start": 2, "pct_lost_middle": 2, "pct_lost_end": 2},
         cfg.export_format,
     )
 
     classes = SDD_CLASSES if cfg.dataset == "sdd" else IND_CLASSES
-    class_rows = []
-    for row in class_distribution(groups, classes):
-        flat = {"scene": row.scene, "n_tracks": row.n_tracks}
-        flat.update({c: row.percentages[c] for c in classes})
-        class_rows.append(flat)
+    class_rows = class_distribution(groups, classes)
     written += _write_table(
         cfg.reports_dir / "class_distribution",
-        ("scene", "n_tracks", *classes),
-        class_rows,
+        {
+            **_columns(class_rows, ("scene", "n_tracks")),
+            **{c: [row.percentages[c] for row in class_rows] for c in classes},
+        },
         {c: 2 for c in classes},
         cfg.export_format,
     )
 
     if cfg.dataset == "sdd":
-        overlap_rows = [dataclasses.asdict(row) for row in overlap_report(registry)]
-        # a CSV cell holds the groups as 1-2-3|4-5
-        flat_rows = [
-            {
-                **row,
-                "simultaneous_groups": "|".join(
-                    "-".join(map(str, group)) for group in row["simultaneous_groups"]
-                ),
-            }
-            for row in overlap_rows
-        ]
         written += _write_table(
             cfg.reports_dir / "overlap_report",
-            ("scene", "location_overlap", "time_overlap", "simultaneous_groups"),
-            flat_rows,
+            _columns(
+                overlap_report(registry),
+                ("scene", "location_overlap", "time_overlap", "simultaneous_groups"),
+            ),
             {},
             cfg.export_format,
-            jsonl_rows=overlap_rows,
         )
 
     _status(f"wrote {len(written)} report files to {cfg.reports_dir}")
@@ -457,58 +449,44 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _parse_list(text: str, option: str, kind: type) -> list:
-    """A comma-separated option value, each item converted as a config value is."""
-    values = [_convert(option, part, kind, "option") for part in text.split(",") if part.strip()]
+    """A comma-separated option value, each item converted as a config value
+    is; two items with the same value are an error."""
+    parts = [part for part in text.split(",") if part.strip()]
+    values = [_convert(option, part, kind, "option") for part in parts]
     if not values:
         raise ConfigError(f"{option} is empty")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            first = parts[values.index(value)]
+            raise ConfigError(
+                f"option {option} must be a list of distinct values, got {first!r} and {parts[i]!r}"
+            )
     return values
-
-
-def _series_suffix(series: MeasureSeries, swept: bool) -> str:
-    if not swept:
-        return ""
-    return f"__d{series.delta}__n{series.n_window}"
-
-
-_SERIES_FIELDS = ("frame", "xi", "yi", "xj", "yj", "mi", "rho", "aim")
-# One CSV line per frame: "%.6f" formats a float as _write_table's f"{v:.6f}" does.
-_SERIES_CSV_ROW = ",".join(["%d"] + ["%.6f"] * (len(_SERIES_FIELDS) - 1)) + "\n"
 
 
 def _export_series(
     cfg: RunConfig, video_key: tuple[str, str, str], series: MeasureSeries, swept: bool
 ) -> None:
-    """Write one series as _write_table would, a column at a time, plus its sidecar."""
+    """Write one series, a column per field, plus its .meta.json sidecar."""
     pair = series.pair
-    base_name = (
+    suffix = f"__d{series.delta}__n{series.n_window}" if swept else ""
+    base = cfg.aim_dir / (
         f"{video_key[0]}__{video_key[1]}__{video_key[2]}"
-        f"__pair_{pair.agent_i.uid}_{pair.agent_j.uid}{_series_suffix(series, swept)}"
+        f"__pair_{pair.agent_i.uid}_{pair.agent_j.uid}{suffix}"
     )
-    base = cfg.aim_dir / base_name
-    base.parent.mkdir(parents=True, exist_ok=True)
     measured = slice(series.n_window, None)
-    columns = [
-        series.frames,
-        pair.xi[measured, 0],
-        pair.xi[measured, 1],
-        pair.xj[measured, 0],
-        pair.xj[measured, 1],
-        series.mi,
-        series.rho,
-        series.aim,
-    ]
-    rows = list(zip(*(column.tolist() for column in columns)))
-    if cfg.export_format in ("csv", "both"):
-        with open(base.parent / f"{base.name}.csv", "w", newline="") as fh:
-            fh.write(",".join(_SERIES_FIELDS) + "\n")
-            fh.writelines(_SERIES_CSV_ROW % row for row in rows)
-    if cfg.export_format in ("jsonl", "both"):
-        with open(base.parent / f"{base.name}.jsonl", "w") as fh:
-            for frame, *values in rows:
-                payload = dict(zip(_SERIES_FIELDS[1:], (round(v, 6) for v in values)))
-                payload["frame"] = frame
-                fh.write(json.dumps(payload, sort_keys=True))
-                fh.write("\n")
+    columns = {
+        "frame": series.frames,
+        "xi": pair.xi[measured, 0],
+        "yi": pair.xi[measured, 1],
+        "xj": pair.xj[measured, 0],
+        "yj": pair.xj[measured, 1],
+        "mi": series.mi,
+        "rho": series.rho,
+        "aim": series.aim,
+    }
+    decimals = {name: 6 for name in columns if name != "frame"}
+    _write_table(base, {name: c.tolist() for name, c in columns.items()}, decimals, cfg.export_format)
     meta = {
         "dataset": video_key[0],
         "scene": video_key[1],
@@ -552,6 +530,8 @@ def cmd_aim(args: argparse.Namespace) -> int:
         parts = [part.strip() for part in args.pair.split(",")]
         if len(parts) != 2 or not all(parts):
             raise ConfigError(f"--pair expects 'TRACK_I,TRACK_J', got {args.pair!r}")
+        if parts[0] == parts[1]:
+            raise ConfigError(f"--pair names track {parts[0]!r} twice; a pair needs two tracks")
         named = (parts[0], parts[1])
         known = {t.uid for t in trajectories}
         for uid in named:
@@ -693,9 +673,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     native_rate = registry.frame_rate(cfg.dataset)
 
     if args.lost_policy:
-        policies = [LostPolicy.parse(p) for p in args.lost_policy.split(",") if p.strip()]
-        if not policies:
-            raise ConfigError(f"--lost-policy is empty: {args.lost_policy!r}")
+        policies = _parse_list(args.lost_policy, "--lost-policy", LostPolicy)
     else:
         policies = [cfg.preprocess.lost_policy]
 
@@ -722,15 +700,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise InsufficientDataError(
                 f"preprocessing with lost policy {policy.value!r} produced no windows"
             )
-        for report in evaluate(windows, predictor, config_label=policy.value):
-            rows.append(dataclasses.asdict(report))
+        rows += evaluate(windows, predictor, config_label=policy.value)
 
-    ordered = ("dataset", "config", "group", "n_windows", "ade", "fde")
-    rows = [{k: row[k] for k in ordered} for row in rows]
     written = _write_table(
         cfg.reports_dir / "eval",
-        ordered,
-        rows,
+        _columns(rows, ("dataset", "config", "group", "n_windows", "ade", "fde")),
         {"ade": 6, "fde": 6},
         cfg.export_format,
     )

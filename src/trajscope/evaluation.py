@@ -139,16 +139,13 @@ def evaluate(
     predictor: Predictor,
     *,
     config_label: str = "default",
-    grouping: str = "all+class",
 ) -> list[EvalReport]:
     """Score every window once, then average per group.
 
-    Groups are "all" plus one row per class present (grouping: "all",
-    "class", or "all+class"); classes with no windows are omitted. Rows
-    come back sorted by dataset, with "all" ahead of the class rows.
+    Groups are "all" plus one row per class present; classes with no
+    windows are omitted. Rows come back sorted by dataset, with "all"
+    ahead of the class rows.
     """
-    if grouping not in ("all", "class", "all+class"):
-        raise StructuralError(f"unknown grouping {grouping!r}")
     if not windows:
         logger.info("evaluate called with no windows; nothing to report")
         return []
@@ -166,10 +163,8 @@ def evaluate(
 
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
     for dataset, class_label, a, f in scored:
-        if grouping in ("all", "all+class"):
-            groups.setdefault((dataset, "all"), []).append((a, f))
-        if grouping in ("class", "all+class"):
-            groups.setdefault((dataset, class_label), []).append((a, f))
+        for group in ("all", class_label):
+            groups.setdefault((dataset, group), []).append((a, f))
 
     def order(key: tuple[str, str]):
         dataset, group = key

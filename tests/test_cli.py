@@ -244,6 +244,64 @@ def test_ingest_ind_store(tmp_path, capsys) -> None:
     assert "00_tracksMeta.csv" in capsys.readouterr().err
 
 
+def write_ind_recording(data: Path, n_tracks: int = 5) -> Path:
+    """Recording 7 at location 2: n_tracks pedestrians walking for 30 frames."""
+    data.mkdir(parents=True)
+    header = "recordingId,trackId,frame,trackLifetime,xCenter,yCenter,heading\n"
+    rows = [
+        f"7,{tid},{frame},0,{1.0 + 0.1 * frame},{tid},0.0"
+        for tid in range(n_tracks)
+        for frame in range(30)
+    ]
+    (data / "07_tracks.csv").write_text(header + "\n".join(rows) + "\n")
+    meta = [f"7,{tid},0,29,30,pedestrian" for tid in range(n_tracks)]
+    (data / "07_tracksMeta.csv").write_text(
+        "recordingId,trackId,initialFrame,finalFrame,numFrames,class\n" + "\n".join(meta) + "\n"
+    )
+    (data / "07_recordingMeta.csv").write_text(
+        "recordingId,locationId,frameRate,orthoPxToMeter\n7,2,25.0,0.01\n"
+    )
+    return data / "07_tracks.csv"
+
+
+def test_two_sdd_files_for_one_video_is_an_error(tmp_path, capsys) -> None:
+    first = write_sdd_tree(tmp_path / "a") / "quad" / "video0" / "annotations.txt"
+    second = write_sdd_tree(tmp_path / "b") / "quad" / "video0" / "annotations.txt"
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "config.yaml", f"{tmp_path / 'a'}, {tmp_path / 'b'}", out)
+    assert run(["ingest", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: two input files for video quad/video0: {first} and {second}\n"
+    assert not out.exists()
+
+    # one file reached through two inputs, spelled two ways, is still one video
+    again = tmp_path / "b" / ".." / first.relative_to(tmp_path)
+    write_config(config, f"{tmp_path / 'a'}, {again}", out)
+    assert run(["ingest", "--config", config]) == 0
+    manifest = json.loads((out / "store" / "manifest.json").read_text())
+    assert {v["video"]: v["n_trajectories"] for v in manifest["videos"]} == {"video0": 4, "video1": 1}
+
+
+def test_two_ind_recordings_for_one_video_is_an_error(tmp_path, capsys) -> None:
+    first = write_ind_recording(tmp_path / "a")
+    second = write_ind_recording(tmp_path / "b")
+    out = tmp_path / "out"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'a'}, {tmp_path / 'b'}]\nout: {out}\n")
+    assert run(["ingest", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: two input files for video location2/7: {first} and {second}\n"
+    assert not out.exists()
+
+    # one file reached through two inputs, spelled two ways, is still one video
+    again = tmp_path / "b" / ".." / first.relative_to(tmp_path)
+    config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'a'}, {again}]\nout: {out}\n")
+    assert run(["ingest", "--config", config]) == 0
+    manifest = json.loads((out / "store" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["location2/7"]["n_trajectories"] == 5
+    assert sorted(t.uid for t in load_store(out / "store")) == ["0", "1", "2", "3", "4"]
+
+
 # --- stats ------------------------------------------------------------------------
 
 
@@ -343,6 +401,15 @@ def test_aim_insufficient_co_presence(workspace, capsys) -> None:
     # the cart (track 3) only exists for 5 frames: shorter than the buffer
     assert run(["aim", "--config", config, "--pair", "0,3"]) != 0
     assert "co-present" in capsys.readouterr().err
+
+
+def test_aim_pair_naming_one_track_twice_is_one_error_line(workspace, capsys) -> None:
+    _, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert run(["aim", "--config", config, "--pair", "0,0"]) == 1
+    assert capsys.readouterr().err == "error: --pair names track '0' twice; a pair needs two tracks\n"
+    assert not (out / "aim").exists()
 
 
 def test_aim_top_k(workspace) -> None:
@@ -606,6 +673,9 @@ def test_aim_sweep(workspace) -> None:
         ("--sweep-delta", "1.0,nan", "a finite number, got 'nan'"),
         ("--sweep-delta", "0.5,-inf", "a finite number, got '-inf'"),
         ("--sweep-delta", "abc", "a finite number, got 'abc'"),
+        ("--sweep-delta", "1,1.0", "a list of distinct values, got '1' and '1.0'"),
+        ("--sweep-n", "25,8,25", "a list of distinct values, got '25' and '25'"),
+        ("--sweep-n", "5,5.0", "a list of distinct values, got '5' and '5.0'"),
     ],
 )
 def test_bad_sweep_item_is_one_error_line_naming_the_flag(
@@ -647,6 +717,19 @@ def test_eval_constant_velocity_two_policies(workspace) -> None:
     csv_lines = (out / "reports" / "eval.csv").read_text().splitlines()
     assert csv_lines[0] == "dataset,config,group,n_windows,ade,fde"
     assert all(len(line.split(",")) == 6 for line in csv_lines[1:])
+
+
+def test_eval_lost_policy_given_twice_is_one_error_line(workspace, capsys) -> None:
+    _, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--config", config, "--lost-policy", "keep_lost,KEEP_LOST"]) == 1
+    # the shipped registry's warnings come first
+    errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("warning: ")]
+    assert errors == [
+        "error: option --lost-policy must be a list of distinct values, got 'keep_lost' and 'KEEP_LOST'"
+    ]
+    assert not (out / "reports").exists()
 
 
 def test_eval_external_predictions(workspace, tmp_path) -> None:

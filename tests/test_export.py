@@ -1,8 +1,10 @@
-"""The column-at-once series export against the per-row table writer it replaced."""
+"""The column-at-once table writer, for the series export and the reports,
+against the per-row writers it replaced."""
 from __future__ import annotations
 
 import csv
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -111,3 +113,118 @@ def test_series_export_bytes_equal_the_row_writer(columns, first_frame, n_window
 def test_special_values_differ_under_numpy_rounding() -> None:
     # the ties above would catch an export that rounds with np.round
     assert any(round(v, 6) != float(np.round(v, 6)) for v in SPECIAL)
+
+
+# --- the report writer ------------------------------------------------------------------
+
+
+def format_cell_oracle(value, decimals: int | None) -> str:
+    if decimals is not None and isinstance(value, float):
+        return f"{value:.{decimals}f}"
+    return str(value)
+
+
+def json_value_oracle(value, decimals: int | None):
+    if decimals is not None and isinstance(value, float):
+        return round(value, decimals)
+    return value
+
+
+def write_table_oracle(base, fieldnames, rows, decimals, export_format, jsonl_rows=None) -> list[Path]:
+    """The per-row report writer, with jsonl_rows overriding the JSONL records."""
+    base.parent.mkdir(parents=True, exist_ok=True)
+    written = []
+    if export_format in ("csv", "both"):
+        path = base.parent / (base.name + ".csv")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(fieldnames)
+            for row in rows:
+                writer.writerow([format_cell_oracle(row[f], decimals.get(f)) for f in fieldnames])
+        written.append(path)
+    if export_format in ("jsonl", "both"):
+        path = base.parent / (base.name + ".jsonl")
+        source = jsonl_rows if jsonl_rows is not None else rows
+        with open(path, "w") as fh:
+            for row in source:
+                payload = {k: json_value_oracle(v, decimals.get(k)) for k, v in row.items()}
+                fh.write(json.dumps(payload, sort_keys=True))
+                fh.write("\n")
+        written.append(path)
+    return written
+
+
+def flatten_groups_oracle(rows: list[dict], name: str) -> list[dict]:
+    """The stats command's CSV rendering of the overlap report's groups."""
+    return [{**row, name: "|".join("-".join(map(str, group)) for group in row[name])} for row in rows]
+
+
+# cells that need CSV quoting (delimiter, quote, line breaks) or JSON escaping
+TEXT = st.text(
+    st.one_of(st.sampled_from(',"\n\r\t |-\\é€😀\x00\x7f'), st.characters(codec="utf-8")),
+    max_size=8,
+)
+DECIMAL = st.one_of(
+    st.sampled_from(SPECIAL + (math.nan, math.inf, -math.inf)),
+    st.floats(),
+    st.integers(-(10**9), 10**9).map(lambda i: i / 1e6 + 5e-7),
+)
+CELLS = {
+    "text": TEXT,
+    "int": st.integers(-(2**70), 2**70),
+    "decimal": DECIMAL,
+    "groups": st.lists(st.lists(st.integers(0, 999), max_size=4).map(tuple), max_size=3).map(tuple),
+}
+
+
+@st.composite
+def tables(draw) -> tuple[dict[str, list], dict[str, int], list[str]]:
+    """Columns by name in field order, the decimals of the float columns, and the
+    names of the group columns."""
+    n_rows = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6))
+    names = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
+    columns = {
+        name: draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows))
+        for name, kind in zip(names, kinds)
+    }
+    decimals = {name: draw(st.integers(0, 8)) for name, kind in zip(names, kinds) if kind == "decimal"}
+    return columns, decimals, [name for name, kind in zip(names, kinds) if kind == "groups"]
+
+
+OVERLAP = (
+    {
+        "scene": ["bookstore", "coupa"],
+        "location_overlap": ["high", "low"],
+        "time_overlap": ["none", "partial"],
+        "simultaneous_groups": [((0, 1, 2), (4, 5)), ()],
+    },
+    {},
+    ["simultaneous_groups"],
+)
+EMPTY = ({"scene": [], "n_tracks": [], "Biker": []}, {"Biker": 2}, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.sampled_from(cli.EXPORT_FORMATS))
+@example(OVERLAP, "both")
+@example(EMPTY, "both")
+@example(({"ade": list(SPECIAL), "n": list(range(len(SPECIAL)))}, {"ade": 6}, []), "both")
+def test_report_bytes_equal_the_row_writer(table, export_format) -> None:
+    columns, decimals, group_names = table
+    names = list(columns)
+    rows = [dict(zip(names, cells)) for cells in zip(*columns.values())]
+    flat = rows
+    for name in group_names:
+        flat = flatten_groups_oracle(flat, name)
+    with tempfile.TemporaryDirectory() as tmp:
+        # a dot in the base name is kept, not taken for a suffix
+        written = cli._write_table(Path(tmp) / "new" / "report.v1", columns, decimals, export_format)
+        expected = write_table_oracle(
+            Path(tmp) / "old" / "report.v1", names, flat, decimals, export_format,
+            jsonl_rows=rows if group_names else None,
+        )
+        assert [p.name for p in written] == [p.name for p in expected]
+        for path, reference in zip(written, expected):
+            assert path.read_bytes() == reference.read_bytes(), path.name
+
