@@ -28,8 +28,10 @@ per-video scale, fitted by the caller. `compute_kinematics` and
 it on the one window that ends at a frame, the second on one-element
 arrays, so both equal the series bit for bit.
 
-`final_bounds` folds an upper bound on the dependence estimate
-(`mi_prefix_bound`, no joint counts) through the same rho series and
+`sweep` and `final_bounds` run one fold that takes the per-frame
+dependence as an argument: the estimate (`mi_prefix_series`) for the
+measurement, an upper bound on it (`mi_prefix_bound`, no joint counts)
+for the bound, through the same checks, kinematics, rho series and
 recurrence. A top-k ranking can then measure pairs in decreasing order of
 their bound and stop once the k-th best final value is above the next
 bound: every pair left is below it, so the selection is the one that
@@ -41,7 +43,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -146,9 +148,7 @@ class InteractionPair:
         They are the same in both directions. Computed on first use and kept
         for the life of this pair object.
         """
-        n = self.n_window
-        if n < 1:
-            raise ConfigError(f"n_window must be >= 1, got {n}")
+        n = _checked_n_window(self.n_window)
         if len(self.frames) < n + 1:
             raise InsufficientDataError(
                 f"pair {self.key} has {len(self.frames)} common frames; "
@@ -236,30 +236,21 @@ def _run_rows(
 
 
 def extract_interactions(
-    trajectories: Sequence[Trajectory],
-    n_window: int,
-    t_prime_offset: int | None = None,
+    trajectories: Sequence[Trajectory], n_window: int
 ) -> list[InteractionPair]:
     """Build every directed pair with enough co-presence to measure.
 
     Two trajectories qualify when their longest constant-spacing run of
     common frames still has at least one frame left after the warm-up
-    buffer (`t_prime_offset` frames, default `n_window`). Each qualifying
-    unordered pair yields both directions, next to each other and in
-    deterministic order by (source, track id, segment); the first of the two
-    has the lower key as agent_i.
+    buffer of `n_window` frames. Each qualifying unordered pair yields both
+    directions, next to each other and in deterministic order by (source,
+    track id, segment); the first of the two has the lower key as agent_i.
 
     Each track's frame interval is compared with every later track's at
     once, and only pairs whose overlap could hold the run are searched
     (`_run_rows`).
     """
-    if n_window < 1:
-        raise ConfigError(f"n_window must be >= 1, got {n_window}")
-    offset = n_window if t_prime_offset is None else int(t_prime_offset)
-    if offset < n_window:
-        raise ConfigError(
-            f"t_prime_offset must be >= n_window ({n_window}), got {offset}"
-        )
+    _checked_n_window(n_window)
     ordered = sorted(
         trajectories, key=lambda t: (t.source.key(), t.track_id, t.segment)
     )
@@ -272,30 +263,28 @@ def extract_interactions(
         lo = np.maximum(first[a], first[a + 1 :])
         hi = np.minimum(last[a], last[a + 1 :])
         # a track's frames are distinct: the common run spans at most
-        # hi - lo + 1 frames and needs offset + 1
-        near = np.flatnonzero(hi - lo >= offset)
+        # hi - lo + 1 frames and needs n_window + 1
+        near = np.flatnonzero(hi - lo >= n_window)
         for b, start, stop in zip((a + 1 + near).tolist(), lo[near].tolist(), hi[near].tolist()):
             tb, fb, xb = tracks[b]
             rows_a, rows_b = _run_rows(fa, fb, start, stop, gap_free[a] and gap_free[b])
             frames = fa[rows_a]
-            if frames.size < offset + 1:
+            if frames.size < n_window + 1:
                 continue
             forward = InteractionPair(ta, tb, frames, xa[rows_a], xb[rows_b], n_window)
             pairs += (forward, forward.reversed())
     return pairs
 
 
-def compute_kinematics(pair: InteractionPair, t: int, n_window: int | None = None) -> Kinematics:
-    """Summarize motion over the `n_window` steps ending at frame `t`.
+def compute_kinematics(pair: InteractionPair, t: int) -> Kinematics:
+    """Summarize motion over the pair's `n_window` steps ending at frame `t`.
 
     The window spans indices [it - n, it] of the common run, i.e. n steps
     and n+1 positions. Requesting a frame with fewer than n frames of
     co-presence behind it is a domain error. The values are those of
     `InteractionPair.kinematics` and `_headings` on that window alone.
     """
-    n = pair.n_window if n_window is None else int(n_window)
-    if n < 1:
-        raise ConfigError(f"n_window must be >= 1, got {n}")
+    n = _checked_n_window(pair.n_window)
     it = pair.index_of(t)
     if it < n:
         raise DomainError(
@@ -388,6 +377,12 @@ def _rho_series(kin: PairKinematics, h: np.ndarray, cfg: RhoConfig) -> np.ndarra
     return v_term * d_term * h_term
 
 
+def _checked_n_window(n: int) -> int:
+    if n < 1:
+        raise ConfigError(f"n_window must be >= 1, got {n}")
+    return n
+
+
 def _checked_delta(delta: float) -> float:
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
@@ -447,50 +442,59 @@ def accumulate_aim(
     )
 
 
-def _prefix_stream(pair: InteractionPair) -> tuple[np.ndarray, range]:
-    """The (L, 2, 2) sample stream and the prefix length at each measured frame."""
-    return np.stack([pair.xi, pair.xj], axis=1), range(pair.n_window + 1, len(pair.frames) + 1)
-
-
-def _prefix_mi(
+def _fold(
     pair: InteractionPair,
+    dependence: Callable,
+    delta_values: Sequence[float],
+    n_values: Sequence[int],
+    rho_config: RhoConfig | None,
     bandwidths: Sequence[float],
     weights: Sequence[float] | None,
     n_min: int,
-) -> np.ndarray:
-    """Dependence estimate at every measured frame, over all samples up to it."""
-    prefix = mi_prefix_series(
-        *_prefix_stream(pair),
-        bandwidths=bandwidths,
-        weights=weights,
-        n_min=n_min,
-    )
-    return np.array([value for _, value in prefix], dtype=np.float64)
-
-
-def _directed_series(
-    pair: InteractionPair,
-    kin: PairKinematics,
-    mi: np.ndarray,
-    cfg: RhoConfig,
-    deltas: Sequence[float],
+    both_directions: bool,
 ) -> list[MeasureSeries]:
-    rho = _rho_series(kin, _headings(pair), cfg)
-    terms = rho * mi
-    frames = pair.frames[pair.n_window :]
-    return [
-        MeasureSeries(
-            pair=pair,
-            delta=delta,
-            n_window=pair.n_window,
-            frames=frames,
-            mi=mi,
-            rho=rho,
-            aim=_recurrence(terms, delta),
-            rho_config=cfg,
+    """The measurement, with `dependence` as the per-frame dependence.
+
+    `dependence` is `mi_prefix_series` or `mi_prefix_bound`, called with the
+    (L, 2, 2) sample stream and the prefix length at each measured frame.
+    Kinematics and the dependence are computed once per n_window, rho once
+    per direction and the recurrence once per direction and delta.
+    """
+    cfg = rho_config if rho_config is not None else RhoConfig()
+    cfg.validate()
+    deltas = [_checked_delta(delta) for delta in delta_values]
+    out: list[MeasureSeries] = []
+    for n in n_values:
+        n = int(n)
+        variant = pair if n == pair.n_window else dataclasses.replace(pair, n_window=n)
+        kin = variant.kinematics
+        frames = variant.frames[n:]
+        values = dependence(
+            np.stack([variant.xi, variant.xj], axis=1),
+            range(n + 1, len(variant.frames) + 1),
+            bandwidths=bandwidths,
+            weights=weights,
+            n_min=n_min,
         )
-        for delta in deltas
-    ]
+        # mi_prefix_series gives (t, value) rows, mi_prefix_bound an array of values
+        mi = np.array([v for _, v in values], dtype=np.float64) if isinstance(values, list) else values
+        for direction in (variant, variant.reversed()) if both_directions else (variant,):
+            rho = _rho_series(kin, _headings(direction), cfg)
+            terms = rho * mi
+            out += [
+                MeasureSeries(
+                    pair=direction,
+                    delta=delta,
+                    n_window=n,
+                    frames=frames,
+                    mi=mi,
+                    rho=rho,
+                    aim=_recurrence(terms, delta),
+                    rho_config=cfg,
+                )
+                for delta in deltas
+            ]
+    return out
 
 
 def sweep(
@@ -514,18 +518,10 @@ def sweep(
     `pair.reversed()`, sharing both (only the heading differs). Results are
     ordered by n_values outer, then direction, then delta_values.
     """
-    cfg = rho_config if rho_config is not None else RhoConfig()
-    cfg.validate()
-    deltas = [_checked_delta(delta) for delta in delta_values]
-    out: list[MeasureSeries] = []
-    for n in n_values:
-        n = int(n)
-        variant = pair if n == pair.n_window else dataclasses.replace(pair, n_window=n)
-        kin = variant.kinematics
-        mi = _prefix_mi(variant, bandwidths, weights, n_min)
-        for direction in (variant, variant.reversed()) if both_directions else (variant,):
-            out += _directed_series(direction, kin, mi, cfg, deltas)
-    return out
+    return _fold(
+        pair, mi_prefix_series, delta_values, n_values, rho_config,
+        bandwidths, weights, n_min, both_directions,
+    )
 
 
 def final_bounds(
@@ -539,29 +535,20 @@ def final_bounds(
 ) -> tuple[float, float]:
     """Upper bounds on the final aim of `pair` and of `pair.reversed()`.
 
-    The measurement's own rho series and recurrence fold `mi_prefix_bound`
-    in place of the estimate. Rounding is monotone, rho is non-negative and
-    the recurrence only multiplies by delta > 0 and adds non-negative terms,
-    so a computed estimate at most its computed bound at every frame gives a
-    computed final value at most the returned bound. It costs the
-    kinematics (cached on the pair, as `sweep` uses them) and the marginal
-    cells, but no joint counts. Checks and errors are those of `sweep`.
+    The measurement's own fold, `sweep` at (pair.n_window, delta) in both
+    directions, run on `mi_prefix_bound` in place of the estimate. Rounding
+    is monotone, rho is non-negative and the recurrence only multiplies by
+    delta > 0 and adds non-negative terms, so a computed estimate at most
+    its computed bound at every frame gives a computed final value at most
+    the returned bound. It costs the kinematics (cached on the pair, as
+    `sweep` uses them) and the marginal cells, but no joint counts. Its
+    checks and errors are `sweep`'s, since it runs the same code.
     """
-    cfg = rho_config if rho_config is not None else RhoConfig()
-    cfg.validate()
-    delta = _checked_delta(delta)
-    kin = pair.kinematics
-    bound = mi_prefix_bound(
-        *_prefix_stream(pair),
-        bandwidths=bandwidths,
-        weights=weights,
-        n_min=n_min,
+    forward, backward = _fold(
+        pair, mi_prefix_bound, [delta], [pair.n_window], rho_config,
+        bandwidths, weights, n_min, both_directions=True,
     )
-    forward, backward = (
-        float(_recurrence(_rho_series(kin, _headings(direction), cfg) * bound, delta)[-1])
-        for direction in (pair, pair.reversed())
-    )
-    return forward, backward
+    return forward.final, backward.final
 
 
 def measure_interaction(
@@ -587,31 +574,23 @@ def measure_interaction(
 
 
 def fit_normalizers(
-    pairs: Sequence[InteractionPair],
-    n_window: int | None = None,
-    base: RhoConfig | None = None,
+    pairs: Sequence[InteractionPair], base: RhoConfig | None = None
 ) -> RhoConfig:
     """Fit v0/a0 from data, keeping the base values where data is flat.
 
     v0 and a0 become the median windowed speed / speed change across every
-    measurable frame of every pair (windows of n_window steps, default each
-    pair's own). Both directions of a pair give the same values, so one
-    direction per pair is enough. The values are read from
-    `InteractionPair.kinematics`, the arrays `sweep` measures with, so a
-    fit followed by a measurement computes them once. Base values are kept
-    when a fitted value would not be a positive number. sigma_d is left as
-    it is: it is a per-video scale, fitted from that video's scene diagonal
-    by the caller.
+    measurable frame of every pair (windows of each pair's n_window steps; a
+    pair with fewer than n_window + 1 frames is skipped). Both directions of
+    a pair give the same values, so one direction per pair is enough. The
+    values are read from `InteractionPair.kinematics`, the arrays `sweep`
+    measures with, so a fit followed by a measurement computes them once.
+    Base values are kept when a fitted value would not be a positive number.
+    sigma_d is left as it is: it is a per-video scale, fitted from that
+    video's scene diagonal by the caller.
     """
     cfg = base if base is not None else RhoConfig()
     cfg.validate()
-    kinematics: list[PairKinematics] = []
-    for pair in pairs:
-        n = pair.n_window if n_window is None else int(n_window)
-        if len(pair.frames) < n + 1:
-            continue
-        variant = pair if n == pair.n_window else dataclasses.replace(pair, n_window=n)
-        kinematics.append(variant.kinematics)
+    kinematics = [pair.kinematics for pair in pairs if len(pair.frames) > pair.n_window]
     if not kinematics:
         return cfg
     v0 = float(np.median(np.concatenate([k.v for k in kinematics])))

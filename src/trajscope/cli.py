@@ -22,15 +22,16 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import yaml
 
 from .aim import (
     DEFAULT_DELTA,
-    InteractionPair,
     MeasureSeries,
     RhoConfig,
+    _checked_delta,
+    _checked_n_window,
     extract_interactions,
     final_bounds,
     fit_normalizers,
@@ -513,7 +514,6 @@ def _export_series(
 
 def cmd_aim(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.out)
-    trajectories = load_store(cfg.store_dir)
     n_window = cfg.n_window or DEFAULT_N_WINDOW[cfg.dataset]
     measure_options = dict(bandwidths=cfg.bandwidths, weights=cfg.weights, n_min=cfg.n_min)
 
@@ -521,10 +521,9 @@ def cmd_aim(args: argparse.Namespace) -> int:
     n_values = [n_window]
     swept = args.sweep_delta is not None or args.sweep_n is not None
     if args.sweep_delta is not None:
-        deltas = _parse_list(args.sweep_delta, "--sweep-delta", float)
+        deltas = [_checked_delta(d) for d in _parse_list(args.sweep_delta, "--sweep-delta", float)]
     if args.sweep_n is not None:
-        n_values = _parse_list(args.sweep_n, "--sweep-n", int)
-
+        n_values = [_checked_n_window(n) for n in _parse_list(args.sweep_n, "--sweep-n", int)]
     named: tuple[str, str] | None = None
     if args.pair:
         parts = [part.strip() for part in args.pair.split(",")]
@@ -533,48 +532,24 @@ def cmd_aim(args: argparse.Namespace) -> int:
         if parts[0] == parts[1]:
             raise ConfigError(f"--pair names track {parts[0]!r} twice; a pair needs two tracks")
         named = (parts[0], parts[1])
+    top_k = args.top_k if args.top_k is not None else 5
+    if top_k < 1:
+        raise ConfigError(f"--top-k must be >= 1, got {top_k}")
+
+    trajectories = load_store(cfg.store_dir)
+    if named is not None:
         known = {t.uid for t in trajectories}
         for uid in named:
             if uid not in known:
                 raise ConfigError(f"unknown track id {uid!r} (not in the ingested store)")
-    else:
-        top_k = args.top_k if args.top_k is not None else 5
-        if top_k < 1:
-            raise ConfigError(f"--top-k must be >= 1, got {top_k}")
-
     by_video: dict[tuple[str, str, str], list[Trajectory]] = {}
     for traj in trajectories:
         by_video.setdefault(traj.source.key(), []).append(traj)
     videos = sorted(by_video)
     considered = sum(len(trajs) * (len(trajs) - 1) // 2 for trajs in by_video.values())
 
-    def video_pairs(key: tuple[str, str, str]) -> list[InteractionPair]:
-        # extract_interactions puts both directions of a pair next to each other
-        return extract_interactions(by_video[key], n_window)[::2]
-
     fit = cfg.fit_v0 or cfg.fit_a0
-    fit_pairs = {key: video_pairs(key) for key in videos} if fit else {}
-    base_rho = cfg.rho
-    if fit:
-        fitted = fit_normalizers(
-            [pair for key in videos for pair in fit_pairs[key]], base=base_rho
-        )
-        base_rho = dataclasses.replace(
-            base_rho,
-            v0=fitted.v0 if cfg.fit_v0 else base_rho.v0,
-            a0=fitted.a0 if cfg.fit_a0 else base_rho.a0,
-        )
-
-    def candidates() -> Iterator[list[tuple[tuple[str, str, str], InteractionPair]]]:
-        """One direction of every measurable pair, in batches: the whole store
-        when the fit already holds it, else one video at a time. The loops
-        below drop each batch before asking for the next, so that without a
-        fit only one video's pairs are in memory."""
-        if fit:
-            yield [(key, pair) for key in videos for pair in fit_pairs.pop(key)]
-        else:
-            for key in videos:
-                yield [(key, pair) for pair in video_pairs(key)]
+    base_rho = cfg.rho  # fitted in the first batch, before any call to rho_for
 
     @functools.cache
     def rho_for(key: tuple[str, str, str]) -> RhoConfig:
@@ -585,44 +560,41 @@ def cmd_aim(args: argparse.Namespace) -> int:
             return base_rho
         return dataclasses.replace(base_rho, sigma_d=diagonal / 8.0)
 
-    measurable = measured = 0
-    exports: list[tuple[tuple[str, str, str], MeasureSeries]] = []
-    if named is not None:
-        selected = []
-        for batch in candidates():
-            measurable += len(batch)
-            selected += [
-                (key, direction)
-                for key, pair in batch
-                for direction in (pair, pair.reversed())
-                if direction.key == named
-            ]
-            del batch
-        if not selected:
-            raise InsufficientDataError(
-                f"tracks {named[0]} and {named[1]} share too few co-present frames "
-                f"(need {n_window + 1} at constant spacing in one video)"
-            )
-        for key, pair in selected:
-            measured += 1
-            for series in sweep(pair, deltas, n_values, rho_config=rho_for(key), **measure_options):
-                exports.append((key, series))
-        skipped = 0
-    else:
-        # The best top_k series so far, best first: the highest final value,
-        # ties to the lower video key, then the lower pair key.
-        def rank(item: tuple[tuple[str, str, str], MeasureSeries]) -> tuple:
-            return (-item[1].final, item[0], item[1].pair.key)
+    # The best top_k series so far, best first: the highest final value,
+    # ties to the lower video key, then the lower pair key.
+    def rank(item: tuple[tuple[str, str, str], MeasureSeries]) -> tuple:
+        return (-item[1].final, item[0], item[1].pair.key)
 
-        selected = []
-        for batch in candidates():
-            measurable += len(batch)
+    # With --pair, every series of the named direction; else the top_k best.
+    selected: list[tuple[tuple[str, str, str], MeasureSeries]] = []
+    measurable = measured = 0
+    # One direction of every measurable pair, in batches: the whole store
+    # when v0/a0 are fitted from it, else one video at a time, so that
+    # without a fit only one video's pairs are in memory.
+    for batch in [videos] if fit else [[key] for key in videos]:
+        # extract_interactions puts both directions of a pair next to each other
+        pairs = [(key, pair) for key in batch for pair in extract_interactions(by_video[key], n_window)[::2]]
+        measurable += len(pairs)
+        if fit:
+            fitted = fit_normalizers([pair for _, pair in pairs], base=base_rho)
+            base_rho = dataclasses.replace(
+                base_rho,
+                v0=fitted.v0 if cfg.fit_v0 else base_rho.v0,
+                a0=fitted.a0 if cfg.fit_a0 else base_rho.a0,
+            )
+        if named is not None:
+            for key, pair in pairs:
+                for direction in (pair, pair.reversed()):
+                    if direction.key == named:
+                        measured += 1
+                        series = sweep(direction, deltas, n_values, rho_config=rho_for(key), **measure_options)
+                        selected += [(key, s) for s in series]
+        else:
             bounds = [
                 max(final_bounds(pair, delta=cfg.delta, rho_config=rho_for(key), **measure_options))
-                for key, pair in batch
+                for key, pair in pairs
             ]
-            ranked = sorted(zip(bounds, batch), key=lambda c: (-c[0], c[1][0], c[1][1].key))
-            for bound, (key, pair) in ranked:
+            for bound, (key, pair) in sorted(zip(bounds, pairs), key=lambda c: (-c[0], c[1][0], c[1][1].key)):
                 # bounds only fall from here on, and a series whose final value is
                 # below the k-th best cannot enter the selection, even by a tie
                 if len(selected) == top_k and selected[-1][1].final > bound:
@@ -637,28 +609,30 @@ def cmd_aim(args: argparse.Namespace) -> int:
                     **measure_options,
                 )
                 selected = sorted(selected + [(key, s) for s in series], key=rank)[:top_k]
-            del batch, ranked
-        if not selected:
-            raise InsufficientDataError(
-                "no measurable pairs in the store "
-                f"(need {n_window + 1} co-present frames at constant spacing)"
-            )
-        skipped = measurable - measured
-        for key, best in selected:
-            if swept:
-                for series in sweep(
-                    best.pair, deltas, n_values, rho_config=best.rho_config, **measure_options
-                ):
-                    exports.append((key, series))
-            else:
-                exports.append((key, best))
+        del pairs
+    if not selected:
+        raise InsufficientDataError(
+            f"tracks {named[0]} and {named[1]} share too few co-present frames "
+            f"(need {n_window + 1} at constant spacing in one video)"
+            if named is not None
+            else "no measurable pairs in the store "
+            f"(need {n_window + 1} co-present frames at constant spacing)"
+        )
+    if named is None and swept:
+        # the selected pairs, measured again at every swept setting
+        selected = [
+            (key, series)
+            for key, best in selected
+            for series in sweep(best.pair, deltas, n_values, rho_config=best.rho_config, **measure_options)
+        ]
 
-    for key, series in exports:
+    for key, series in selected:
         _export_series(cfg, key, series, swept)
     _status(
-        f"exported {len(exports)} measure series for {len(selected)} pairs to {cfg.aim_dir} "
+        f"exported {len(selected)} measure series for "
+        f"{len({(key, series.pair.key) for key, series in selected})} pairs to {cfg.aim_dir} "
         f"({considered} pairs considered, {measurable} measurable, {measured} measured, "
-        f"{skipped} skipped by the bound)"
+        f"{0 if named is not None else measurable - measured} skipped by the bound)"
     )
     return 0
 
@@ -668,10 +642,6 @@ def cmd_aim(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.out)
-    registry = _load_registry(cfg)
-    trajectories = load_store(cfg.store_dir)
-    native_rate = registry.frame_rate(cfg.dataset)
-
     if args.lost_policy:
         policies = _parse_list(args.lost_policy, "--lost-policy", LostPolicy)
     else:
@@ -688,6 +658,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         predictor = predictor_from_mapping(load_predictions(predictions_path))
 
+    registry = _load_registry(cfg)
+    trajectories = load_store(cfg.store_dir)
+    native_rate = registry.frame_rate(cfg.dataset)
     rows = []
     for policy in policies:
         pcfg = dataclasses.replace(cfg.preprocess, lost_policy=policy)
@@ -740,8 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_aim = sub.add_parser("aim", help="export per-pair interaction measure series")
     common(p_aim)
-    p_aim.add_argument("--pair", default=None, help="directed pair of track ids: I,J")
-    p_aim.add_argument("--top-k", type=int, default=None, help="export the K pairs with the highest final measure (default 5)")
+    selection = p_aim.add_mutually_exclusive_group()
+    selection.add_argument("--pair", default=None, help="directed pair of track ids: I,J")
+    selection.add_argument("--top-k", type=int, default=None, help="export the K pairs with the highest final measure (default 5)")
     p_aim.add_argument("--sweep-delta", default=None, help="comma-separated memory factors to sweep")
     p_aim.add_argument("--sweep-n", default=None, help="comma-separated window lengths to sweep")
     p_aim.set_defaults(func=cmd_aim)

@@ -47,7 +47,7 @@ def walker_vs_parked(n: int = 10, n_window: int = 3) -> InteractionPair:
 
 def test_kinematics_hand_values() -> None:
     pair = walker_vs_parked()
-    kin = compute_kinematics(pair, t=3, n_window=3)
+    kin = compute_kinematics(pair, t=3)
     # steps of length 1 for I, 0 for J; separations 9, 8, 7 at frames 1..3
     assert kin.v == pytest.approx(1.0, abs=1e-15)
     assert kin.d == pytest.approx(8.0, abs=1e-15)
@@ -59,7 +59,7 @@ def test_kinematics_heading_away() -> None:
     coords_i = [(float(i), 0.0) for i in range(10)]
     coords_j = [(-10.0, 0.0)] * 10
     pair = pair_from(coords_i, coords_j, n_window=3)
-    kin = compute_kinematics(pair, t=3, n_window=3)
+    kin = compute_kinematics(pair, t=3)
     assert kin.h == pytest.approx(math.pi, abs=1e-12)
 
 
@@ -67,7 +67,7 @@ def test_kinematics_right_angle() -> None:
     coords_i = [(0.0, float(i)) for i in range(10)]  # walking +y
     coords_j = [(10.0, 0.0)] * 10  # off to the +x side
     pair = pair_from(coords_i, coords_j, n_window=3)
-    kin = compute_kinematics(pair, t=3, n_window=3)
+    kin = compute_kinematics(pair, t=3)
     # bearing rotates as I moves; at frame n the bearing from (0,n-1) to
     # (10,0) has angle atan2(10*1, -(n-1)) against step (0,1)
     expected = np.mean(
@@ -79,7 +79,7 @@ def test_kinematics_right_angle() -> None:
 def test_kinematics_stationary_pair_empty_average() -> None:
     coords = [(3.0, 4.0)] * 8
     pair = pair_from(coords, [(9.0, 9.0)] * 8, n_window=3)
-    kin = compute_kinematics(pair, t=3, n_window=3)
+    kin = compute_kinematics(pair, t=3)
     assert kin.v == 0.0
     assert kin.h == 0.0  # all steps skipped -> empty-average convention
     assert kin.d == pytest.approx(math.hypot(6.0, 5.0), rel=1e-12)
@@ -90,14 +90,14 @@ def test_kinematics_constant_velocity_exact() -> None:
     coords_i = [(0.5 * i, 0.0) for i in range(40)]
     coords_j = [(0.0, 0.25 * i) for i in range(40)]
     pair = pair_from(coords_i, coords_j, n_window=30)
-    kin = compute_kinematics(pair, t=35, n_window=30)
+    kin = compute_kinematics(pair, t=35)
     assert kin.v == 0.75  # exactly
 
 
 def test_kinematics_window_range_error() -> None:
     pair = walker_vs_parked()
     with pytest.raises(DomainError):
-        compute_kinematics(pair, t=2, n_window=3)
+        compute_kinematics(pair, t=2)
 
 
 def test_kinematics_acceleration_term() -> None:
@@ -105,7 +105,7 @@ def test_kinematics_acceleration_term() -> None:
     coords_i = [(0.0, 0.0), (1.0, 0.0), (3.0, 0.0), (6.0, 0.0)]
     coords_j = [(50.0, 0.0)] * 4
     pair = pair_from(coords_i, coords_j, n_window=3)
-    kin = compute_kinematics(pair, t=3, n_window=3)
+    kin = compute_kinematics(pair, t=3)
     assert kin.a == pytest.approx(1.0, abs=1e-15)
     assert kin.v == pytest.approx(2.0, abs=1e-15)
 
@@ -359,15 +359,14 @@ track_spans = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(track_spans, st.integers(1, 8), st.integers(0, 3))
-def test_extract_matches_unpruned_oracle(spans, n_window, extra) -> None:
+@given(track_spans, st.integers(1, 11))
+def test_extract_matches_unpruned_oracle(spans, n_window) -> None:
     trajs = [
         straight_line(length, track_id=k, start_frame=start, frame_step=step, origin=(0.0, k))
         for k, (start, length, step) in enumerate(spans)
     ]
-    offset = n_window + extra
-    pairs = extract_interactions(trajs, n_window=n_window, t_prime_offset=offset)
-    assert pair_keys(pairs) == pairs_oracle(trajs, n_window, offset)
+    pairs = extract_interactions(trajs, n_window=n_window)
+    assert pair_keys(pairs) == pairs_oracle(trajs, n_window)
 
 
 def traj_with_frames(frames, track_id: int) -> Trajectory:
@@ -413,15 +412,14 @@ track_steps = st.tuples(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(track_steps, min_size=2, max_size=6), st.integers(1, 3), st.integers(0, 2))
-def test_extract_with_gaps_matches_the_intersect_oracle(tracks, n_window, extra) -> None:
+@given(st.lists(track_steps, min_size=2, max_size=6), st.integers(1, 5))
+def test_extract_with_gaps_matches_the_intersect_oracle(tracks, n_window) -> None:
     trajs = [
         traj_with_frames(start + np.cumsum([0, *steps]), track_id=k)
         for k, (start, steps) in enumerate(tracks)
     ]
-    offset = n_window + extra
-    pairs = extract_interactions(trajs, n_window=n_window, t_prime_offset=offset)
-    assert extracted(pairs) == full_oracle(trajs, n_window, offset)
+    pairs = extract_interactions(trajs, n_window=n_window)
+    assert extracted(pairs) == full_oracle(trajs, n_window, n_window)
 
 
 @pytest.mark.parametrize(
@@ -525,11 +523,11 @@ def test_sweep_n_too_long_for_pair() -> None:
 
 def test_fit_normalizers() -> None:
     pair = crossing_pair()
-    fitted = fit_normalizers([pair], n_window=20)
+    fitted = fit_normalizers([pair])
     assert fitted.v0 > 0
     assert fitted.a0 > 0
     assert fitted.sigma_d == RhoConfig().sigma_d  # fitted per video by the caller
-    kins = [compute_kinematics(pair, int(t), 20) for t in pair.frames[20:]]
+    kins = [compute_kinematics(pair, int(t)) for t in pair.frames[20:]]
     assert fitted.v0 == float(np.median([k.v for k in kins]))
     assert fitted.a0 == float(np.median([k.a for k in kins]))
 

@@ -689,6 +689,90 @@ def test_bad_sweep_item_is_one_error_line_naming_the_flag(
     assert not (out / "aim").exists()
 
 
+@pytest.mark.parametrize("fitted", [False, True])
+def test_aim_pair_exports_the_named_direction_of_each_video(tmp_path, capsys, fitted) -> None:
+    # both videos hold the same walkers, so tracks 0 and 1 are a pair in each;
+    # with v0/a0 fitted the store is one batch, else one batch per video
+    annotations = write_walker_tree(tmp_path, 7, {"video0": 6, "video1": 6}, copy=True)
+    out = tmp_path / "out"
+    config = (fitted_config if fitted else write_config)(tmp_path / "config.yaml", annotations, out)
+    assert run(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert run(["aim", "--config", config, "--pair", "0,1"]) == 0
+    status = capsys.readouterr().err
+
+    by_video = by_video_of(load_store(out / "store"))
+    pairs = {key: extract_interactions(by_video[key], 5) for key in sorted(by_video)}
+    cfg = load_run_config(config, str(tmp_path / "expected"))
+    rho = cfg.rho
+    if fitted:
+        fit = fit_normalizers([p for ps in pairs.values() for p in ps[::2]], base=rho)
+        rho = dataclasses.replace(rho, v0=fit.v0, a0=fit.a0)
+    for key, video_pairs in pairs.items():
+        (pair,) = [p for p in video_pairs if p.key == ("0", "1")]
+        if fitted:
+            video_rho = dataclasses.replace(rho, sigma_d=scene_diagonal(by_video[key]) / 8.0)
+        else:
+            video_rho = rho
+        series = measure_interaction(pair, delta=cfg.delta, rho_config=video_rho, n_min=cfg.n_min)
+        cli._export_series(cfg, key, series, swept=False)
+    exported = tree_bytes(out / "aim")
+    assert len(exported) == 2 * 3  # one .csv, .jsonl and .meta.json per video
+    assert exported == tree_bytes(cfg.aim_dir)
+    measurable = sum(len(ps) // 2 for ps in pairs.values())
+    assert status == (
+        f"exported 2 measure series for 2 pairs to {out / 'aim'} (30 pairs considered, "
+        f"{measurable} measurable, 2 measured, 0 skipped by the bound)\n"
+    )
+
+
+def test_aim_pair_sweep_measures_everything_before_writing(workspace, capsys) -> None:
+    _, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert run(["aim", "--config", config, "--pair", "0,1", "--sweep-n", "5,500"]) == 1
+    assert capsys.readouterr().err == (
+        "error: pair ('0', '1') has 60 common frames; need at least 501 for an n_window of 500\n"
+    )
+    assert not (out / "aim").exists()
+
+
+@pytest.mark.parametrize("k", ["0", "3"])
+def test_aim_pair_and_top_k_are_exclusive(workspace, capsys, k) -> None:
+    _, _, out, config = workspace
+    with pytest.raises(SystemExit) as exit_info:
+        run(["aim", "--config", config, "--pair", "0,1", "--top-k", k])
+    assert exit_info.value.code == 2
+    assert "argument --top-k: not allowed with argument --pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["eval", "--lost-policy", "keep_lost,bogus"],
+            "unknown lost policy 'bogus' (options: filter_keep_first, filter_keep_all, keep_lost)",
+        ),
+        (
+            ["eval", "--predictor", "missing.jsonl"],
+            "--predictor must be 'constant_velocity' or an existing predictions file, got 'missing.jsonl'",
+        ),
+        (["aim", "--top-k", "0"], "--top-k must be >= 1, got 0"),
+        (["aim", "--sweep-n", "5,5"], "option --sweep-n must be a list of distinct values, got '5' and '5'"),
+        (["aim", "--sweep-n", "0"], "n_window must be >= 1, got 0"),
+        (["aim", "--sweep-delta", "0.5,1.5"], "delta must be in (0, 1], got 1.5"),
+        (["aim", "--pair", "0"], "--pair expects 'TRACK_I,TRACK_J', got '0'"),
+    ],
+    ids=["lost-policy", "predictor", "top-k", "sweep-n-twice", "sweep-n-zero", "sweep-delta", "pair"],
+)
+def test_options_are_checked_before_the_store_loads(workspace, capsys, monkeypatch, argv, message) -> None:
+    tmp_path, _, out, config = workspace  # never ingested: no store, and no registry read
+    monkeypatch.chdir(tmp_path)
+    assert run([argv[0], "--config", config, *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # --- eval ---------------------------------------------------------------------------
 
 
