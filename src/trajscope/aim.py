@@ -250,7 +250,7 @@ def extract_interactions(
     once, and only pairs whose overlap could hold the run are searched
     (`_run_rows`).
     """
-    _checked_n_window(n_window)
+    n_window = _checked_n_window(n_window)
     ordered = sorted(
         trajectories, key=lambda t: (t.source.key(), t.track_id, t.segment)
     )
@@ -377,16 +377,18 @@ def _rho_series(kin: PairKinematics, h: np.ndarray, cfg: RhoConfig) -> np.ndarra
     return v_term * d_term * h_term
 
 
-def _checked_n_window(n: int) -> int:
+def _checked_n_window(n: int, name: str = "n_window") -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {n!r}")
     if n < 1:
-        raise ConfigError(f"n_window must be >= 1, got {n}")
-    return n
+        raise ConfigError(f"{name} must be >= 1, got {n}")
+    return int(n)
 
 
-def _checked_delta(delta: float) -> float:
+def _checked_delta(delta: float, name: str = "delta") -> float:
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
-        raise ConfigError(f"delta must be in (0, 1], got {delta!r}")
+        raise ConfigError(f"{name} must be in (0, 1], got {delta!r}")
     return delta
 
 
@@ -455,29 +457,33 @@ def _fold(
 ) -> list[MeasureSeries]:
     """The measurement, with `dependence` as the per-frame dependence.
 
-    `dependence` is `mi_prefix_series` or `mi_prefix_bound`, called with the
-    (L, 2, 2) sample stream and the prefix length at each measured frame.
-    Kinematics and the dependence are computed once per n_window, rho once
-    per direction and the recurrence once per direction and delta.
+    `dependence` is `mi_prefix_series` or `mi_prefix_bound`, called once with the
+    (L, 2, 2) sample stream and the prefix length at each frame the smallest
+    n_window measures; a larger n_window takes a tail. Kinematics are computed
+    once per n_window, rho per direction and the recurrence per direction and delta.
     """
     cfg = rho_config if rho_config is not None else RhoConfig()
     cfg.validate()
     deltas = [_checked_delta(delta) for delta in delta_values]
+    ns = [_checked_n_window(n) for n in n_values]
+    if not ns:
+        return []
+    first = min(ns)
+    values = dependence(
+        np.stack([pair.xi, pair.xj], axis=1),
+        range(first + 1, len(pair.frames) + 1),
+        bandwidths=bandwidths,
+        weights=weights,
+        n_min=n_min,
+    )
+    # mi_prefix_series gives (t, value) rows, mi_prefix_bound an array of values
+    values = np.array([v for _, v in values], dtype=np.float64) if isinstance(values, list) else values
     out: list[MeasureSeries] = []
-    for n in n_values:
-        n = int(n)
+    for n in ns:
         variant = pair if n == pair.n_window else dataclasses.replace(pair, n_window=n)
         kin = variant.kinematics
         frames = variant.frames[n:]
-        values = dependence(
-            np.stack([variant.xi, variant.xj], axis=1),
-            range(n + 1, len(variant.frames) + 1),
-            bandwidths=bandwidths,
-            weights=weights,
-            n_min=n_min,
-        )
-        # mi_prefix_series gives (t, value) rows, mi_prefix_bound an array of values
-        mi = np.array([v for _, v in values], dtype=np.float64) if isinstance(values, list) else values
+        mi = values[n - first :]
         for direction in (variant, variant.reversed()) if both_directions else (variant,):
             rho = _rho_series(kin, _headings(direction), cfg)
             terms = rho * mi

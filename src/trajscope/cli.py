@@ -50,7 +50,7 @@ from .evaluation import (
     predictor_from_mapping,
 )
 from .ind import parse_ind_tracks
-from .mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN
+from .mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, _settings
 from .preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from .registry import DatasetRegistry, load_registry
 from .sdd import IngestDiagnostics, assemble_trajectories, parse_sdd_annotations
@@ -227,12 +227,9 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     rho.validate()
 
     aim_mi = _section(raw, "aim")
-    delta = aim_mi.get("delta", DEFAULT_DELTA)
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError(f"aim.delta must be in (0, 1], got {delta!r}")
-    n_window = aim_mi.get("n_window")
-    if n_window is not None and n_window < 1:
-        raise ConfigError(f"aim.n_window must be >= 1, got {n_window}")
+    _checked_delta(aim_mi.get("delta", DEFAULT_DELTA), "aim.delta")
+    if "n_window" in aim_mi:
+        _checked_n_window(aim_mi["n_window"], "aim.n_window")
     aim_mi.update(_section(raw, "mi"))
 
     export_format = raw.get("export_format", "both")
@@ -515,6 +512,7 @@ def _export_series(
 def cmd_aim(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.out)
     n_window = cfg.n_window or DEFAULT_N_WINDOW[cfg.dataset]
+    _settings(cfg.bandwidths, cfg.weights, cfg.n_min)
     measure_options = dict(bandwidths=cfg.bandwidths, weights=cfg.weights, n_min=cfg.n_min)
 
     deltas = [cfg.delta]

@@ -26,8 +26,8 @@ unordered pair and shares it between the two directions.
 the occupied marginal cells alone (no joint counts), so a caller ranking
 many pairs can skip the ones that cannot win.
 
-Streams must be finite: both functions check each stream once and raise
-DomainError (the ingest parsers already reject non-finite input).
+`HashMIState` and both prefix functions check settings with one function and
+coordinates with another: numbers (else StructuralError) and finite (DomainError).
 """
 from __future__ import annotations
 
@@ -73,14 +73,23 @@ def _ensemble(weights: Sequence[float], band_sums: Iterable[float]) -> float:
     return math.fsum(w * total for w, total in zip(weights, band_sums))
 
 
-def _as_tuple(value: Coord, what: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        coords = (float(value),)
-    else:
-        coords = tuple(float(c) for c in value)
-    if not coords or not all(math.isfinite(c) for c in coords):
-        raise DomainError(f"{what} coordinate must be finite, got {value!r}")
-    return coords
+def _settings(bandwidths, weights, n_min) -> tuple[tuple[float, ...], tuple[float, ...], int]:
+    """The checked (bandwidths, weights, n_min); no weights means equal weights."""
+    if len(bandwidths) == 0 or not all(b > 0 for b in bandwidths):
+        raise ConfigError(f"bandwidths must be positive, got {list(bandwidths)!r}")
+    if math.inf in bandwidths:
+        raise ConfigError(f"bandwidths must be finite, got {list(bandwidths)!r}")
+    weights = [1.0 / len(bandwidths)] * len(bandwidths) if weights is None else weights
+    if len(weights) != len(bandwidths):
+        raise ConfigError("need one weight per bandwidth")
+    # weights in [0, 1] rules out NaN and inf before they reach the sum
+    if not all(0 <= w <= 1 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
+        raise ConfigError(f"weights must be nonnegative and sum to 1, got {list(weights)!r}")
+    if isinstance(n_min, bool) or not isinstance(n_min, (int, np.integer)):
+        raise ConfigError(f"n_min must be an integer, got {n_min!r}")
+    if n_min < 1:
+        raise ConfigError("n_min must be >= 1")
+    return tuple(float(b) for b in bandwidths), tuple(float(w) for w in weights), int(n_min)
 
 
 class HashMIState:
@@ -92,19 +101,7 @@ class HashMIState:
         weights: Sequence[float] | None = None,
         n_min: int = DEFAULT_N_MIN,
     ):
-        if not bandwidths or any(b <= 0 for b in bandwidths):
-            raise ConfigError(f"bandwidths must be positive, got {list(bandwidths)!r}")
-        self.bandwidths = tuple(float(b) for b in bandwidths)
-        if weights is None:
-            weights = [1.0 / len(self.bandwidths)] * len(self.bandwidths)
-        if len(weights) != len(self.bandwidths):
-            raise ConfigError("need one weight per bandwidth")
-        if any(w < 0 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
-            raise ConfigError(f"weights must be nonnegative and sum to 1, got {list(weights)!r}")
-        self.weights = tuple(float(w) for w in weights)
-        if n_min < 1:
-            raise ConfigError("n_min must be >= 1")
-        self.n_min = int(n_min)
+        self.bandwidths, self.weights, self.n_min = _settings(bandwidths, weights, n_min)
         self.n = 0
         self.x_counts: list[Counter] = [Counter() for _ in self.bandwidths]
         self.y_counts: list[Counter] = [Counter() for _ in self.bandwidths]
@@ -112,8 +109,8 @@ class HashMIState:
 
     def push(self, x: Coord, y: Coord) -> None:
         """Count one time-aligned sample (x, y) into every bandwidth's tables."""
-        xc = _as_tuple(x, "x")
-        yc = _as_tuple(y, "y")
+        xc = _stream([x], "x")[0].tolist()
+        yc = _stream([y], "y")[0].tolist()
         for k, eps in enumerate(self.bandwidths):
             xcell = tuple(math.floor(c / eps) for c in xc)
             ycell = tuple(math.floor(c / eps) for c in yc)
@@ -165,7 +162,8 @@ def _first_seen_codes(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nda
 def _stream(values, what: str) -> np.ndarray:
     """One stream as an (m, d) float array, checked once for finiteness."""
     try:
-        stream = np.asarray(values, dtype=np.float64)
+        # a "same_kind" cast refuses None, text and other objects
+        stream = np.asarray(values).astype(np.float64, casting="same_kind", copy=False)
     except (TypeError, ValueError):
         raise StructuralError(
             f"{what} samples must be numbers or coordinate vectors of one length"
@@ -215,13 +213,13 @@ def _band_prefix_sums(x_cells: np.ndarray, y_cells: np.ndarray, points: np.ndarr
 
 def _prefix_input(
     pairs, eval_points: Sequence[int], bandwidths, weights, n_min: int
-) -> tuple[HashMIState, np.ndarray, np.ndarray, np.ndarray]:
-    """Checked settings, eval points and the (x, y) streams cut to the last point.
+) -> tuple[tuple[float, ...], tuple[float, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Checked bandwidths, weights, eval points and (x, y) streams cut to the last point.
 
     Both prefix functions take the same arguments and raise the same errors
     through this. With no eval points, the streams are empty and unchecked.
     """
-    settings = HashMIState(bandwidths=bandwidths, weights=weights, n_min=n_min)
+    bandwidths, weights, n_min = _settings(bandwidths, weights, n_min)
     points = np.asarray(eval_points, dtype=np.int64).reshape(-1)
     if (np.diff(points) <= 0).any():
         raise ConfigError(f"eval points must be strictly increasing, got {points.tolist()!r}")
@@ -231,7 +229,7 @@ def _prefix_input(
         )
     if not points.size:
         empty = np.zeros((0, 1))
-        return settings, points, empty, empty
+        return bandwidths, weights, points, empty, empty
     samples = pairs if isinstance(pairs, np.ndarray) else list(pairs)
     if points[-1] > len(samples):
         beyond = points[points > len(samples)][0]
@@ -246,7 +244,7 @@ def _prefix_input(
             x_values, y_values = zip(*samples)
         except (TypeError, ValueError):
             raise StructuralError("samples must be (x, y) pairs") from None
-    return settings, points, _stream(x_values, "x"), _stream(y_values, "y")
+    return bandwidths, weights, points, _stream(x_values, "x"), _stream(y_values, "y")
 
 
 def mi_prefix_series(
@@ -264,15 +262,15 @@ def mi_prefix_series(
     from cumulative sums of the new samples' cells, so every value is
     identical to re-counting that prefix from scratch with HashMIState.
     """
-    settings, points, x, y = _prefix_input(pairs, eval_points, bandwidths, weights, n_min)
+    bandwidths, weights, points, x, y = _prefix_input(pairs, eval_points, bandwidths, weights, n_min)
     if not points.size:
         return []
     band_sums = [
         _band_prefix_sums(np.floor(x / eps), np.floor(y / eps), points)
-        for eps in settings.bandwidths
+        for eps in bandwidths
     ]
     return [
-        (t, _ensemble(settings.weights, sums))
+        (t, _ensemble(weights, sums))
         for t, sums in zip(points.tolist(), zip(*band_sums))
     ]
 
@@ -303,9 +301,9 @@ def mi_prefix_bound(
     larger than both, so every computed estimate is at most its computed
     bound. Arguments are checked, and raise, exactly as in `mi_prefix_series`.
     """
-    settings, points, x, y = _prefix_input(pairs, eval_points, bandwidths, weights, n_min)
+    bandwidths, weights, points, x, y = _prefix_input(pairs, eval_points, bandwidths, weights, n_min)
     total = np.zeros(len(points))
-    for weight, eps in zip(settings.weights, settings.bandwidths):
+    for weight, eps in zip(weights, bandwidths):
         occupied = [
             # the cells seen in the first t samples are those first seen at a row below t
             np.searchsorted(np.sort(order[new]), points)

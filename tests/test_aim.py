@@ -521,6 +521,31 @@ def test_sweep_n_too_long_for_pair() -> None:
         sweep(pair, delta_values=[0.98], n_values=[500])
 
 
+@pytest.mark.parametrize("n", [2.5, True, 5.0])
+def test_sweep_n_window_must_be_an_integer(n) -> None:
+    pair = crossing_pair(n=60, n_window=5)
+    with pytest.raises(ConfigError, match=f"n_window must be an integer, got {n!r}"):
+        sweep(pair, delta_values=[0.98], n_values=[n])
+
+
+def test_extract_n_window_must_be_an_integer() -> None:
+    trajs = [straight_line(100, track_id=k, origin=(0.0, float(k))) for k in range(2)]
+    with pytest.raises(ConfigError, match="n_window must be an integer, got 2.5"):
+        extract_interactions(trajs, n_window=2.5)
+
+
+def test_swept_n_windows_equal_one_sweep_each() -> None:
+    # the dependence is computed once, at the smallest n_window, and shared
+    pair = crossing_pair(n=120, n_window=5)
+    together = sweep(pair, [1.0, 0.9], [30, 5, 12], n_min=6, both_directions=True)
+    alone = [s for n in (30, 5, 12) for s in sweep(pair, [1.0, 0.9], [n], n_min=6, both_directions=True)]
+    assert len(together) == len(alone) == 12
+    for a, b in zip(together, alone):
+        assert (a.n_window, a.delta, a.pair.key) == (b.n_window, b.delta, b.pair.key)
+        for name in ("frames", "mi", "rho", "aim"):
+            assert getattr(a, name).tolist() == getattr(b, name).tolist()
+
+
 def test_fit_normalizers() -> None:
     pair = crossing_pair()
     fitted = fit_normalizers([pair])

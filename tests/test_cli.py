@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from trajscope import aim, cli
 from trajscope.aim import (
@@ -197,6 +198,31 @@ def test_every_config_key_is_read(tmp_path) -> None:
     # floats stay floats and integers integers, as the dataclasses declare them
     assert type(cfg.preprocess.target_rate) is float and type(cfg.rho.v0) is float
     assert type(cfg.preprocess.predict_len) is int
+
+
+def test_readme_config_reference_matches_the_config_keys_and_defaults(tmp_path) -> None:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration reference", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    documented = yaml.safe_load(block)
+    assert set(documented) == {"dataset", "inputs", "out", "registry", "export_format", *cli._SECTIONS}
+    defaults = {
+        "preprocess": dataclasses.asdict(PreprocessConfig()),
+        "rho": dataclasses.asdict(RhoConfig()),
+        "aim": {f.name: f.default for f in dataclasses.fields(cli.RunConfig)},
+    }
+    defaults["mi"] = defaults["aim"]
+    for section, kinds in cli._SECTIONS.items():
+        assert set(documented[section]) == set(kinds), section
+        for key, value in documented[section].items():
+            if value is None:  # absent, or fitted from the data
+                assert f"{section}.{key}" in cli._NULLABLE
+            else:
+                assert cli._convert(key, value, kinds[key]) == defaults[section][key], f"{section}.{key}"
+    # the optional top-level keys: a config without them reads as documented
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: sdd\ninputs: [{tmp_path}]\nout: {tmp_path / 'out'}\n")
+    cfg = load_run_config(config)
+    assert (documented["registry"], documented["export_format"]) == (cfg.registry_path, cfg.export_format)
 
 
 @pytest.mark.parametrize("key", SECTION_KEYS)
@@ -746,6 +772,21 @@ def test_aim_pair_and_top_k_are_exclusive(workspace, capsys, k) -> None:
     assert "argument --top-k: not allowed with argument --pair" in capsys.readouterr().err
 
 
+def test_aim_sweep_computes_the_dependence_once_per_pair(workspace, monkeypatch) -> None:
+    _, _, out, config = workspace
+    run(["ingest", "--config", config])
+    mi_calls = counting(monkeypatch, aim, "mi_prefix_series")
+    assert run(["aim", "--config", config, "--pair", "0,1", "--sweep-n", "5,8"]) == 0
+    assert len(mi_calls) == 1  # the pair is measurable in one video
+    swept = {path.name: path.read_bytes() for path in (out / "aim").glob("*__n8.*")}
+    assert len(swept) == 3
+    for name in swept:
+        (out / "aim" / name).unlink()
+    # a sweep of n_window 8 alone writes the same files with the same bytes
+    assert run(["aim", "--config", config, "--pair", "0,1", "--sweep-n", "8"]) == 0
+    assert {name: (out / "aim" / name).read_bytes() for name in swept} == swept
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -769,6 +810,27 @@ def test_options_are_checked_before_the_store_loads(workspace, capsys, monkeypat
     tmp_path, _, out, config = workspace  # never ingested: no store, and no registry read
     monkeypatch.chdir(tmp_path)
     assert run([argv[0], "--config", config, *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mi, message",
+    [
+        ("  n_min: 6\n  bandwidths: [-8]", "bandwidths must be positive, got [-8.0]"),
+        (
+            "  n_min: 6\n  bandwidths: [8, 16]\n  weights: [0.9, 0.2]",
+            "weights must be nonnegative and sum to 1, got [0.9, 0.2]",
+        ),
+        ("  n_min: 6\n  weights: [1.0]", "need one weight per bandwidth"),
+        ("  n_min: 0", "n_min must be >= 1"),
+    ],
+    ids=["bandwidths", "weights-sum", "weights-count", "n-min"],
+)
+def test_aim_checks_the_mi_settings_before_the_store_loads(workspace, capsys, mi, message) -> None:
+    _, _, out, config = workspace  # never ingested: no store
+    config.write_text(config.read_text().replace("  n_min: 6", mi))
+    assert run(["aim", "--config", config]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -314,6 +314,20 @@ def test_bound_is_at_least_every_prefix_estimate(seed, n, bandwidths, n_min, spr
     assert (np.array(estimates) < bound / (1.0 + BOUND_MARGIN)).all()
 
 
+# settings every entry point rejects with a ConfigError (default: four bandwidths)
+BAD_SETTINGS = [
+    dict(bandwidths=[math.nan]),
+    dict(bandwidths=[8.0, math.inf]),
+    dict(bandwidths=[-math.inf]),
+    dict(weights=[math.nan, 0.5, 0.25, 0.25]),
+    dict(weights=[math.inf, 0.0, 0.0, 0.0]),
+    dict(bandwidths=[8.0], weights=[math.nan]),
+    dict(n_min=2.5),
+    dict(n_min=math.nan),
+    dict(n_min=True),
+]
+
+
 def test_bound_checks_its_arguments_as_the_series_does() -> None:
     pairs = [(float(i), float(i)) for i in range(30)]
     cases = [
@@ -322,6 +336,7 @@ def test_bound_checks_its_arguments_as_the_series_does() -> None:
         (dict(eval_points=[31]), ConfigError),
         (dict(eval_points=[20], bandwidths=[0.0]), ConfigError),
         (dict(eval_points=[20], weights=[0.5, 0.4, 0.2, 0.0]), ConfigError),
+        *[(dict(eval_points=[20], **bad), ConfigError) for bad in BAD_SETTINGS],
     ]
     for kwargs, error in cases:
         messages = []
@@ -335,3 +350,31 @@ def test_bound_checks_its_arguments_as_the_series_does() -> None:
     with pytest.raises(DomainError):
         mi_prefix_bound([(math.inf, 0.0)] * 20, [20])
     assert mi_prefix_bound(pairs, []).tolist() == []
+
+
+@pytest.mark.parametrize("bad", BAD_SETTINGS, ids=repr)
+def test_state_checks_its_settings_as_the_prefix_functions_do(bad) -> None:
+    with pytest.raises(ConfigError) as series_err:
+        mi_prefix_series([(0.0, 0.0)] * 20, [20], **bad)
+    with pytest.raises(ConfigError) as state_err:
+        HashMIState(**bad)
+    assert str(state_err.value) == str(series_err.value)
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1.0, None], {"x": 1.0}])
+def test_push_rejects_a_sample_that_is_not_numbers(value) -> None:
+    st = HashMIState()
+    with pytest.raises(StructuralError, match="x samples must be numbers"):
+        st.push(value, 1.0)
+    with pytest.raises(StructuralError, match="y samples must be numbers"):
+        st.push(1.0, value)
+    assert st.n == 0
+
+
+def test_settings_may_be_numpy_arrays() -> None:
+    bandwidths, weights = np.array([8.0, 16.0]), np.array([0.25, 0.75])
+    st = state_for(range(20), range(20), bandwidths=bandwidths, weights=weights)
+    assert (st.bandwidths, st.weights) == ((8.0, 16.0), (0.25, 0.75))
+    assert mi_prefix_series([(float(i), float(i)) for i in range(20)], [20], bandwidths, weights) == [
+        (20, st.estimate())
+    ]
