@@ -55,6 +55,8 @@ from .types import (
     InsufficientDataError,
     StructuralError,
     Trajectory,
+    check_positive,
+    checked_count,
 )
 
 DEFAULT_DELTA = 0.98
@@ -88,6 +90,7 @@ class RhoConfig:
     With use_a, the velocity factor becomes (alpha + V* + A*) where
     A* = a / (a + a0); the augmentation is part of the velocity factor and
     is ignored when use_v is off. Each use_* flag replaces its factor by 1.
+    Checked when built, also by dataclasses.replace: a bad field is a ConfigError.
     """
 
     alpha: float = 0.3
@@ -99,13 +102,12 @@ class RhoConfig:
     use_h: bool = True
     use_a: bool = False
 
-    def validate(self) -> None:
-        if self.alpha < 0 or not math.isfinite(self.alpha):
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha!r}")
-        for name in ("v0", "sigma_d", "a0"):
-            value = getattr(self, name)
-            if value <= 0 or not math.isfinite(value):
-                raise ConfigError(f"{name} must be > 0, got {value!r}")
+    def __post_init__(self) -> None:
+        for name in ("alpha", "v0", "sigma_d", "a0"):
+            check_positive(getattr(self, name), name, zero=name == "alpha")
+        for name in ("use_v", "use_d", "use_h", "use_a"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be True or False, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +150,7 @@ class InteractionPair:
         They are the same in both directions. Computed on first use and kept
         for the life of this pair object.
         """
-        n = _checked_n_window(self.n_window)
+        n = checked_count(self.n_window, "n_window")
         if len(self.frames) < n + 1:
             raise InsufficientDataError(
                 f"pair {self.key} has {len(self.frames)} common frames; "
@@ -250,7 +252,7 @@ def extract_interactions(
     once, and only pairs whose overlap could hold the run are searched
     (`_run_rows`).
     """
-    n_window = _checked_n_window(n_window)
+    n_window = checked_count(n_window, "n_window")
     ordered = sorted(
         trajectories, key=lambda t: (t.source.key(), t.track_id, t.segment)
     )
@@ -284,7 +286,7 @@ def compute_kinematics(pair: InteractionPair, t: int) -> Kinematics:
     co-presence behind it is a domain error. The values are those of
     `InteractionPair.kinematics` and `_headings` on that window alone.
     """
-    n = _checked_n_window(pair.n_window)
+    n = checked_count(pair.n_window, "n_window")
     it = pair.index_of(t)
     if it < n:
         raise DomainError(
@@ -306,7 +308,6 @@ def compute_rho(kin: Kinematics, config: RhoConfig | None = None) -> float:
     `_rho_series` on one-element arrays, after the input checks.
     """
     cfg = config if config is not None else RhoConfig()
-    cfg.validate()
     if kin.v < 0 or kin.d < 0 or kin.a < 0:
         raise DomainError(f"kinematics must be nonnegative, got {kin!r}")
     if not -1e-9 <= kin.h <= math.pi + 1e-9:
@@ -363,7 +364,7 @@ def _headings(pair: InteractionPair) -> np.ndarray:
 
 
 def _rho_series(kin: PairKinematics, h: np.ndarray, cfg: RhoConfig) -> np.ndarray:
-    """rho at every measured frame (see RhoConfig); cfg must already be validated."""
+    """rho at every measured frame (see RhoConfig); D* is 0 where d / sigma_d overflows."""
     v_term = d_term = h_term = np.ones_like(h)
     if cfg.use_v:
         v_star = kin.v / (kin.v + cfg.v0)
@@ -371,18 +372,11 @@ def _rho_series(kin: PairKinematics, h: np.ndarray, cfg: RhoConfig) -> np.ndarra
             v_star = v_star + kin.a / (kin.a + cfg.a0)
         v_term = cfg.alpha + v_star
     if cfg.use_d:
-        d_term = np.exp(-kin.d / cfg.sigma_d)
+        with np.errstate(over="ignore"):
+            d_term = np.exp(-kin.d / cfg.sigma_d)
     if cfg.use_h:
         h_term = 1.0 + (1.0 - 2.0 * np.clip(h, 0.0, math.pi) / math.pi)
     return v_term * d_term * h_term
-
-
-def _checked_n_window(n: int, name: str = "n_window") -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise ConfigError(f"{name} must be >= 1, got {n}")
-    return int(n)
 
 
 def _checked_delta(delta: float, name: str = "delta") -> float:
@@ -463,9 +457,8 @@ def _fold(
     once per n_window, rho per direction and the recurrence per direction and delta.
     """
     cfg = rho_config if rho_config is not None else RhoConfig()
-    cfg.validate()
     deltas = [_checked_delta(delta) for delta in delta_values]
-    ns = [_checked_n_window(n) for n in n_values]
+    ns = [checked_count(n, "n_window") for n in n_values]
     if not ns:
         return []
     first = min(ns)
@@ -595,7 +588,6 @@ def fit_normalizers(
     video's scene diagonal by the caller.
     """
     cfg = base if base is not None else RhoConfig()
-    cfg.validate()
     kinematics = [pair.kinematics for pair in pairs if len(pair.frames) > pair.n_window]
     if not kinematics:
         return cfg

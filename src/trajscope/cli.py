@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -31,7 +30,6 @@ from .aim import (
     MeasureSeries,
     RhoConfig,
     _checked_delta,
-    _checked_n_window,
     extract_interactions,
     final_bounds,
     fit_normalizers,
@@ -63,6 +61,7 @@ from .types import (
     SourceRef,
     ToolError,
     Trajectory,
+    checked_count,
     not_utf8,
     scene_diagonal,
 )
@@ -221,15 +220,13 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
         raise ConfigError(f"registry file does not exist: {registry_path}")
 
     preprocess = PreprocessConfig(**_section(raw, "preprocess"))
-    preprocess.validate()
     rho_given = _section(raw, "rho")
     rho = RhoConfig(**rho_given)
-    rho.validate()
 
     aim_mi = _section(raw, "aim")
     _checked_delta(aim_mi.get("delta", DEFAULT_DELTA), "aim.delta")
     if "n_window" in aim_mi:
-        _checked_n_window(aim_mi["n_window"], "aim.n_window")
+        checked_count(aim_mi["n_window"], "aim.n_window")
     aim_mi.update(_section(raw, "mi"))
 
     export_format = raw.get("export_format", "both")
@@ -521,7 +518,7 @@ def cmd_aim(args: argparse.Namespace) -> int:
     if args.sweep_delta is not None:
         deltas = [_checked_delta(d) for d in _parse_list(args.sweep_delta, "--sweep-delta", float)]
     if args.sweep_n is not None:
-        n_values = [_checked_n_window(n) for n in _parse_list(args.sweep_n, "--sweep-n", int)]
+        n_values = [checked_count(n, "n_window") for n in _parse_list(args.sweep_n, "--sweep-n", int)]
     named: tuple[str, str] | None = None
     if args.pair:
         parts = [part.strip() for part in args.pair.split(",")]
@@ -530,9 +527,7 @@ def cmd_aim(args: argparse.Namespace) -> int:
         if parts[0] == parts[1]:
             raise ConfigError(f"--pair names track {parts[0]!r} twice; a pair needs two tracks")
         named = (parts[0], parts[1])
-    top_k = args.top_k if args.top_k is not None else 5
-    if top_k < 1:
-        raise ConfigError(f"--top-k must be >= 1, got {top_k}")
+    top_k = checked_count(args.top_k if args.top_k is not None else 5, "--top-k")
 
     trajectories = load_store(cfg.store_dir)
     if named is not None:
@@ -547,16 +542,7 @@ def cmd_aim(args: argparse.Namespace) -> int:
     considered = sum(len(trajs) * (len(trajs) - 1) // 2 for trajs in by_video.values())
 
     fit = cfg.fit_v0 or cfg.fit_a0
-    base_rho = cfg.rho  # fitted in the first batch, before any call to rho_for
-
-    @functools.cache
-    def rho_for(key: tuple[str, str, str]) -> RhoConfig:
-        if not cfg.fit_sigma_d:
-            return base_rho
-        diagonal = scene_diagonal(by_video[key])
-        if diagonal <= 0:
-            return base_rho
-        return dataclasses.replace(base_rho, sigma_d=diagonal / 8.0)
+    base_rho = cfg.rho
 
     # The best top_k series so far, best first: the highest final value,
     # ties to the lower video key, then the lower pair key.
@@ -580,16 +566,22 @@ def cmd_aim(args: argparse.Namespace) -> int:
                 v0=fitted.v0 if cfg.fit_v0 else base_rho.v0,
                 a0=fitted.a0 if cfg.fit_a0 else base_rho.a0,
             )
+        # each video's config, once v0/a0 are final; a fitted sigma_d is its scene diagonal / 8
+        rho_of = {key: base_rho for key, _ in pairs}
+        for key in rho_of:
+            diagonal = scene_diagonal(by_video[key]) if cfg.fit_sigma_d else 0.0
+            if diagonal > 0:
+                rho_of[key] = dataclasses.replace(base_rho, sigma_d=diagonal / 8.0)
         if named is not None:
             for key, pair in pairs:
                 for direction in (pair, pair.reversed()):
                     if direction.key == named:
                         measured += 1
-                        series = sweep(direction, deltas, n_values, rho_config=rho_for(key), **measure_options)
+                        series = sweep(direction, deltas, n_values, rho_config=rho_of[key], **measure_options)
                         selected += [(key, s) for s in series]
         else:
             bounds = [
-                max(final_bounds(pair, delta=cfg.delta, rho_config=rho_for(key), **measure_options))
+                max(final_bounds(pair, delta=cfg.delta, rho_config=rho_of[key], **measure_options))
                 for key, pair in pairs
             ]
             for bound, (key, pair) in sorted(zip(bounds, pairs), key=lambda c: (-c[0], c[1][0], c[1][1].key)):
@@ -602,7 +594,7 @@ def cmd_aim(args: argparse.Namespace) -> int:
                     pair,
                     [cfg.delta],
                     [n_window],
-                    rho_config=rho_for(key),
+                    rho_config=rho_of[key],
                     both_directions=True,
                     **measure_options,
                 )

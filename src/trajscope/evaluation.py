@@ -103,6 +103,8 @@ def predictor_from_mapping(mapping: Mapping[str, Sequence]) -> Predictor:
                 f"prediction for window {window.window_id} has shape "
                 f"{points.shape}, expected ({len(window.future)}, 2)"
             )
+        if not np.isfinite(points).all():
+            raise StructuralError(f"prediction for window {window.window_id} has non-finite points")
         return Prediction(window.window_id, points)
 
     return predict
@@ -128,6 +130,8 @@ def load_predictions(path) -> dict[str, np.ndarray]:
             raise StructuralError(
                 f"{path}:{line_no}: points must be a list of [x, y] pairs"
             )
+        if not np.isfinite(points).all():
+            raise StructuralError(f"{path}:{line_no}: points must be finite numbers")
         if window_id in out:
             raise StructuralError(f"{path}:{line_no}: duplicate window id {window_id}")
         out[str(window_id)] = points

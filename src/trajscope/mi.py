@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .types import ConfigError, DomainError, InsufficientDataError, StructuralError
+from .types import ConfigError, DomainError, InsufficientDataError, StructuralError, checked_count
 
 DEFAULT_BANDWIDTHS: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
 DEFAULT_N_MIN = 10
@@ -85,11 +85,7 @@ def _settings(bandwidths, weights, n_min) -> tuple[tuple[float, ...], tuple[floa
     # weights in [0, 1] rules out NaN and inf before they reach the sum
     if not all(0 <= w <= 1 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
         raise ConfigError(f"weights must be nonnegative and sum to 1, got {list(weights)!r}")
-    if isinstance(n_min, bool) or not isinstance(n_min, (int, np.integer)):
-        raise ConfigError(f"n_min must be an integer, got {n_min!r}")
-    if n_min < 1:
-        raise ConfigError("n_min must be >= 1")
-    return tuple(float(b) for b in bandwidths), tuple(float(w) for w in weights), int(n_min)
+    return tuple(float(b) for b in bandwidths), tuple(float(w) for w in weights), checked_count(n_min, "n_min")
 
 
 class HashMIState:
@@ -220,16 +216,17 @@ def _prefix_input(
     through this. With no eval points, the streams are empty and unchecked.
     """
     bandwidths, weights, n_min = _settings(bandwidths, weights, n_min)
-    points = np.asarray(eval_points, dtype=np.int64).reshape(-1)
+    points = np.asarray(eval_points).reshape(-1)
+    if not points.size:
+        return bandwidths, weights, points, np.zeros((0, 1)), np.zeros((0, 1))
+    if not np.issubdtype(points.dtype, np.integer):  # bools and floats too
+        raise ConfigError(f"eval points must be integers, got {points.tolist()!r}")
     if (np.diff(points) <= 0).any():
         raise ConfigError(f"eval points must be strictly increasing, got {points.tolist()!r}")
-    if points.size and points[0] < n_min:
+    if points[0] < n_min:
         raise InsufficientDataError(
             f"first eval point {points[0]} is below the {n_min}-sample minimum"
         )
-    if not points.size:
-        empty = np.zeros((0, 1))
-        return bandwidths, weights, points, empty, empty
     samples = pairs if isinstance(pairs, np.ndarray) else list(pairs)
     if points[-1] > len(samples):
         beyond = points[points > len(samples)][0]

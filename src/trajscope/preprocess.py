@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .types import ConfigError, Trajectory
+from .types import ConfigError, Trajectory, check_positive, checked_count
 
 
 class LostPolicy(str, Enum):
@@ -40,8 +40,10 @@ class LostPolicy(str, Enum):
             raise ConfigError(f"unknown lost policy {value!r} (options: {options})") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessConfig:
+    """Checked when built, also by dataclasses.replace: a bad field is a ConfigError."""
+
     lost_policy: LostPolicy = LostPolicy.FILTER_KEEP_FIRST
     drop_generated: bool = False
     target_rate: float = 2.5
@@ -50,19 +52,15 @@ class PreprocessConfig:
     # None -> non-overlapping tiles (stride = observe_len + predict_len)
     stride: int | None = None
 
-    @property
-    def window_len(self) -> int:
-        return self.observe_len + self.predict_len
-
-    def validate(self) -> None:
-        if self.observe_len < 2:
-            raise ConfigError("observe_len must be >= 2 (velocity needs two points)")
-        if self.predict_len < 1:
-            raise ConfigError("predict_len must be >= 1")
-        if self.target_rate <= 0:
-            raise ConfigError("target_rate must be positive")
-        if self.stride is not None and self.stride < 1:
-            raise ConfigError("stride must be >= 1")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lost_policy", LostPolicy.parse(self.lost_policy))
+        if not isinstance(self.drop_generated, bool):
+            raise ConfigError(f"drop_generated must be True or False, got {self.drop_generated!r}")
+        check_positive(self.target_rate, "target_rate")
+        checked_count(self.observe_len, "observe_len", minimum=2)  # velocity needs two points
+        checked_count(self.predict_len, "predict_len")
+        if self.stride is not None:
+            checked_count(self.stride, "stride")
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,7 @@ def resample(traj: Trajectory, native_rate: float, target_rate: float) -> Trajec
     if native_rate <= 0 or target_rate <= 0:
         raise ConfigError("frame rates must be positive")
     ratio = native_rate / target_rate
-    k = round(ratio)
+    k = round(ratio) if np.isfinite(ratio) else 0
     if k < 1 or abs(ratio - k) > 1e-9:
         raise ConfigError(
             f"target rate {target_rate} does not evenly divide native rate {native_rate}"
@@ -149,8 +147,7 @@ def window(traj: Trajectory, cfg: PreprocessConfig) -> list[TrajectoryWindow]:
     Windows tile from the start (stride defaults to the full window length);
     a trailing remainder shorter than one window is discarded.
     """
-    cfg.validate()
-    total = cfg.window_len
+    total = cfg.observe_len + cfg.predict_len
     stride = cfg.stride or total
     n = len(traj)
     if n < total:
@@ -180,7 +177,6 @@ def preprocess_trajectory(
     traj: Trajectory, cfg: PreprocessConfig, native_rate: float
 ) -> list[TrajectoryWindow]:
     """filter -> (drop generated) -> resample -> window, flattened."""
-    cfg.validate()
     windows: list[TrajectoryWindow] = []
     for piece in filter_lost(traj, cfg.lost_policy):
         if cfg.drop_generated:

@@ -10,6 +10,8 @@ generated flags (uint8, 0 or 1).
 """
 from __future__ import annotations
 
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +70,23 @@ class StructuralError(ToolError):
 
 class ConfigError(ToolError):
     """An invalid configuration value or registry schema violation."""
+
+
+def checked_count(value, name: str, minimum: int = 1) -> int:
+    """`value` as an int, if it is an integer (not a bool or a float) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_positive(value, name: str, zero: bool = False) -> None:
+    """A ConfigError unless `value` is a finite number (not a bool) > 0, or >= 0 with `zero`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not (0 <= value if zero else 0 < value) or not value <= sys.float_info.max:
+        raise ConfigError(f"{name} must be {'>=' if zero else '>'} 0, got {value!r}")
 
 
 class InsufficientDataError(ToolError):

@@ -171,11 +171,11 @@ def test_rho_ablations() -> None:
 
 def test_rho_config_validation() -> None:
     with pytest.raises(ConfigError):
-        RhoConfig(alpha=-0.1).validate()
+        RhoConfig(alpha=-0.1)
     with pytest.raises(ConfigError):
-        RhoConfig(v0=0.0).validate()
+        RhoConfig(v0=0.0)
     with pytest.raises(ConfigError):
-        RhoConfig(sigma_d=-5.0).validate()
+        RhoConfig(sigma_d=-5.0)
 
 
 # --- accumulate -----------------------------------------------------------------
@@ -598,7 +598,6 @@ def test_final_bounds_cover_the_measured_finals(
     [
         (dict(n_min=7), InsufficientDataError),
         (dict(delta=0.0), ConfigError),
-        (dict(rho_config=RhoConfig(v0=-1.0)), ConfigError),
         (dict(weights=[1.0]), ConfigError),
     ],
 )

@@ -823,7 +823,7 @@ def test_options_are_checked_before_the_store_loads(workspace, capsys, monkeypat
             "weights must be nonnegative and sum to 1, got [0.9, 0.2]",
         ),
         ("  n_min: 6\n  weights: [1.0]", "need one weight per bandwidth"),
-        ("  n_min: 0", "n_min must be >= 1"),
+        ("  n_min: 0", "n_min must be >= 1, got 0"),
     ],
     ids=["bandwidths", "weights-sum", "weights-count", "n-min"],
 )
@@ -878,17 +878,14 @@ def test_eval_lost_policy_given_twice_is_one_error_line(workspace, capsys) -> No
     assert not (out / "reports").exists()
 
 
-def test_eval_external_predictions(workspace, tmp_path) -> None:
-    _, _, out, config = workspace
-    run(["ingest", "--config", config])
-    # build a perfect predictions file for the filter_keep_first windows
+def write_perfect_predictions(out: Path, preds: Path) -> None:
+    """A predictions file that scores 0 on the filter_keep_first windows of the store."""
     cfg = PreprocessConfig(lost_policy=LostPolicy.FILTER_KEEP_FIRST, target_rate=30.0)
     windows = [
         w
         for t in load_store(out / "store")
         for w in preprocess_trajectory(t, cfg, 30.0)
     ]
-    preds = tmp_path / "preds.jsonl"
     with open(preds, "w") as fh:
         for w in windows:
             fh.write(
@@ -897,6 +894,13 @@ def test_eval_external_predictions(workspace, tmp_path) -> None:
                 )
                 + "\n"
             )
+
+
+def test_eval_external_predictions(workspace, tmp_path) -> None:
+    _, _, out, config = workspace
+    run(["ingest", "--config", config])
+    preds = tmp_path / "preds.jsonl"
+    write_perfect_predictions(out, preds)
     assert (
         run(
             [
@@ -923,6 +927,21 @@ def test_eval_external_predictions_unknown_window(workspace, tmp_path, capsys) -
     )
     assert run(["eval", "--config", config, "--predictor", preds]) != 0
     assert "window" in capsys.readouterr().err
+
+
+def test_eval_non_finite_prediction_is_one_error_line(workspace, tmp_path, capsys) -> None:
+    _, _, out, config = workspace
+    run(["ingest", "--config", config])
+    preds = tmp_path / "preds.jsonl"
+    write_perfect_predictions(out, preds)
+    first, *rest = preds.read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    record["points"][3][1] = float("nan")
+    preds.write_text(json.dumps(record) + "\n" + "".join(rest))
+    capsys.readouterr()
+    assert run(["eval", "--config", config, "--predictor", preds, "--lost-policy", "filter_keep_first"]) == 1
+    assert capsys.readouterr().err == f"error: {preds}:1: points must be finite numbers\n"
+    assert not list((out / "reports").glob("eval.*"))
 
 
 # --- determinism ------------------------------------------------------------------------

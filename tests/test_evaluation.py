@@ -240,6 +240,25 @@ def test_predictor_from_mapping_wrong_length() -> None:
         evaluate([win], predictor)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_predictor_from_mapping_rejects_non_finite_points(bad) -> None:
+    win = one_window([(float(i), 0.0) for i in range(20)])
+    points = np.array(win.future)
+    points[3, 1] = bad
+    with pytest.raises(StructuralError) as err:
+        evaluate([win], predictor_from_mapping({win.window_id: points}))
+    assert str(err.value) == f"prediction for window {win.window_id} has non-finite points"
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_load_predictions_rejects_non_finite_points(tmp_path, bad) -> None:
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"window_id": "a", "points": [[0, 0]]}\n' f'{{"window_id": "b", "points": [[0, {bad}]]}}\n')
+    with pytest.raises(StructuralError) as err:
+        load_predictions(path)
+    assert str(err.value) == f"{path}:2: points must be finite numbers"
+
+
 def test_load_predictions_jsonl(tmp_path) -> None:
     win = one_window([(float(i), 0.0) for i in range(20)])
     path = tmp_path / "preds.jsonl"

@@ -199,9 +199,9 @@ def test_window_carries_class_and_frames() -> None:
 
 def test_config_validation() -> None:
     with pytest.raises(ConfigError):
-        PreprocessConfig(observe_len=1).validate()
+        PreprocessConfig(observe_len=1)
     with pytest.raises(ConfigError):
-        PreprocessConfig(predict_len=0).validate()
+        PreprocessConfig(predict_len=0)
 
 
 # --- pipeline properties ------------------------------------------------------
