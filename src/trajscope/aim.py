@@ -57,6 +57,7 @@ from .types import (
     Trajectory,
     check_positive,
     checked_count,
+    is_number,
 )
 
 DEFAULT_DELTA = 0.98
@@ -380,10 +381,11 @@ def _rho_series(kin: PairKinematics, h: np.ndarray, cfg: RhoConfig) -> np.ndarra
 
 
 def _checked_delta(delta: float, name: str = "delta") -> float:
-    delta = float(delta)
+    if not is_number(delta):
+        raise ConfigError(f"{name} must be a number, got {delta!r}")
     if not 0.0 < delta <= 1.0:
         raise ConfigError(f"{name} must be in (0, 1], got {delta!r}")
-    return delta
+    return float(delta)
 
 
 def _recurrence(terms: np.ndarray, delta: float) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .types import ConfigError, DomainError, InsufficientDataError, StructuralError, checked_count
+from .types import ConfigError, DomainError, InsufficientDataError, StructuralError, checked_count, is_number
 
 DEFAULT_BANDWIDTHS: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
 DEFAULT_N_MIN = 10
@@ -73,18 +73,30 @@ def _ensemble(weights: Sequence[float], band_sums: Iterable[float]) -> float:
     return math.fsum(w * total for w, total in zip(weights, band_sums))
 
 
+def _numbers(values, name: str) -> list:
+    """`values` as a list, if it is a list (or another iterable) of real numbers."""
+    try:
+        listed = list(values)
+    except TypeError:  # not iterable, such as a bare number
+        listed = None
+    if listed is None or not all(is_number(v) for v in listed):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return listed
+
+
 def _settings(bandwidths, weights, n_min) -> tuple[tuple[float, ...], tuple[float, ...], int]:
     """The checked (bandwidths, weights, n_min); no weights means equal weights."""
+    bandwidths = _numbers(bandwidths, "bandwidths")
     if len(bandwidths) == 0 or not all(b > 0 for b in bandwidths):
-        raise ConfigError(f"bandwidths must be positive, got {list(bandwidths)!r}")
+        raise ConfigError(f"bandwidths must be positive, got {bandwidths!r}")
     if math.inf in bandwidths:
-        raise ConfigError(f"bandwidths must be finite, got {list(bandwidths)!r}")
-    weights = [1.0 / len(bandwidths)] * len(bandwidths) if weights is None else weights
+        raise ConfigError(f"bandwidths must be finite, got {bandwidths!r}")
+    weights = [1.0 / len(bandwidths)] * len(bandwidths) if weights is None else _numbers(weights, "weights")
     if len(weights) != len(bandwidths):
         raise ConfigError("need one weight per bandwidth")
     # weights in [0, 1] rules out NaN and inf before they reach the sum
     if not all(0 <= w <= 1 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
-        raise ConfigError(f"weights must be nonnegative and sum to 1, got {list(weights)!r}")
+        raise ConfigError(f"weights must be nonnegative and sum to 1, got {weights!r}")
     return tuple(float(b) for b in bandwidths), tuple(float(w) for w in weights), checked_count(n_min, "n_min")
 
 
@@ -216,7 +228,10 @@ def _prefix_input(
     through this. With no eval points, the streams are empty and unchecked.
     """
     bandwidths, weights, n_min = _settings(bandwidths, weights, n_min)
-    points = np.asarray(eval_points).reshape(-1)
+    try:
+        points = np.asarray(eval_points).reshape(-1)
+    except ValueError:  # a ragged nesting such as [[10], [12, 13]]
+        raise ConfigError(f"eval points must be integers, got {eval_points!r}") from None
     if not points.size:
         return bandwidths, weights, points, np.zeros((0, 1)), np.zeros((0, 1))
     if not np.issubdtype(points.dtype, np.integer):  # bools and floats too

@@ -3,9 +3,10 @@
 The registry ships as a YAML file (`trajscope/data/registry.yaml`) so the
 curated parts — which videos overlap in place or time, which were recorded
 simultaneously — can be amended by hand. `load_registry()` validates the
-schema strictly but reports inconsistencies *within* the curated group notes
-as warnings rather than errors, because the shipped notes intentionally
-reproduce their source verbatim, quirks included.
+schema strictly (an unknown key is an error naming where it is) but reports
+inconsistencies *within* the curated group notes as warnings rather than
+errors, because the shipped notes intentionally reproduce their source
+verbatim, quirks included.
 """
 from __future__ import annotations
 
@@ -16,11 +17,17 @@ from typing import Mapping
 
 import yaml
 
-from .types import ConfigError, not_utf8
+from .types import ConfigError, check_positive, not_utf8
 
 SCHEMA_VERSION = 1
 OVERLAP_LEVELS = ("none", "partial", "full")
 SPLIT_PARTS = ("train", "val", "test")
+# the keys each mapping may hold; only sdd and ind are dataset sections
+DATASET_KEYS = {
+    "sdd": {"frame_rate", "scenes", "split"},
+    "ind": {"frame_rate", "recordings", "intersections", "split"},
+}
+SCENE_KEYS = {"videos", "location_overlap", "time_overlap", "simultaneous_groups"}
 
 
 @dataclass(frozen=True)
@@ -36,10 +43,10 @@ class SceneOverlap:
 class DatasetRegistry:
     frame_rates: dict[str, float]
     sdd_scenes: dict[str, SceneOverlap]
-    sdd_split: dict[str, list[str]]
     ind_recordings: list[int]
     ind_intersections: list[tuple[int, int]]
-    ind_split: dict[str, list[int]]
+    # dataset -> video key as the store writes it ("quad/video0", "6") -> partition
+    splits: dict[str, dict[str, str]]
     warnings: list[str] = field(default_factory=list)
 
     def frame_rate(self, dataset: str) -> float:
@@ -60,23 +67,11 @@ class DatasetRegistry:
             raise ConfigError(f"unknown sdd scene {scene!r}") from None
 
     def split_of(self, dataset: str, video: int | str) -> str | None:
-        dataset = dataset.lower()
-        if dataset == "ind":
-            vid = int(video)
-            for part, members in self.ind_split.items():
-                if vid in members:
-                    return part
-            return None
-        if dataset == "sdd":
-            key = str(video)
-            for part, members in self.sdd_split.items():
-                if key in members:
-                    return part
-            return None
-        raise ConfigError(f"unknown dataset {dataset!r}")
-
-    def intersection_ranges(self) -> list[tuple[int, int]]:
-        return list(self.ind_intersections)
+        """Partition of a video ("quad/video0" for sdd, a recording id for ind), or None."""
+        try:
+            return self.splits[dataset.lower()].get(str(video))
+        except KeyError:
+            raise ConfigError(f"unknown dataset {dataset.lower()!r}") from None
 
     def intersection_of(self, recording: int) -> str:
         """Group label ("lo-hi") of the intersection a recording belongs to."""
@@ -95,21 +90,25 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(f"registry: {message}")
 
 
+def _known_keys(body: Mapping, allowed: set[str], where: str) -> None:
+    unknown = sorted(str(key) for key in body if key not in allowed)
+    _require(not unknown, f"unknown keys in {where}: {unknown}")
+
+
 def _int_list(value, what: str) -> list[int]:
     _require(isinstance(value, list), f"{what} must be a list")
-    out = []
-    for v in value:
-        _require(isinstance(v, int) and not isinstance(v, bool), f"{what} entries must be integers")
-        out.append(v)
-    return out
+    integers = all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+    _require(integers, f"{what} entries must be integers")
+    return value
 
 
-def _load_sdd(section: Mapping, warnings: list[str]) -> tuple[dict[str, SceneOverlap], dict[str, list[str]]]:
+def _load_sdd(section: Mapping, warnings: list[str]) -> dict[str, SceneOverlap]:
     _require(isinstance(section.get("scenes"), dict), "sdd.scenes must be a mapping")
     scenes: dict[str, SceneOverlap] = {}
     for name, body in section["scenes"].items():
         _require(isinstance(body, dict), f"sdd scene {name!r} must be a mapping")
         key = str(name).lower()
+        _known_keys(body, SCENE_KEYS, f"sdd.scenes.{key}")
         videos = _int_list(body.get("videos", []), f"sdd.{key}.videos")
         location = str(body.get("location_overlap", "")).lower()
         time = str(body.get("time_overlap", "")).lower()
@@ -118,14 +117,11 @@ def _load_sdd(section: Mapping, warnings: list[str]) -> tuple[dict[str, SceneOve
         raw_groups = body.get("simultaneous_groups", [])
         _require(isinstance(raw_groups, list), f"sdd.{key}.simultaneous_groups must be a list")
         groups = [_int_list(g, f"sdd.{key} group") for g in raw_groups]
-        video_set = set(videos)
-        for g in groups:
-            missing = sorted(set(g) - video_set)
-            if missing:
-                warnings.append(
-                    f"sdd scene {key}: group {g} references video(s) {missing} "
-                    f"not in the scene's video list"
-                )
+        warnings += [
+            f"sdd scene {key}: group {g} references video(s) {sorted(set(g).difference(videos))} "
+            "not in the scene's video list"
+            for g in groups if not set(g) <= set(videos)
+        ]
         seen: set[int] = set()
         for g in groups:
             dup = sorted(seen & set(g))
@@ -133,49 +129,33 @@ def _load_sdd(section: Mapping, warnings: list[str]) -> tuple[dict[str, SceneOve
                 warnings.append(f"sdd scene {key}: video(s) {dup} appear in more than one group")
             seen |= set(g)
         scenes[key] = SceneOverlap(scene=key, videos=videos, location=location, time=time, groups=groups)
-
-    split_raw = section.get("split") or {}
-    _require(isinstance(split_raw, dict), "sdd.split must be a mapping")
-    split: dict[str, list[str]] = {}
-    for part, members in split_raw.items():
-        _require(part in SPLIT_PARTS, f"sdd.split key {part!r} must be one of {SPLIT_PARTS}")
-        _require(isinstance(members, list), f"sdd.split.{part} must be a list")
-        split[part] = [str(m) for m in members]
-    assigned: dict[str, str] = {}
-    for part, members in split.items():
-        for m in members:
-            _require(m not in assigned, f"sdd video {m!r} assigned to both {assigned.get(m)} and {part}")
-            assigned[m] = part
-    return scenes, split
+    return scenes
 
 
-def _load_ind(section: Mapping) -> tuple[list[int], list[tuple[int, int]], dict[str, list[int]]]:
+def _load_ind(section: Mapping) -> tuple[list[int], list[tuple[int, int]]]:
     recordings = _int_list(section.get("recordings", []), "ind.recordings")
     raw_ranges = section.get("intersections", [])
     _require(isinstance(raw_ranges, list) and raw_ranges, "ind.intersections must be a non-empty list")
-    ranges: list[tuple[int, int]] = []
-    for r in raw_ranges:
-        pair = _int_list(r, "ind.intersections entry")
-        _require(len(pair) == 2 and pair[0] <= pair[1], "ind.intersections entries must be [lo, hi]")
-        ranges.append((pair[0], pair[1]))
+    ranges = [tuple(_int_list(r, "ind.intersections entry")) for r in raw_ranges]
+    _require(all(len(r) == 2 and r[0] <= r[1] for r in ranges), "ind.intersections entries must be [lo, hi]")
+    return recordings, ranges
 
-    split_raw = section.get("split") or {}
-    _require(isinstance(split_raw, dict), "ind.split must be a mapping")
-    split: dict[str, list[int]] = {part: [] for part in SPLIT_PARTS}
-    for part, members in split_raw.items():
-        _require(part in SPLIT_PARTS, f"ind.split key {part!r} must be one of {SPLIT_PARTS}")
-        split[part] = _int_list(members, f"ind.split.{part}")
-    assigned: dict[int, str] = {}
-    recording_set = set(recordings)
-    for part, members in split.items():
-        for m in members:
-            _require(
-                m not in assigned,
-                f"ind recording {m} assigned to both {assigned.get(m)} and {part}",
-            )
-            _require(m in recording_set, f"ind.split references unknown recording {m}")
-            assigned[m] = part
-    return recordings, ranges, split
+
+def _split(section: Mapping, dataset: str, members: str, known: Mapping) -> dict[str, str]:
+    """Video key -> partition of `section`'s split; `known` maps each valid member to its key."""
+    raw = section.get("split") or {}
+    _require(isinstance(raw, dict), f"{dataset}.split must be a mapping")
+    split: dict[str, str] = {}
+    for part, listed in raw.items():
+        _require(part in SPLIT_PARTS, f"{dataset}.split key {part!r} must be one of {SPLIT_PARTS}")
+        _require(isinstance(listed, list), f"{dataset}.split.{part} must be a list")
+        for m in listed:
+            # an unhashable member cannot be looked up, and True would find recording 1
+            key = known.get(m) if isinstance(m, (int, str)) and not isinstance(m, bool) else None
+            _require(key is not None, f"{dataset}.split.{part}: {m!r} is not {members}")
+            _require(key not in split, f"{dataset} video {m!r} assigned to both {split.get(key)} and {part}")
+            split[key] = part
+    return split
 
 
 def load_registry(path: str | Path | None = None) -> DatasetRegistry:
@@ -192,34 +172,32 @@ def load_registry(path: str | Path | None = None) -> DatasetRegistry:
     _require(isinstance(doc, dict), "top level must be a mapping")
     _require("version" in doc, "missing `version` field")
     _require(doc["version"] == SCHEMA_VERSION, f"unsupported schema version {doc['version']!r}")
+    _known_keys(doc, {"version", "datasets"}, "the top level")
     datasets = doc.get("datasets")
     _require(isinstance(datasets, dict), "`datasets` must be a mapping")
+    _known_keys(datasets, set(DATASET_KEYS), "datasets")
+
+    frame_rates: dict[str, float] = {}
+    for name, section in datasets.items():
+        _require(isinstance(section, dict), f"dataset section {name!r} must be a mapping")
+        _known_keys(section, DATASET_KEYS[name], name)
+        check_positive(section.get("frame_rate"), f"registry: {name}.frame_rate")
+        frame_rates[name] = float(section["frame_rate"])
 
     warnings: list[str] = []
-    frame_rates: dict[str, float] = {}
-    for name, body in datasets.items():
-        _require(isinstance(body, dict), f"dataset section {name!r} must be a mapping")
-        rate = body.get("frame_rate")
-        _require(isinstance(rate, (int, float)) and rate > 0, f"{name}.frame_rate must be positive")
-        frame_rates[str(name).lower()] = float(rate)
-
-    sdd_scenes: dict[str, SceneOverlap] = {}
-    sdd_split: dict[str, list[str]] = {}
-    if "sdd" in datasets:
-        sdd_scenes, sdd_split = _load_sdd(datasets["sdd"], warnings)
-
-    ind_recordings: list[int] = []
-    ind_ranges: list[tuple[int, int]] = []
-    ind_split: dict[str, list[int]] = {part: [] for part in SPLIT_PARTS}
-    if "ind" in datasets:
-        ind_recordings, ind_ranges, ind_split = _load_ind(datasets["ind"])
-
+    sdd_scenes = _load_sdd(datasets["sdd"], warnings) if "sdd" in datasets else {}
+    ind_recordings, ind_ranges = _load_ind(datasets["ind"]) if "ind" in datasets else ([], [])
+    videos = [f"{scene}/video{v}" for scene, overlap in sdd_scenes.items() for v in overlap.videos]
+    splits = {
+        "sdd": _split(datasets.get("sdd", {}), "sdd", "a scene/videoN of sdd.scenes", {v: v for v in videos}),
+        "ind": _split(datasets.get("ind", {}), "ind", "a recording id of ind.recordings",
+                      {r: str(r) for r in ind_recordings}),
+    }
     return DatasetRegistry(
         frame_rates=frame_rates,
         sdd_scenes=sdd_scenes,
-        sdd_split=sdd_split,
         ind_recordings=ind_recordings,
         ind_intersections=ind_ranges,
-        ind_split=ind_split,
+        splits=splits,
         warnings=warnings,
     )

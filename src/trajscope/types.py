@@ -81,9 +81,14 @@ def checked_count(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def is_number(value) -> bool:
+    """A real number: an int, float or numpy number, but not a bool (text is no number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_positive(value, name: str, zero: bool = False) -> None:
     """A ConfigError unless `value` is a finite number (not a bool) > 0, or >= 0 with `zero`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_number(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if not (0 <= value if zero else 0 < value) or not value <= sys.float_info.max:
         raise ConfigError(f"{name} must be {'>=' if zero else '>'} 0, got {value!r}")

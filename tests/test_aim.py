@@ -528,6 +528,14 @@ def test_sweep_n_window_must_be_an_integer(n) -> None:
         sweep(pair, delta_values=[0.98], n_values=[n])
 
 
+@pytest.mark.parametrize("delta", [None, "0.9", True], ids=repr)
+def test_sweep_delta_must_be_a_number(delta) -> None:
+    pair = crossing_pair(n=40, n_window=5)
+    with pytest.raises(ConfigError) as err:
+        sweep(pair, delta_values=[delta], n_values=[5], n_min=1)
+    assert str(err.value) == f"delta must be a number, got {delta!r}"
+
+
 def test_extract_n_window_must_be_an_integer() -> None:
     trajs = [straight_line(100, track_id=k, origin=(0.0, float(k))) for k in range(2)]
     with pytest.raises(ConfigError, match="n_window must be an integer, got 2.5"):

@@ -325,6 +325,10 @@ BAD_SETTINGS = [
     dict(n_min=2.5),
     dict(n_min=math.nan),
     dict(n_min=True),
+    dict(bandwidths=["8"]),
+    dict(bandwidths=8),
+    dict(bandwidths=[True]),
+    dict(weights=["0.25"] * 4),
 ]
 
 
@@ -335,6 +339,7 @@ def test_bound_checks_its_arguments_as_the_series_does() -> None:
         (dict(eval_points=[20, 15]), ConfigError),
         (dict(eval_points=[31]), ConfigError),
         (dict(eval_points=[20.7, 25.2]), ConfigError),
+        (dict(eval_points=[[10], [12, 13]]), ConfigError),
         (dict(eval_points=[20], bandwidths=[0.0]), ConfigError),
         (dict(eval_points=[20], weights=[0.5, 0.4, 0.2, 0.0]), ConfigError),
         *[(dict(eval_points=[20], **bad), ConfigError) for bad in BAD_SETTINGS],

@@ -78,7 +78,7 @@ def test_sdd_video_counts(registry) -> None:
 
 
 def test_intersection_groups(registry) -> None:
-    assert registry.intersection_ranges() == [(0, 6), (7, 17), (18, 29), (30, 32)]
+    assert registry.ind_intersections == [(0, 6), (7, 17), (18, 29), (30, 32)]
     assert registry.intersection_of(16) == "7-17"
     assert registry.intersection_of(30) == "30-32"
 
@@ -173,3 +173,88 @@ def test_non_utf8_registry_names_file_and_line(tmp_path: Path) -> None:
         load_registry(path)
     line_no = shipped.count(b"\n") + 1
     assert str(err.value) == f"{path}:{line_no}: not valid UTF-8 (byte 0xe9)"
+
+
+IND = "ind: {frame_rate: 25.0, recordings: [0, 1], intersections: [[0, 1]]%s}"
+QUAD = "quad: {videos: [0, 1], location_overlap: full, time_overlap: full%s}"
+SDD = "sdd: {frame_rate: 30.0, scenes: {%s}%s}"
+
+
+def _registry(tmp_path: Path, datasets: str, top: str = "") -> Path:
+    return _write(tmp_path, f"version: 1\n{top}datasets: {{{datasets}}}\n")
+
+
+@pytest.mark.parametrize(
+    "datasets, top, message",
+    [
+        (IND % ", splt: {train: [0]}", "", "unknown keys in ind: ['splt']"),
+        (SDD % (QUAD % ", simultanous_groups: [[0, 1]]", ""), "",
+         "unknown keys in sdd.scenes.quad: ['simultanous_groups']"),
+        (SDD % (QUAD % "", ", unit: pixel"), "", "unknown keys in sdd: ['unit']"),
+        (IND % "" + ", eth: {frame_rate: 2.5}", "", "unknown keys in datasets: ['eth']"),
+        (IND % "", "split: {}\n", "unknown keys in the top level: ['split']"),
+    ],
+    ids=["dataset", "scene", "unit", "dataset-section", "top-level"],
+)
+def test_unknown_key_is_an_error_naming_its_path(tmp_path: Path, datasets, top, message) -> None:
+    with pytest.raises(ConfigError) as err:
+        load_registry(_registry(tmp_path, datasets, top))
+    assert str(err.value) == f"registry: {message}"
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [("true", "must be a number, got True"), (".inf", "must be > 0, got inf")],
+    ids=["bool", "inf"],
+)
+def test_frame_rate_must_be_a_finite_number(tmp_path: Path, rate, message) -> None:
+    path = _registry(tmp_path, IND.replace("25.0", rate) % "")
+    with pytest.raises(ConfigError) as err:
+        load_registry(path)
+    assert str(err.value) == f"registry: ind.frame_rate {message}"
+
+
+def test_sdd_split_is_looked_up_by_the_store_video_key(tmp_path: Path) -> None:
+    split = ", split: {train: [quad/video1], test: [quad/video0]}"
+    registry = load_registry(_registry(tmp_path, SDD % (QUAD % "", split)))
+    assert registry.splits == {"sdd": {"quad/video1": "train", "quad/video0": "test"}, "ind": {}}
+    assert registry.split_of("sdd", "quad/video0") == "test"
+    assert registry.split_of("SDD", "quad/video1") == "train"
+    assert registry.split_of("sdd", "quad/video2") is None
+    assert registry.split_of("ind", 0) is None
+    with pytest.raises(ConfigError) as err:
+        registry.split_of("ETH", 0)
+    assert str(err.value) == "unknown dataset 'eth'"
+
+
+@pytest.mark.parametrize(
+    "datasets, message",
+    [
+        (SDD % (QUAD % "", ", split: {test: [quad/video9]}"),
+         "sdd.split.test: 'quad/video9' is not a scene/videoN of sdd.scenes"),
+        (SDD % (QUAD % "", ", split: {test: [quad/0]}"),
+         "sdd.split.test: 'quad/0' is not a scene/videoN of sdd.scenes"),
+        (SDD % (QUAD % "", ", split: {train: [quad/video0], test: [quad/video0]}"),
+         "sdd video 'quad/video0' assigned to both train and test"),
+        (IND % ", split: {val: [2]}", "ind.split.val: 2 is not a recording id of ind.recordings"),
+        (IND % ", split: {val: ['1']}", "ind.split.val: '1' is not a recording id of ind.recordings"),
+        (IND % ", split: {val: [true]}", "ind.split.val: True is not a recording id of ind.recordings"),
+        (IND % ", split: {val: [[0]]}", "ind.split.val: [0] is not a recording id of ind.recordings"),
+        (IND % ", split: {dev: [0]}", "ind.split key 'dev' must be one of ('train', 'val', 'test')"),
+        (IND % ", split: {val: 0}", "ind.split.val must be a list"),
+    ],
+    ids=["sdd-unlisted", "sdd-no-video", "sdd-twice", "ind-unlisted", "ind-text", "ind-bool", "ind-list",
+         "ind-part", "ind-not-list"],
+)
+def test_split_member_must_be_one_listed_video(tmp_path: Path, datasets, message) -> None:
+    with pytest.raises(ConfigError) as err:
+        load_registry(_registry(tmp_path, datasets))
+    assert str(err.value) == f"registry: {message}"
+
+
+def test_ind_split_is_looked_up_by_the_store_video_key(registry) -> None:
+    # the store names an inD video by its recording id as text
+    assert registry.split_of("ind", "16") == "test"
+    assert registry.split_of("ind", 16) == "test"
+    assert registry.split_of("ind", 33) is None
+    assert registry.splits["sdd"] == {}
