@@ -363,30 +363,32 @@ def _discover_ind(inputs: Sequence[Path]) -> list[tuple[Path, Path, Path]]:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.out)
-    trajectories: list[Trajectory] = []
-    diagnostics: dict[str, dict] = {}
+    diagnostics: dict[str, dict] = {}  # filled as each video is read
+    tracks_of: dict[tuple[str, str], Path] = {}
+
+    def sdd_video(scene: str, video: str, path: Path) -> list[Trajectory]:
+        diag = IngestDiagnostics()
+        trajectories = assemble_trajectories(parse_sdd_annotations(path), SourceRef("sdd", scene, video), diag)
+        diagnostics[f"{scene}/{video}"] = diag.to_dict()
+        return trajectories
+
+    def ind_video(tracks: Path, meta: Path, recording: Path) -> list[Trajectory]:
+        parsed = parse_ind_tracks(tracks, meta, recording)
+        if parsed:
+            video = parsed[0].source.key()[1:]
+            _claim_video(tracks_of, video, tracks)
+            diagnostics["/".join(video)] = {"tracks_file": tracks.name, "n_trajectories": len(parsed)}
+        return parsed
+
+    # Inputs are found now; each video is read only when the writer asks for
+    # it, so one video at a time is held.
     if cfg.dataset == "sdd":
-        for scene, video, path in _discover_sdd(cfg.inputs):
-            source = SourceRef("sdd", scene, video)
-            diag = IngestDiagnostics()
-            records = parse_sdd_annotations(path)
-            trajectories.extend(assemble_trajectories(records, source, diag))
-            diagnostics[f"{scene}/{video}"] = diag.to_dict()
+        videos = (sdd_video(*found) for found in _discover_sdd(cfg.inputs))
     else:
-        tracks_of: dict[tuple[str, str], Path] = {}
-        for tracks, meta, recording in _discover_ind(cfg.inputs):
-            parsed = parse_ind_tracks(tracks, meta, recording)
-            trajectories.extend(parsed)
-            if parsed:
-                video = parsed[0].source.key()[1:]
-                _claim_video(tracks_of, video, tracks)
-                diagnostics["/".join(video)] = {
-                    "tracks_file": tracks.name,
-                    "n_trajectories": len(parsed),
-                }
-    write_store(trajectories, cfg.store_dir, diagnostics)
+        videos = (ind_video(*found) for found in _discover_ind(cfg.inputs))
+    manifest = write_store(videos, cfg.store_dir, diagnostics)
     _status(
-        f"ingested {len(trajectories)} trajectories "
+        f"ingested {sum(v['n_trajectories'] for v in manifest['videos'])} trajectories "
         f"({len(diagnostics)} videos) into {cfg.store_dir}"
     )
     return 0

@@ -105,9 +105,12 @@ def _int_list(value, what: str) -> list[int]:
 def _load_sdd(section: Mapping, warnings: list[str]) -> dict[str, SceneOverlap]:
     _require(isinstance(section.get("scenes"), dict), "sdd.scenes must be a mapping")
     scenes: dict[str, SceneOverlap] = {}
+    spellings: dict[str, object] = {}  # lower-cased name -> the name as written
     for name, body in section["scenes"].items():
         _require(isinstance(body, dict), f"sdd scene {name!r} must be a mapping")
         key = str(name).lower()
+        first = spellings.setdefault(key, name)
+        _require(first == name, f"sdd scenes {first!r} and {name!r} differ only in case")
         _known_keys(body, SCENE_KEYS, f"sdd.scenes.{key}")
         videos = _int_list(body.get("videos", []), f"sdd.{key}.videos")
         location = str(body.get("location_overlap", "")).lower()

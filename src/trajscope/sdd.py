@@ -61,7 +61,7 @@ _TEXT_DTYPE = np.dtype(
     + [(flag, "S2") for flag in _FLAGS]
     + [("label", f"S{max(map(len, ALL_CLASSES)) + 3}")]
 )
-_PLAIN = bytes([ord("\t"), ord("\n"), *range(0x20, 0x7F)])  # tab, newline, printable ASCII
+_PLAIN = bytes([ord("\t"), ord("\n"), ord("\r"), *range(0x20, 0x7F)])  # tab, line ends, printable ASCII
 
 
 @dataclass
@@ -149,28 +149,27 @@ def _parse_rows(lines: Iterable[str], path: str) -> np.ndarray:
     return np.array(records, dtype=RECORD_DTYPE)
 
 
-def _parse_columns(text: str) -> np.ndarray | None:
+def _parse_columns(data: bytes) -> np.ndarray | None:
     """The whole text at once, or None when a row needs `_parse_rows`.
 
-    Only printable ASCII, tab and newline are let through, so numpy splits
-    fields and lines where `str.split` and the line loop do, and the byte
-    columns lose nothing (numpy drops trailing NULs). Flags and labels are
-    read one byte wider than any valid token, so a longer token cannot be
-    cut down to a valid one.
+    Only printable ASCII, tab, newline and carriage return are let through,
+    so numpy splits fields and lines where `str.split` and the line loop do
+    (the text wrapper reads "\\r\\n" and a lone "\\r" as "\\n", as `read_text`
+    does), and the byte columns lose nothing (numpy drops trailing NULs).
+    Flags and labels are read one byte wider than any valid token, so a
+    longer token cannot be cut down to a valid one.
     """
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
     if data.translate(None, _PLAIN):
         return None
     # Read through the bytes: a StringIO would copy the text at 4 bytes a character.
     columns = read_columns(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"), _TEXT_DTYPE)
+    del data  # free the text before the larger records are built
     if columns is None:
         return None
     # A sum is finite only when both coordinates are, so this also rejects nan/inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        centers = (columns["xmin"] + columns["xmax"], columns["ymin"] + columns["ymax"])
-    if not all(np.isfinite(center).all() for center in centers):
+        finite = all(np.isfinite(columns[a] + columns[b]).all() for a, b in zip(_BOX[:2], _BOX[2:]))
+    if not finite:
         return None
     if not all(((columns[flag] == b"0") | (columns[flag] == b"1")).all() for flag in _FLAGS):
         return None
@@ -186,7 +185,8 @@ def _parse_columns(text: str) -> np.ndarray | None:
         records[name] = columns[name]
     for flag in _FLAGS:
         records[flag] = columns[flag] == b"1"
-    records["label"] = np.array(labels, dtype=RECORD_DTYPE["label"])[inverse]
+    for k, label in enumerate(labels):
+        records["label"][inverse == k] = label
     return records
 
 
@@ -202,19 +202,22 @@ def parse_sdd_annotations(
     the 1-based line number.
     """
     if isinstance(source, (str, Path)):
+        path = path or str(Path(source))
+        records = _parse_columns(Path(source).read_bytes())
+        if records is not None:
+            return records
         try:
             text = Path(source).read_text(encoding="utf-8")
         except UnicodeDecodeError:
             raise not_utf8(source) from None
-        path = path or str(Path(source))
-        records = _parse_columns(text)
-        return _parse_rows(io.StringIO(text), path) if records is None else records
+        return _parse_rows(io.StringIO(text), path)
     lines = list(source)
     # One line of text per element, stripped as `_parse_rows` strips it.
     text = "\n".join(line.strip() for line in lines)
     path = path or str(getattr(source, "name", "<input>"))
     # An element with a line break inside is one row to `_parse_rows`, two to numpy.
-    records = _parse_columns(text) if text.count("\n") < len(lines) else None
+    one_row_each = text.isascii() and text.count("\n") + text.count("\r") < len(lines)
+    records = _parse_columns(text.encode("ascii")) if one_row_each else None
     return _parse_rows(lines, path) if records is None else records
 
 

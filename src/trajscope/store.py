@@ -9,16 +9,18 @@ store instead of the raw files. One line per trajectory:
      "points": [[frame, x, y, lost, occluded, generated], ...]}
 
 "points" holds the rows of the trajectory's POINT_DTYPE array, in the
-array's field order, with flags as 0/1. Files and records are written in
-sorted order with sorted keys and no timestamps, so identical inputs produce
-byte-identical stores. Loading checks the manifest's schema_version and
-that every trajectory's frames strictly increase.
+array's field order, with flags as 0/1. Records are sorted, keys too, with
+no timestamps, so identical inputs produce byte-identical stores. The
+writer takes one video at a time and puts the files in place only once all
+are written, so a failed write leaves an earlier store as it was. Loading
+checks the manifest's schema_version and that frames strictly increase.
 """
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,30 +64,45 @@ def _trajectory_from_record(record: dict) -> Trajectory:
 
 
 def write_store(
-    trajectories: Sequence[Trajectory],
+    videos: Iterable[Sequence[Trajectory]] | Sequence[Trajectory],
     store_dir,
     diagnostics: Mapping[str, dict] | None = None,
 ) -> dict:
-    """Write every trajectory, grouped per video, and return the manifest."""
-    if not trajectories:
-        raise StructuralError("refusing to write an empty store")
+    """Write one file per video, then the manifest, and return the manifest.
+
+    `videos` yields one video's trajectories at a time and is read lazily,
+    so a caller that builds each group on demand holds one video; a flat
+    sequence of trajectories is grouped first. `diagnostics` is read after
+    the last group. Files are written as `<name>.partial` and renamed into
+    place after the last group, the manifest last; on any error the partial
+    files and the directories this call made are removed, so an earlier
+    store is left as it was.
+    """
+    if isinstance(videos, Sequence) and all(isinstance(t, Trajectory) for t in videos):
+        by_video: dict[tuple[str, str, str], list[Trajectory]] = {}
+        for traj in videos:
+            by_video.setdefault(traj.source.key(), []).append(traj)
+        videos = list(by_video.values())
     store_path = Path(store_dir)
-    store_path.mkdir(parents=True, exist_ok=True)
-
-    by_video: dict[tuple[str, str, str], list[Trajectory]] = {}
-    for traj in trajectories:
-        by_video.setdefault(traj.source.key(), []).append(traj)
-
-    videos = []
-    for key in sorted(by_video):
-        trajs = sorted(by_video[key], key=lambda t: (t.track_id, t.segment))
-        filename = video_filename(trajs[0].source)
-        with open(store_path / filename, "w") as fh:
-            for traj in trajs:
-                fh.write(json.dumps(_trajectory_record(traj), sort_keys=True))
-                fh.write("\n")
-        videos.append(
-            {
+    created = [p for p in (store_path, *store_path.parents) if not p.exists()]  # deepest first
+    entries: dict[tuple[str, str, str], dict] = {}
+    partials: list[Path] = []
+    try:
+        store_path.mkdir(parents=True, exist_ok=True)
+        for trajs in videos:
+            if not trajs:
+                continue
+            key = trajs[0].source.key()
+            if key in entries or any(t.source.key() != key for t in trajs):
+                raise StructuralError(f"the trajectories of video {key} must come as one group")
+            trajs = sorted(trajs, key=lambda t: (t.track_id, t.segment))
+            filename = video_filename(trajs[0].source)
+            partials.append(store_path / f"{filename}.partial")
+            with open(partials[-1], "w") as fh:
+                for traj in trajs:
+                    fh.write(json.dumps(_trajectory_record(traj), sort_keys=True))
+                    fh.write("\n")
+            entries[key] = {
                 "dataset": key[0],
                 "scene": key[1],
                 "video": key[2],
@@ -93,16 +110,27 @@ def write_store(
                 "n_trajectories": len(trajs),
                 "n_points": sum(len(t) for t in trajs),
             }
-        )
-
-    manifest = {
-        "schema_version": STORE_SCHEMA_VERSION,
-        "videos": videos,
-        "diagnostics": dict(diagnostics) if diagnostics else {},
-    }
-    with open(store_path / MANIFEST_NAME, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+            del trajs  # so the next group is built without this one
+        if not entries:
+            raise StructuralError("refusing to write an empty store")
+        manifest = {
+            "schema_version": STORE_SCHEMA_VERSION,
+            "videos": [entries[key] for key in sorted(entries)],
+            "diagnostics": dict(diagnostics) if diagnostics else {},
+        }
+        partials.append(store_path / f"{MANIFEST_NAME}.partial")
+        with open(partials[-1], "w") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        for partial in partials:
+            partial.replace(partial.with_suffix(""))
+    except BaseException:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+        for directory in created:
+            with suppress(OSError):  # mkdir may have failed before making it
+                directory.rmdir()
+        raise
     return manifest
 
 

@@ -123,6 +123,30 @@ def test_ingest_parse_error_names_file_and_line(tmp_path, capsys) -> None:
     assert "annotations.txt:2" in err
 
 
+def test_ingest_parse_error_in_the_second_video_leaves_no_out(tmp_path, capsys) -> None:
+    annotations = write_sdd_tree(tmp_path)
+    bad = annotations / "quad" / "video1" / "annotations.txt"  # read after video0
+    bad.write_text('0 1 2 3 4 0 0 0 0 "Pedestrian"\nnot a row\n')
+    out = tmp_path / "nested" / "out"
+    config = write_config(tmp_path / "config.yaml", annotations, out)
+    assert run(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: expected 10 fields, got 3\n"
+    assert not (tmp_path / "nested").exists()
+
+
+def test_failed_reingest_leaves_the_store_as_it_was(workspace, capsys) -> None:
+    _, annotations, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    before = {p.name: p.read_bytes() for p in (out / "store").iterdir()}
+    video0 = annotations / "quad" / "video0" / "annotations.txt"
+    video0.write_text(video0.read_text().replace('"Cart"', '"Skater"'))  # video0 reads, and differs
+    (annotations / "quad" / "video1" / "annotations.txt").write_text("not a row\n")
+    assert run(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err.endswith("annotations.txt:1: expected 10 fields, got 3\n")
+    assert {p.name: p.read_bytes() for p in (out / "store").iterdir()} == before
+    assert not list(out.rglob("*.partial"))
+
+
 @pytest.mark.parametrize(
     "line, replacement, named",
     [

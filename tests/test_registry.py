@@ -252,6 +252,13 @@ def test_split_member_must_be_one_listed_video(tmp_path: Path, datasets, message
     assert str(err.value) == f"registry: {message}"
 
 
+def test_scene_names_that_differ_only_in_case_are_an_error(tmp_path: Path) -> None:
+    scenes = QUAD % "" + ", " + QUAD.replace("quad", "Quad").replace("[0, 1]", "[5]") % ""
+    with pytest.raises(ConfigError) as err:
+        load_registry(_registry(tmp_path, SDD % (scenes, "")))
+    assert str(err.value) == "registry: sdd scenes 'quad' and 'Quad' differ only in case"
+
+
 def test_ind_split_is_looked_up_by_the_store_video_key(registry) -> None:
     # the store names an inD video by its recording id as text
     assert registry.split_of("ind", "16") == "test"

@@ -622,6 +622,27 @@ def test_a_large_valid_file_never_reaches_the_row_loop(tmp_path, monkeypatch) ->
     assert_same_records(parse_sdd_annotations(rows), want)
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_carriage_return_line_ends_stay_on_the_column_path(tmp_path, monkeypatch, end) -> None:
+    rows = large_file()
+    path = tmp_path / "annotations.txt"
+    path.write_bytes((end.join(rows) + end).encode())
+    want = parse_oracle(str(path))
+    monkeypatch.setattr(sdd, "_parse_rows", None)
+    assert_same_records(parse_sdd_annotations(path), want)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_error_in_a_carriage_return_file_names_its_line(tmp_path, end) -> None:
+    rows = large_file('1 0 0 2 2 7 2 0 0 "Biker"')
+    path = tmp_path / "annotations.txt"
+    path.write_bytes((end.join(rows) + end).encode())
+    with pytest.raises(ParseError) as err:
+        parse_sdd_annotations(path)
+    assert str(err.value) == f"{path}:4321: field 'lost' must be 0 or 1, got '2'"
+    assert str(err.value) == str(outcome(parse_oracle, str(path))[1])
+
+
 @pytest.mark.parametrize(
     "bad_row, message",
     [

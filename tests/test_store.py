@@ -85,6 +85,48 @@ def test_write_store_empty_is_error(tmp_path) -> None:
         write_store([], tmp_path / "store")
 
 
+def test_write_store_takes_one_group_per_video_lazily(tmp_path) -> None:
+    trajs = sample_trajectories()
+    read = []
+
+    def videos():
+        for group in ([trajs[2]], [trajs[0], trajs[1], trajs[3]]):  # video1 first
+            read.append(len(group))
+            yield group
+
+    write_store(videos(), tmp_path / "lazy", diagnostics={"quad/video0": {"rows": 5}})
+    write_store(trajs, tmp_path / "flat", diagnostics={"quad/video0": {"rows": 5}})
+    assert read == [1, 3]
+    names = sorted(p.name for p in (tmp_path / "flat").iterdir())
+    for name in names:
+        assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "flat" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "lazy").iterdir()) == names
+
+
+@pytest.mark.parametrize("groups", [[[0], [1]], [[0, 2]]], ids=["two-groups", "mixed-group"])
+def test_write_store_rejects_a_video_split_or_mixed_across_groups(tmp_path, groups) -> None:
+    trajs = sample_trajectories()
+    with pytest.raises(StructuralError) as err:
+        write_store(([trajs[i] for i in group] for group in groups), tmp_path / "a" / "store")
+    assert str(err.value) == "the trajectories of video ('sdd', 'quad', 'video0') must come as one group"
+    assert not (tmp_path / "a").exists()
+
+
+def test_write_store_failure_leaves_an_earlier_store_as_it_was(tmp_path) -> None:
+    trajs = sample_trajectories()
+    store = tmp_path / "store"
+    write_store(trajs, store)
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+
+    def videos():
+        yield [trajs[2]]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_store(videos(), store)
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+
+
 @pytest.mark.parametrize(
     "manifest",
     [
