@@ -7,161 +7,58 @@ weighted by windowed kinematics, folded through an exponential-memory
 recurrence), reproduces dataset characterization statistics, and scores
 trajectory predictions with displacement errors.
 """
-from .aim import (
-    DEFAULT_DELTA,
-    InteractionPair,
-    Kinematics,
-    MeasureSeries,
-    RhoConfig,
-    accumulate_aim,
-    compute_kinematics,
-    compute_rho,
-    extract_interactions,
-    fit_normalizers,
-    measure_interaction,
-    sweep,
-)
-from .analytics import (
-    ClassDistributionRow,
-    LostStatsRow,
-    OverlapRow,
-    SplitCandidate,
-    class_distribution,
-    detect_split_candidates,
-    group_trajectories_for_stats,
-    lost_stats,
-    overlap_report,
-)
-from .evaluation import (
-    EvalReport,
-    Prediction,
-    ade,
-    constant_velocity_predict,
-    evaluate,
-    fde,
-    load_predictions,
-    predictor_from_mapping,
-)
-from .ind import meters_to_pixels, parse_ind_tracks, pixels_to_meters
-from .mi import (
-    DEFAULT_BANDWIDTHS,
-    DEFAULT_N_MIN,
-    HashMIState,
-    g_divergence,
-    mi_prefix_series,
-)
-from .preprocess import (
-    LostPolicy,
-    LostPositions,
-    PreprocessConfig,
-    TrajectoryWindow,
-    classify_lost_positions,
-    drop_generated,
-    filter_lost,
-    preprocess_trajectory,
-    resample,
-    window,
-)
-from .registry import DatasetRegistry, SceneOverlap, default_registry_path, load_registry
-from .sdd import (
-    RECORD_DTYPE,
-    IngestDiagnostics,
-    assemble_trajectories,
-    format_sdd_row,
-    parse_sdd_annotations,
-)
-from .store import load_manifest, load_store, write_store
-from .types import (
-    ALL_CLASSES,
-    POINT_DTYPE,
-    ConfigError,
-    DomainError,
-    IND_CLASSES,
-    InsufficientDataError,
-    ParseError,
-    SDD_CLASSES,
-    SourceRef,
-    StructuralError,
-    ToolError,
-    Trajectory,
-    canonical_class,
-    scene_diagonal,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_CLASSES",
-    "ClassDistributionRow",
-    "ConfigError",
-    "DEFAULT_BANDWIDTHS",
-    "DEFAULT_DELTA",
-    "DEFAULT_N_MIN",
-    "DatasetRegistry",
-    "DomainError",
-    "EvalReport",
-    "HashMIState",
-    "IND_CLASSES",
-    "IngestDiagnostics",
-    "InsufficientDataError",
-    "InteractionPair",
-    "Kinematics",
-    "LostPolicy",
-    "LostPositions",
-    "LostStatsRow",
-    "MeasureSeries",
-    "OverlapRow",
-    "POINT_DTYPE",
-    "ParseError",
-    "Prediction",
-    "PreprocessConfig",
-    "RECORD_DTYPE",
-    "RhoConfig",
-    "SDD_CLASSES",
-    "SceneOverlap",
-    "SourceRef",
-    "SplitCandidate",
-    "StructuralError",
-    "ToolError",
-    "Trajectory",
-    "TrajectoryWindow",
-    "accumulate_aim",
-    "ade",
-    "assemble_trajectories",
-    "canonical_class",
-    "class_distribution",
-    "classify_lost_positions",
-    "compute_kinematics",
-    "compute_rho",
-    "constant_velocity_predict",
-    "default_registry_path",
-    "detect_split_candidates",
-    "drop_generated",
-    "evaluate",
-    "extract_interactions",
-    "fde",
-    "filter_lost",
-    "fit_normalizers",
-    "format_sdd_row",
-    "g_divergence",
-    "group_trajectories_for_stats",
-    "load_manifest",
-    "load_predictions",
-    "load_registry",
-    "load_store",
-    "lost_stats",
-    "measure_interaction",
-    "meters_to_pixels",
-    "mi_prefix_series",
-    "overlap_report",
-    "parse_ind_tracks",
-    "parse_sdd_annotations",
-    "pixels_to_meters",
-    "predictor_from_mapping",
-    "preprocess_trajectory",
-    "resample",
-    "scene_diagonal",
-    "sweep",
-    "window",
-    "write_store",
-]
+# The public names, by the module that defines them. They are imported on
+# first use, so a command pays only for the modules it runs.
+_EXPORTS = {
+    "aim": (
+        "DEFAULT_DELTA", "InteractionPair", "Kinematics", "MeasureSeries", "RhoConfig",
+        "accumulate_aim", "compute_kinematics", "compute_rho", "extract_interactions",
+        "fit_normalizers", "measure_interaction", "sweep",
+    ),
+    "analytics": (
+        "ClassDistributionRow", "LostStatsRow", "OverlapRow", "SplitCandidate",
+        "class_distribution", "detect_split_candidates", "group_trajectories_for_stats",
+        "lost_stats", "overlap_report",
+    ),
+    "evaluation": (
+        "EvalReport", "Prediction", "ade", "constant_velocity_predict", "evaluate", "fde",
+        "load_predictions", "predictor_from_mapping",
+    ),
+    "ind": ("meters_to_pixels", "parse_ind_tracks", "pixels_to_meters"),
+    "mi": ("DEFAULT_BANDWIDTHS", "DEFAULT_N_MIN", "HashMIState", "g_divergence", "mi_prefix_series"),
+    "preprocess": (
+        "LostPolicy", "LostPositions", "PreprocessConfig", "TrajectoryWindow",
+        "classify_lost_positions", "drop_generated", "filter_lost", "preprocess_trajectory",
+        "resample", "window",
+    ),
+    "registry": ("DatasetRegistry", "SceneOverlap", "default_registry_path", "load_registry"),
+    "sdd": (
+        "RECORD_DTYPE", "IngestDiagnostics", "assemble_trajectories", "format_sdd_row",
+        "parse_sdd_annotations",
+    ),
+    "store": ("load_manifest", "load_store", "write_store"),
+    "types": (
+        "ALL_CLASSES", "POINT_DTYPE", "ConfigError", "DomainError", "IND_CLASSES",
+        "InsufficientDataError", "ParseError", "SDD_CLASSES", "SourceRef", "StructuralError",
+        "ToolError", "Trajectory", "canonical_class", "scene_diagonal",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Looked up in its module on every access, not cached here, so a name
+    # rebound in its module (by a test's monkeypatch, say) is rebound here too.
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -21,9 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
-
-import yaml
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .aim import (
     DEFAULT_DELTA,
@@ -35,24 +33,8 @@ from .aim import (
     fit_normalizers,
     sweep,
 )
-from .analytics import (
-    class_distribution,
-    group_trajectories_for_stats,
-    lost_stats,
-    overlap_report,
-)
-from .evaluation import (
-    constant_velocity_predict,
-    evaluate,
-    load_predictions,
-    predictor_from_mapping,
-)
-from .ind import parse_ind_tracks
 from .mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, _settings
 from .preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
-from .registry import DatasetRegistry, load_registry
-from .sdd import IngestDiagnostics, assemble_trajectories, parse_sdd_annotations
-from .store import load_store, write_store
 from .types import (
     ConfigError,
     IND_CLASSES,
@@ -62,9 +44,14 @@ from .types import (
     ToolError,
     Trajectory,
     checked_count,
-    not_utf8,
+    load_yaml,
     scene_diagonal,
 )
+
+# Beyond config loading, each command imports the modules it runs when it
+# runs, so that no command pays to load the others.
+if TYPE_CHECKING:
+    from .registry import DatasetRegistry
 
 # Kinematics window length in native frames when the config leaves it null:
 # about 1 second of motion history at each dataset's frame rate.
@@ -180,14 +167,7 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     config_file = Path(config_path)
     if not config_file.is_file():
         raise ConfigError(f"config file does not exist: {config_file}")
-    try:
-        raw = yaml.safe_load(config_file.read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise not_utf8(config_file) from None
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f"{config_file}:{mark.line + 1}" if mark is not None else str(config_file)
-        raise ConfigError(f"{where}: not valid YAML ({getattr(exc, 'problem', exc)})") from None
+    raw = load_yaml(config_file)
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config file {config_file} must contain a mapping")
     allowed_top = ("dataset", "inputs", "out", "registry", *_SECTIONS, "export_format")
@@ -308,6 +288,8 @@ def _status(message: str) -> None:
 
 def _load_registry(cfg: RunConfig) -> DatasetRegistry:
     """The run's registry, with each of its warnings shown on stderr."""
+    from .registry import load_registry
+
     registry = load_registry(cfg.registry_path)
     for warning in registry.warnings:
         _status(f"warning: {warning}")
@@ -362,17 +344,23 @@ def _discover_ind(inputs: Sequence[Path]) -> list[tuple[Path, Path, Path]]:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .store import write_store
+
     cfg = load_run_config(args.config, args.out)
     diagnostics: dict[str, dict] = {}  # filled as each video is read
     tracks_of: dict[tuple[str, str], Path] = {}
 
     def sdd_video(scene: str, video: str, path: Path) -> list[Trajectory]:
+        from .sdd import IngestDiagnostics, assemble_trajectories, parse_sdd_annotations
+
         diag = IngestDiagnostics()
         trajectories = assemble_trajectories(parse_sdd_annotations(path), SourceRef("sdd", scene, video), diag)
         diagnostics[f"{scene}/{video}"] = diag.to_dict()
         return trajectories
 
     def ind_video(tracks: Path, meta: Path, recording: Path) -> list[Trajectory]:
+        from .ind import parse_ind_tracks
+
         parsed = parse_ind_tracks(tracks, meta, recording)
         if parsed:
             video = parsed[0].source.key()[1:]
@@ -398,6 +386,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .analytics import class_distribution, group_trajectories_for_stats, lost_stats, overlap_report
+    from .store import load_store
+
     cfg = load_run_config(args.config, args.out)
     registry = _load_registry(cfg)
     trajectories = load_store(cfg.store_dir)
@@ -509,6 +500,8 @@ def _export_series(
 
 
 def cmd_aim(args: argparse.Namespace) -> int:
+    from .store import load_store
+
     cfg = load_run_config(args.config, args.out)
     n_window = cfg.n_window or DEFAULT_N_WINDOW[cfg.dataset]
     _settings(cfg.bandwidths, cfg.weights, cfg.n_min)
@@ -633,6 +626,9 @@ def cmd_aim(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import constant_velocity_predict, evaluate, load_predictions, predictor_from_mapping
+    from .store import load_store
+
     cfg = load_run_config(args.config, args.out)
     if args.lost_policy:
         policies = _parse_list(args.lost_policy, "--lost-policy", LostPolicy)

@@ -15,9 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-import yaml
-
-from .types import ConfigError, check_positive, not_utf8
+from .types import ConfigError, check_positive, load_yaml
 
 SCHEMA_VERSION = 1
 OVERLAP_LEVELS = ("none", "partial", "full")
@@ -164,14 +162,7 @@ def _split(section: Mapping, dataset: str, members: str, known: Mapping) -> dict
 def load_registry(path: str | Path | None = None) -> DatasetRegistry:
     """Load and validate a registry file; default is the packaged one."""
     registry_path = Path(path) if path is not None else default_registry_path()
-    with registry_path.open("r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except UnicodeDecodeError:
-            raise not_utf8(registry_path) from None
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"registry: {registry_path}: not valid YAML: {exc}") from None
-
+    doc = load_yaml(registry_path, "registry: ")
     _require(isinstance(doc, dict), "top level must be a mapping")
     _require("version" in doc, "missing `version` field")
     _require(doc["version"] == SCHEMA_VERSION, f"unsupported schema version {doc['version']!r}")

@@ -149,8 +149,13 @@ def _parse_rows(lines: Iterable[str], path: str) -> np.ndarray:
     return np.array(records, dtype=RECORD_DTYPE)
 
 
-def _parse_columns(data: bytes) -> np.ndarray | None:
+def _parse_columns(source: Path | bytes) -> np.ndarray | None:
     """The whole text at once, or None when a row needs `_parse_rows`.
+
+    `source` is the text, or the file to read it from. A file is read here,
+    so that only this frame holds its bytes and they are freed before the
+    records are built: on CPython 3.10 an argument the caller computed
+    lives until the call returns.
 
     Only printable ASCII, tab, newline and carriage return are let through,
     so numpy splits fields and lines where `str.split` and the line loop do
@@ -159,6 +164,8 @@ def _parse_columns(data: bytes) -> np.ndarray | None:
     Flags and labels are read one byte wider than any valid token, so a
     longer token cannot be cut down to a valid one.
     """
+    data = source.read_bytes() if isinstance(source, Path) else source
+    del source  # so that `del data` below frees the text
     if data.translate(None, _PLAIN):
         return None
     # Read through the bytes: a StringIO would copy the text at 4 bytes a character.
@@ -203,7 +210,7 @@ def parse_sdd_annotations(
     """
     if isinstance(source, (str, Path)):
         path = path or str(Path(source))
-        records = _parse_columns(Path(source).read_bytes())
+        records = _parse_columns(Path(source))
         if records is not None:
             return records
         try:

@@ -12,22 +12,35 @@ store instead of the raw files. One line per trajectory:
 array's field order, with flags as 0/1. Records are sorted, keys too, with
 no timestamps, so identical inputs produce byte-identical stores. The
 writer takes one video at a time and puts the files in place only once all
-are written, so a failed write leaves an earlier store as it was. Loading
-checks the manifest's schema_version and that frames strictly increase.
+are written, so a failed write leaves an earlier store as it was.
+
+The reader reads the layout the writer writes, and only that: each file in
+one pass, each line's record by `json.loads` with its points cut out, and
+all the points of a file by one numpy text read straight into POINT_DTYPE.
+A file in any other layout is a StructuralError naming the file: a line
+without `"points": [` as the writer spaces it, points that are not a list
+of rows of six numbers of the fields' types, a truncated line. (Spacing
+around the numbers inside a row is the one thing not checked.) Loading
+also checks the manifest's schema_version and that frames strictly
+increase.
 """
 from __future__ import annotations
 
 import json
 from contextlib import suppress
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .types import POINT_DTYPE, SourceRef, StructuralError, Trajectory
+from .types import POINT_DTYPE, SourceRef, StructuralError, Trajectory, read_columns
 
 STORE_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+# as the writer spaces them: the points key (sorted between "dataset" and
+# "scene") and the separator of two rows
+_POINTS_KEY = '"points": ['
+_ROW_SEP = "], ["
 
 
 def video_filename(source: SourceRef) -> str:
@@ -47,20 +60,6 @@ def _trajectory_record(traj: Trajectory) -> dict:
         "video": traj.source.video,
         "points": traj.points.tolist(),
     }
-
-
-def _trajectory_from_record(record: dict) -> Trajectory:
-    return Trajectory(
-        track_id=int(record["track_id"]),
-        class_label=str(record["class"]),
-        points=np.array(list(map(tuple, record["points"])), dtype=POINT_DTYPE),
-        source=SourceRef(
-            dataset=str(record["dataset"]),
-            scene=str(record["scene"]),
-            video=str(record["video"]),
-        ),
-        segment=int(record["segment"]),
-    )
 
 
 def write_store(
@@ -155,6 +154,68 @@ def load_manifest(store_dir) -> dict:
     return manifest
 
 
+def _rows(points_text: list[str]) -> Iterator[str]:
+    """Each row of each points list, in order. A list is dropped from
+    `points_text` once split, so the text is freed as numpy reads it."""
+    points_text.reverse()
+    while points_text:
+        yield from points_text.pop().split(_ROW_SEP)
+
+
+def _read_video(path: Path) -> list[Trajectory]:
+    """The trajectories of one store file, in file order.
+
+    Each line is parsed by `json.loads` with its points list cut out; the
+    points of all lines are then read by one `read_columns` call and split
+    by each line's row count.
+    """
+    records: list[tuple[dict, int]] = []  # each line's record and row count
+    points_text: list[str] = []  # each non-empty points list, without its outer brackets
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            # Inside a JSON string a quote is escaped, so the first match is the key.
+            key = line.find(_POINTS_KEY)
+            if key < 0:
+                raise ValueError(f"line {line_no}: no points list")
+            start = key + len(_POINTS_KEY)  # just past the list's "["
+            if line.startswith("]", start):
+                end, n_rows = start + 1, 0
+            else:
+                close = line.find("]]", start)
+                if not line.startswith("[", start) or close < 0:
+                    raise ValueError(f"line {line_no}: the points are not a list of rows")
+                points_text.append(line[start + 1 : close])
+                end, n_rows = close + 2, points_text[-1].count(_ROW_SEP) + 1
+            records.append((json.loads(line[: start - 1] + "0" + line[end:]), n_rows))
+    total = sum(n_rows for _, n_rows in records)
+    points = np.empty(0, POINT_DTYPE)
+    if total:
+        points = read_columns(_rows(points_text), POINT_DTYPE, delimiter=",")
+        # numpy skips a blank line, so an empty row reads as one row too few
+        if points is None or len(points) != total:
+            raise ValueError("a point that is not a row of six numbers of the fields' types")
+    trajectories = []
+    stop = 0
+    for record, n_rows in records:
+        stop += n_rows
+        traj = Trajectory(
+            track_id=int(record["track_id"]),
+            class_label=str(record["class"]),
+            points=points[stop - n_rows : stop],
+            source=SourceRef(
+                dataset=str(record["dataset"]),
+                scene=str(record["scene"]),
+                video=str(record["video"]),
+            ),
+            segment=int(record["segment"]),
+        )
+        traj.validate()
+        trajectories.append(traj)
+    return trajectories
+
+
 def load_store(store_dir) -> list[Trajectory]:
     """Read every trajectory back, in manifest order, and validate each."""
     store_path = Path(store_dir)
@@ -164,12 +225,7 @@ def load_store(store_dir) -> list[Trajectory]:
     try:
         for entry in manifest["videos"]:
             file_path = store_path / entry["file"]
-            with open(file_path) as fh:
-                for line in fh:
-                    if line.strip():
-                        traj = _trajectory_from_record(json.loads(line))
-                        traj.validate()
-                        trajectories.append(traj)
+            trajectories += _read_video(file_path)
     except (OSError, KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:
         raise StructuralError(f"corrupt store file {file_path}: {exc}")
     return trajectories

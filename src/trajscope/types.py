@@ -15,9 +15,10 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
+import yaml
 
 # Canonical class labels. SDD ships the first six; inD maps onto
 # {Pedestrian, Biker, Car, TruckBus}. TruckBus stays distinct from Bus
@@ -70,6 +71,25 @@ class StructuralError(ToolError):
 
 class ConfigError(ToolError):
     """An invalid configuration value or registry schema violation."""
+
+
+def load_yaml(path: Path, prefix: str = ""):
+    """The YAML document in the file at `path`, read by libyaml's safe loader
+    when PyYAML has it and by the pure-Python one otherwise.
+
+    A file that is not UTF-8 is a ParseError naming its first bad byte's
+    line; one that is not YAML is a ConfigError, `prefix` then `path:line`.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
+        raise ConfigError(f"{prefix}{where}: not valid YAML ({getattr(exc, 'problem', exc)})") from None
 
 
 def checked_count(value, name: str, minimum: int = 1) -> int:
@@ -183,16 +203,17 @@ def split_tracks(track_ids: np.ndarray, frames: np.ndarray) -> list[np.ndarray]:
     return np.split(order, cuts) if order.size else []
 
 
-def read_columns(text: IO[str], dtype: np.dtype, **options) -> np.ndarray | None:
-    """Read delimited text into a 1-D array of `dtype` with one np.loadtxt call.
+def read_columns(text: IO[str] | Iterable[str], dtype: np.dtype, **options) -> np.ndarray | None:
+    """Read delimited text, a stream or its lines, into a 1-D array of
+    `dtype` with one np.loadtxt call.
 
     Returns None when numpy cannot read the text as given: a field that
-    does not convert, a wrong column count, or no rows at all. The caller's
-    per-row loop then reads it, and that loop is the only place that names
-    a bad row. Every numpy warning counts as a failure, so the "no data"
+    does not convert, a wrong column count, or no rows at all. The caller
+    then reads the text another way or refuses it, and names the bad row
+    if it can. Every numpy warning counts as a failure, so the "no data"
     warning does not escape and numpy < 2, which reads "7.0" as an integer
-    with a DeprecationWarning, is not more lenient than the loop. Comments
-    are off: "#" is data to the loop.
+    with a DeprecationWarning, is not more lenient than a per-row reader.
+    Comments are off: "#" is data.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")

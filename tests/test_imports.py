@@ -1,15 +1,24 @@
-"""The package imports only the standard library, numpy and yaml.
+"""What importing trajscope loads.
 
-Test-only tools (hypothesis, pytest and its plugins) and anything else a
-user would have to install must not be needed to import `trajscope`.
+The package imports only the standard library, numpy and yaml: test-only
+tools (hypothesis, pytest and its plugins) and anything else a user would
+have to install must not be needed to import `trajscope`. Importing the CLI
+loads only what config loading needs, and each command adds only the
+modules it runs, checked in a fresh interpreter.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import trajscope
+from test_cli import write_config, write_ind_recording, write_sdd_tree
+from trajscope.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "trajscope"
 ALLOWED = {"numpy", "yaml", "trajscope"}
@@ -39,3 +48,61 @@ def test_the_import_guard_sees_third_party_imports(tmp_path) -> None:
     module = tmp_path / "m.py"
     module.write_text("import os\nimport hypothesis.strategies\nfrom pytest_benchmark import x\nfrom . import y\n")
     assert imported_modules(module) == ["os", "hypothesis", "pytest_benchmark", "trajscope"]
+
+
+# Imported by `import trajscope.cli`: config loading needs these.
+CONFIG_MODULES = {"aim", "cli", "mi", "preprocess", "types"}
+# What each command adds to them.
+COMMAND_MODULES = {
+    "ingest-sdd": {"sdd", "store"},
+    "ingest-ind": {"ind", "store"},
+    "stats": {"analytics", "registry", "store"},
+    "aim": {"store"},
+    "eval": {"evaluation", "registry", "store"},
+}
+PROBE = (
+    "import sys\n"
+    "{run}\n"
+    "print(' '.join(sorted(m[len('trajscope.'):] for m in sys.modules if m.startswith('trajscope.'))))\n"
+)
+
+
+def loaded_modules(run: str, cwd: Path) -> set[str]:
+    """The trajscope submodules a fresh interpreter holds after `run`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(run=run)],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        cwd=cwd, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_only_what_config_loading_needs(tmp_path) -> None:
+    assert loaded_modules("import trajscope.cli", tmp_path) == CONFIG_MODULES
+    assert loaded_modules("import trajscope", tmp_path) == set()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_own_modules(tmp_path, command) -> None:
+    if command == "ingest-ind":
+        write_ind_recording(tmp_path / "ind")
+        config = tmp_path / "config.yaml"
+        config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'ind'}]\nout: {tmp_path / 'out'}\n")
+    else:
+        config = write_config(tmp_path / "config.yaml", write_sdd_tree(tmp_path), tmp_path / "out")
+        if command != "ingest-sdd":
+            assert main(["ingest", "--config", str(config)]) == 0
+    argv = [command.split("-")[0], "--config", str(config)]
+    run = f"from trajscope.cli import main; assert main({argv!r}) == 0"
+    assert loaded_modules(run, tmp_path) == CONFIG_MODULES | COMMAND_MODULES[command]
+
+
+def test_every_public_name_resolves_and_is_listed() -> None:
+    assert trajscope.__all__ == sorted(trajscope.__all__)
+    listed = dir(trajscope)
+    for name in trajscope.__all__:
+        assert getattr(trajscope, name) is not None, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        trajscope.no_such_name  # noqa: B018

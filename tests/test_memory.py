@@ -61,4 +61,7 @@ def test_parse_peak_is_a_small_multiple_of_the_records(tmp_path) -> None:
     records: list[np.ndarray] = []
     peak = peak_of(lambda: records.append(parse_sdd_annotations(path)))
     assert len(records[0]) == 50_000
-    assert peak <= 2.5 * records[0].nbytes, peak / records[0].nbytes
+    # Measured: 1.84x on CPython 3.11, where the file's bytes (0.41x) are
+    # freed before the records are built. Were they held to the end of the
+    # parse, as a caller's argument is on 3.10, the peak would be ~2.25x.
+    assert peak <= 2.1 * records[0].nbytes, peak / records[0].nbytes

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,32 @@ from hypothesis import strategies as st
 from conftest import make_traj
 from trajscope.store import load_manifest, load_store, write_store
 from trajscope.types import POINT_DTYPE, SourceRef, StructuralError, Trajectory
+
+
+def reference_load_store(store_dir) -> list[Trajectory]:
+    """The store's earlier reader, kept as the reference for the columnar
+    one: `json.loads` of each whole line, the points copied row by row."""
+    store_path = Path(store_dir)
+    trajectories = []
+    for entry in load_manifest(store_path)["videos"]:
+        with open(store_path / entry["file"]) as fh:
+            for line in fh:
+                if line.strip():
+                    record = json.loads(line)
+                    trajectories.append(
+                        Trajectory(
+                            track_id=int(record["track_id"]),
+                            class_label=str(record["class"]),
+                            points=np.array(list(map(tuple, record["points"])), dtype=POINT_DTYPE),
+                            source=SourceRef(
+                                dataset=str(record["dataset"]),
+                                scene=str(record["scene"]),
+                                video=str(record["video"]),
+                            ),
+                            segment=int(record["segment"]),
+                        )
+                    )
+    return trajectories
 
 
 def sample_trajectories():
@@ -185,21 +213,104 @@ ALL_FLAGS = np.array(
     [(2**31 + k, -1.5 * k, -(2.0**-60) * k, k & 1, k >> 1 & 1, k >> 2 & 1) for k in range(8)],
     dtype=POINT_DTYPE,
 )
+# the frame and float extremes: +-2**62, -0.0, subnormals, the largest double
+EXTREMES = np.array(
+    [
+        (-(2**62), -0.0, 5e-324, 0, 0, 0),
+        (-1, 2.0**-1060, -2.2250738585072014e-308, 1, 1, 1),
+        (2**62, 1.7976931348623157e308, -1.7976931348623157e308, 0, 1, 0),
+    ],
+    dtype=POINT_DTYPE,
+)
+EMPTY = np.zeros(0, POINT_DTYPE)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(point_arrays(), min_size=1, max_size=4))
+@given(st.lists(point_arrays(), min_size=1, max_size=5))
 @example([ALL_FLAGS])
+# empty trajectories (the writer's `"points": []`) next to non-empty ones in both files
+@example([EXTREMES, EMPTY, EMPTY, ALL_FLAGS, EMPTY, EMPTY])
+@example([EMPTY, EMPTY, EMPTY])
 def test_store_roundtrip_is_exact(tmp_path_factory, arrays) -> None:
     store = tmp_path_factory.mktemp("store")
-    src = SourceRef("sdd", "quad", "video0")
     trajs = [
-        Trajectory(track_id=i, class_label="Biker", points=points, source=src)
+        # two videos, so that a load reads more than one file
+        Trajectory(track_id=i, class_label="Biker", points=points, source=SourceRef("sdd", "quad", f"video{i % 2}"))
         for i, points in enumerate(arrays)
     ]
     write_store(trajs, store)
     loaded = load_store(store)
-    assert [t.track_id for t in loaded] == [t.track_id for t in trajs]
-    for stored, original in zip(loaded, trajs):
-        assert stored.points.dtype == POINT_DTYPE
-        assert stored.points.tobytes() == original.points.tobytes()
+    reference = reference_load_store(store)
+    assert [(t.source, t.track_id) for t in loaded] == [(t.source, t.track_id) for t in reference]
+    for got, want in zip(loaded, reference):
+        assert got.points.dtype == POINT_DTYPE
+        assert got.points.tobytes() == want.points.tobytes()
+    by_key = {(t.source.key(), t.track_id): t for t in loaded}
+    for original in trajs:
+        assert by_key[(original.source.key(), original.track_id)].points.tobytes() == original.points.tobytes()
+
+
+def _without_points(line: str) -> str:
+    record = json.loads(line)
+    del record["points"]
+    return json.dumps(record, sort_keys=True)
+
+
+# each turns the second line of the sample video0 file into one the reader refuses
+CORRUPT_LINES = {
+    "a point with five columns": lambda line: line.replace("[1, 9.0, 9.0, 0, 0, 0]", "[1, 9.0, 9.0, 0, 0]"),
+    "a point with seven columns": lambda line: line.replace("[1, 9.0, 9.0, 0, 0, 0]", "[1, 9.0, 9.0, 0, 0, 0, 0]"),
+    "an empty point": lambda line: line.replace("[1, 9.0, 9.0, 0, 0, 0], ", "[], "),
+    "a point of no columns alone": lambda line: _without_points(line)[:-1] + ', "points": [[]]}',
+    "a quoted number": lambda line: line.replace("[1, 9.0,", '[1, "9.0",'),
+    "a null": lambda line: line.replace("[1, 9.0,", "[1, null,"),
+    "a nested list": lambda line: line.replace("[1, 9.0,", "[1, [9.0],"),
+    "a flag out of range": lambda line: line.replace("[1, 9.0, 9.0, 0, 0, 0]", "[1, 9.0, 9.0, 0, 0, 256]"),
+    "a float frame": lambda line: line.replace("[1, 9.0,", "[1.5, 9.0,"),
+    "a line cut inside the points": lambda line: line[: line.index("[2, 9.0")],
+    "a line cut after the points": lambda line: line[: line.index('"segment"')],
+    "no points": _without_points,
+    "compact separators": lambda line: json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")),
+    "a points list that is not a list of rows": lambda line: line.replace('"points": [[', '"points": [0, ['),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPT_LINES.values()), ids=list(CORRUPT_LINES))
+def test_a_corrupt_line_is_a_structural_error_naming_the_file(tmp_path, corrupt) -> None:
+    write_store(sample_trajectories(), tmp_path)
+    victim = tmp_path / "sdd__quad__video0.jsonl"
+    lines = victim.read_text().splitlines()
+    lines[1] = corrupt(lines[1])
+    victim.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StructuralError) as err:
+        load_store(tmp_path)
+    assert str(err.value).startswith(f"corrupt store file {victim}: ")
+
+
+def test_load_peak_is_a_small_multiple_of_the_arrays(tmp_path) -> None:
+    rng = np.random.default_rng(0)
+    trajs = []
+    for video in range(2):
+        for track in range(20):
+            points = np.zeros(1000, POINT_DTYPE)
+            points["frame"] = np.arange(1000) + 5000 * track
+            points["x"], points["y"] = rng.uniform(0, 2000, (2, 1000)).round(1)
+            points["lost"] = rng.random(1000) < 0.1
+            trajs.append(Trajectory(track, "Pedestrian", points, SourceRef("sdd", "quad", f"video{video}")))
+    write_store(trajs, tmp_path)
+    load_store(tmp_path)  # first-call caches
+    loaded: list[list[Trajectory]] = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded.append(load_store(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(t.points.nbytes for t in loaded[0])
+    assert nbytes == 40_000 * POINT_DTYPE.itemsize
+    # Measured: 1.25x (the line-by-line reference reader: 1.34x). While a
+    # file is read, its points text is held once and freed as numpy fills
+    # the file's array, next to the arrays of the files read before it.
+    assert peak <= 1.4 * nbytes, peak / nbytes
