@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 # first use, so a command pays only for the modules it runs.
 _EXPORTS = {
     "aim": (
-        "DEFAULT_DELTA", "InteractionPair", "Kinematics", "MeasureSeries", "RhoConfig",
-        "accumulate_aim", "compute_kinematics", "compute_rho", "extract_interactions",
-        "fit_normalizers", "measure_interaction", "sweep",
+        "InteractionPair", "Kinematics", "MeasureSeries", "accumulate_aim", "compute_kinematics",
+        "compute_rho", "extract_interactions", "fit_normalizers", "measure_interaction", "sweep",
     ),
     "analytics": (
         "ClassDistributionRow", "LostStatsRow", "OverlapRow", "SplitCandidate",
@@ -29,7 +28,7 @@ _EXPORTS = {
         "load_predictions", "predictor_from_mapping",
     ),
     "ind": ("meters_to_pixels", "parse_ind_tracks", "pixels_to_meters"),
-    "mi": ("DEFAULT_BANDWIDTHS", "DEFAULT_N_MIN", "HashMIState", "g_divergence", "mi_prefix_series"),
+    "mi": ("HashMIState", "g_divergence", "mi_prefix_series"),
     "preprocess": (
         "LostPolicy", "LostPositions", "PreprocessConfig", "TrajectoryWindow",
         "classify_lost_positions", "drop_generated", "filter_lost", "preprocess_trajectory",
@@ -42,9 +41,10 @@ _EXPORTS = {
     ),
     "store": ("load_manifest", "load_store", "write_store"),
     "types": (
-        "ALL_CLASSES", "POINT_DTYPE", "ConfigError", "DomainError", "IND_CLASSES",
-        "InsufficientDataError", "ParseError", "SDD_CLASSES", "SourceRef", "StructuralError",
-        "ToolError", "Trajectory", "canonical_class", "scene_diagonal",
+        "ALL_CLASSES", "DEFAULT_BANDWIDTHS", "DEFAULT_DELTA", "DEFAULT_N_MIN", "POINT_DTYPE",
+        "ConfigError", "DomainError", "IND_CLASSES", "InsufficientDataError", "ParseError",
+        "RhoConfig", "SDD_CLASSES", "SourceRef", "StructuralError", "ToolError", "Trajectory",
+        "canonical_class", "scene_diagonal",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -48,19 +48,11 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, mi_prefix_bound, mi_prefix_series
+from .mi import mi_prefix_bound, mi_prefix_series
 from .types import (
-    ConfigError,
-    DomainError,
-    InsufficientDataError,
-    StructuralError,
-    Trajectory,
-    check_positive,
-    checked_count,
-    is_number,
+    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, DomainError, InsufficientDataError, RhoConfig,
+    StructuralError, Trajectory, checked_count, checked_delta,
 )
-
-DEFAULT_DELTA = 0.98
 
 
 @dataclass(frozen=True)
@@ -78,37 +70,6 @@ class Kinematics:
     d: float
     h: float
     a: float = 0.0
-
-
-@dataclass(frozen=True)
-class RhoConfig:
-    """Physics-weight shape: rho = (alpha + V*) * D* * (1 + H*).
-
-    V* = v / (v + v0) saturates toward 1 for fast pairs; alpha keeps a
-    floor so stationary-but-close pairs are not zeroed outright.
-    D* = exp(-d / sigma_d) decays with separation.
-    H* = 1 - 2h/pi is +1 heading straight at the partner, -1 directly away.
-    With use_a, the velocity factor becomes (alpha + V* + A*) where
-    A* = a / (a + a0); the augmentation is part of the velocity factor and
-    is ignored when use_v is off. Each use_* flag replaces its factor by 1.
-    Checked when built, also by dataclasses.replace: a bad field is a ConfigError.
-    """
-
-    alpha: float = 0.3
-    v0: float = 1.0
-    sigma_d: float = 125.0
-    a0: float = 0.25
-    use_v: bool = True
-    use_d: bool = True
-    use_h: bool = True
-    use_a: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "v0", "sigma_d", "a0"):
-            check_positive(getattr(self, name), name, zero=name == "alpha")
-        for name in ("use_v", "use_d", "use_h", "use_a"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be True or False, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +95,6 @@ class InteractionPair:
     @property
     def last_frame(self) -> int:
         return int(self.frames[-1])
-
-    @property
-    def t_prime(self) -> int:
-        """First measured frame: n_window frames into the common run."""
-        return int(self.frames[self.n_window])
 
     @property
     def key(self) -> tuple[str, str]:
@@ -380,14 +336,6 @@ def _rho_series(kin: PairKinematics, h: np.ndarray, cfg: RhoConfig) -> np.ndarra
     return v_term * d_term * h_term
 
 
-def _checked_delta(delta: float, name: str = "delta") -> float:
-    if not is_number(delta):
-        raise ConfigError(f"{name} must be a number, got {delta!r}")
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError(f"{name} must be in (0, 1], got {delta!r}")
-    return float(delta)
-
-
 def _recurrence(terms: np.ndarray, delta: float) -> np.ndarray:
     running = 0.0
     aim = []
@@ -422,7 +370,7 @@ def accumulate_aim(
     Both series must cover exactly the same frames, in order. delta must
     satisfy 0 < delta <= 1; delta = 1 accumulates without forgetting.
     """
-    delta = _checked_delta(delta)
+    delta = checked_delta(delta)
     mi_frames, mi_values = _series_arrays("mi", mi_series)
     rho_frames, rho_values = _series_arrays("rho", rho_series)
     if len(mi_frames) != len(rho_frames) or (mi_frames != rho_frames).any():
@@ -459,7 +407,7 @@ def _fold(
     once per n_window, rho per direction and the recurrence per direction and delta.
     """
     cfg = rho_config if rho_config is not None else RhoConfig()
-    deltas = [_checked_delta(delta) for delta in delta_values]
+    deltas = [checked_delta(delta) for delta in delta_values]
     ns = [checked_count(n, "n_window") for n in n_values]
     if not ns:
         return []

@@ -20,38 +20,30 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .aim import (
-    DEFAULT_DELTA,
-    MeasureSeries,
-    RhoConfig,
-    _checked_delta,
-    extract_interactions,
-    final_bounds,
-    fit_normalizers,
-    sweep,
-)
-from .mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, _settings
 from .preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from .types import (
-    ConfigError,
-    IND_CLASSES,
-    InsufficientDataError,
-    SDD_CLASSES,
-    SourceRef,
-    ToolError,
-    Trajectory,
-    checked_count,
-    load_yaml,
-    scene_diagonal,
+    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, IND_CLASSES,
+    InsufficientDataError, RhoConfig, SDD_CLASSES, SourceRef, ToolError, Trajectory, checked_count,
+    checked_delta, checked_mi_settings, load_yaml, scene_diagonal,
 )
 
 # Beyond config loading, each command imports the modules it runs when it
 # runs, so that no command pays to load the others.
 if TYPE_CHECKING:
+    from .aim import MeasureSeries
     from .registry import DatasetRegistry
+
+
+def __getattr__(name: str):
+    # the pair code cmd_aim runs stays an attribute here, loaded only when read
+    if name not in ("extract_interactions", "final_bounds", "fit_normalizers", "sweep"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".aim", __package__), name)
+
 
 # Kinematics window length in native frames when the config leaves it null:
 # about 1 second of motion history at each dataset's frame rate.
@@ -204,10 +196,12 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     rho = RhoConfig(**rho_given)
 
     aim_mi = _section(raw, "aim")
-    _checked_delta(aim_mi.get("delta", DEFAULT_DELTA), "aim.delta")
+    checked_delta(aim_mi.get("delta", DEFAULT_DELTA), "aim.delta")
     if "n_window" in aim_mi:
         checked_count(aim_mi["n_window"], "aim.n_window")
-    aim_mi.update(_section(raw, "mi"))
+    mi = _section(raw, "mi")
+    checked_mi_settings(mi.get("bandwidths", DEFAULT_BANDWIDTHS), mi.get("weights"), mi.get("n_min", DEFAULT_N_MIN))
+    aim_mi.update(mi)
 
     export_format = raw.get("export_format", "both")
     if export_format not in EXPORT_FORMATS:
@@ -485,7 +479,7 @@ def _export_series(
         "class_j": pair.agent_j.class_label,
         "delta": series.delta,
         "n_window": series.n_window,
-        **dataclasses.asdict(series.rho_config or RhoConfig()),
+        **dataclasses.asdict(series.rho_config),
         "bandwidths": list(cfg.bandwidths),
         "weights": None if cfg.weights is None else list(cfg.weights),
         "n_min": cfg.n_min,
@@ -500,18 +494,18 @@ def _export_series(
 
 
 def cmd_aim(args: argparse.Namespace) -> int:
+    from .aim import extract_interactions, final_bounds, fit_normalizers, sweep
     from .store import load_store
 
     cfg = load_run_config(args.config, args.out)
     n_window = cfg.n_window or DEFAULT_N_WINDOW[cfg.dataset]
-    _settings(cfg.bandwidths, cfg.weights, cfg.n_min)
     measure_options = dict(bandwidths=cfg.bandwidths, weights=cfg.weights, n_min=cfg.n_min)
 
     deltas = [cfg.delta]
     n_values = [n_window]
     swept = args.sweep_delta is not None or args.sweep_n is not None
     if args.sweep_delta is not None:
-        deltas = [_checked_delta(d) for d in _parse_list(args.sweep_delta, "--sweep-delta", float)]
+        deltas = [checked_delta(d) for d in _parse_list(args.sweep_delta, "--sweep-delta", float)]
     if args.sweep_n is not None:
         n_values = [checked_count(n, "n_window") for n in _parse_list(args.sweep_n, "--sweep-n", int)]
     named: tuple[str, str] | None = None

@@ -26,7 +26,8 @@ unordered pair and shares it between the two directions.
 the occupied marginal cells alone (no joint counts), so a caller ranking
 many pairs can skip the ones that cannot win.
 
-`HashMIState` and both prefix functions check settings with one function and
+`HashMIState` and both prefix functions check settings with one function
+(`types.checked_mi_settings`, which the config loader uses too) and
 coordinates with another: numbers (else StructuralError) and finite (DomainError).
 """
 from __future__ import annotations
@@ -37,10 +38,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .types import ConfigError, DomainError, InsufficientDataError, StructuralError, checked_count, is_number
+from .types import (
+    DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, ConfigError, DomainError, InsufficientDataError,
+    StructuralError, checked_mi_settings,
+)
 
-DEFAULT_BANDWIDTHS: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
-DEFAULT_N_MIN = 10
 # Prefix counts are built for a block of eval points at once; this caps a
 # block's count matrices at that many cells, whatever the stream length.
 _BLOCK_CELLS = 1 << 12
@@ -73,33 +75,6 @@ def _ensemble(weights: Sequence[float], band_sums: Iterable[float]) -> float:
     return math.fsum(w * total for w, total in zip(weights, band_sums))
 
 
-def _numbers(values, name: str) -> list:
-    """`values` as a list, if it is a list (or another iterable) of real numbers."""
-    try:
-        listed = list(values)
-    except TypeError:  # not iterable, such as a bare number
-        listed = None
-    if listed is None or not all(is_number(v) for v in listed):
-        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-    return listed
-
-
-def _settings(bandwidths, weights, n_min) -> tuple[tuple[float, ...], tuple[float, ...], int]:
-    """The checked (bandwidths, weights, n_min); no weights means equal weights."""
-    bandwidths = _numbers(bandwidths, "bandwidths")
-    if len(bandwidths) == 0 or not all(b > 0 for b in bandwidths):
-        raise ConfigError(f"bandwidths must be positive, got {bandwidths!r}")
-    if math.inf in bandwidths:
-        raise ConfigError(f"bandwidths must be finite, got {bandwidths!r}")
-    weights = [1.0 / len(bandwidths)] * len(bandwidths) if weights is None else _numbers(weights, "weights")
-    if len(weights) != len(bandwidths):
-        raise ConfigError("need one weight per bandwidth")
-    # weights in [0, 1] rules out NaN and inf before they reach the sum
-    if not all(0 <= w <= 1 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
-        raise ConfigError(f"weights must be nonnegative and sum to 1, got {weights!r}")
-    return tuple(float(b) for b in bandwidths), tuple(float(w) for w in weights), checked_count(n_min, "n_min")
-
-
 class HashMIState:
     """Count tables for one pair of streams, one table set per bandwidth."""
 
@@ -109,7 +84,7 @@ class HashMIState:
         weights: Sequence[float] | None = None,
         n_min: int = DEFAULT_N_MIN,
     ):
-        self.bandwidths, self.weights, self.n_min = _settings(bandwidths, weights, n_min)
+        self.bandwidths, self.weights, self.n_min = checked_mi_settings(bandwidths, weights, n_min)
         self.n = 0
         self.x_counts: list[Counter] = [Counter() for _ in self.bandwidths]
         self.y_counts: list[Counter] = [Counter() for _ in self.bandwidths]
@@ -227,7 +202,7 @@ def _prefix_input(
     Both prefix functions take the same arguments and raise the same errors
     through this. With no eval points, the streams are empty and unchecked.
     """
-    bandwidths, weights, n_min = _settings(bandwidths, weights, n_min)
+    bandwidths, weights, n_min = checked_mi_settings(bandwidths, weights, n_min)
     try:
         points = np.asarray(eval_points).reshape(-1)
     except ValueError:  # a ragged nesting such as [[10], [12, 13]]

@@ -1,7 +1,11 @@
-"""Shared domain types and error classes.
+"""Shared domain types, error classes and setting rules.
 
 Coordinates are pixel-space throughout: x grows rightward, y grows downward.
 All timestamps are integer frame indices in the source video's native clock.
+
+Every setting rule lives here, with its default: integers, positive numbers,
+the memory factor, `RhoConfig` and the estimator settings. The config loader,
+`aim` and `mi` all check with them, so they accept the same values.
 
 A trajectory's points are one numpy structured array of POINT_DTYPE, one
 row per frame in increasing frame order. Its fields follow the store's
@@ -10,12 +14,13 @@ generated flags (uint8, 0 or 1).
 """
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Hashable, Iterable, Sequence
 
 import numpy as np
 import yaml
@@ -73,19 +78,41 @@ class ConfigError(ToolError):
     """An invalid configuration value or registry schema violation."""
 
 
+class _UniqueKeys:
+    """A PyYAML loader mixin that refuses a mapping repeating a key (PyYAML
+    keeps the last) at the repeat; a key beside a `<<` merge overrides it."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):  # the base loader refuses it
+                break
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark, f"found duplicate key {key!r}", key_node.start_mark
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_yaml(path: Path, prefix: str = ""):
     """The YAML document in the file at `path`, read by libyaml's safe loader
     when PyYAML has it and by the pure-Python one otherwise.
 
     A file that is not UTF-8 is a ParseError naming its first bad byte's
-    line; one that is not YAML is a ConfigError, `prefix` then `path:line`.
+    line; one that is not YAML, or repeats a key in a mapping, is a
+    ConfigError, `prefix` then `path:line`.
     """
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise not_utf8(path) from None
+    loader = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
     try:
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        return yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
@@ -112,6 +139,78 @@ def check_positive(value, name: str, zero: bool = False) -> None:
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if not (0 <= value if zero else 0 < value) or not value <= sys.float_info.max:
         raise ConfigError(f"{name} must be {'>=' if zero else '>'} 0, got {value!r}")
+
+
+DEFAULT_DELTA = 0.98
+DEFAULT_BANDWIDTHS: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
+DEFAULT_N_MIN = 10
+
+
+def checked_delta(delta, name: str = "delta") -> float:
+    """`delta` as a float, if it is a memory factor: a number in (0, 1]."""
+    if not is_number(delta):
+        raise ConfigError(f"{name} must be a number, got {delta!r}")
+    if not 0.0 < delta <= 1.0:
+        raise ConfigError(f"{name} must be in (0, 1], got {delta!r}")
+    return float(delta)
+
+
+def _numbers(values, name: str) -> list:
+    """`values` as a list, if it is a list (or another iterable) of real numbers."""
+    try:
+        listed = list(values)
+    except TypeError:  # not iterable, such as a bare number
+        listed = None
+    if listed is None or not all(is_number(v) for v in listed):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return listed
+
+
+def checked_mi_settings(bandwidths, weights, n_min) -> tuple[tuple[float, ...], tuple[float, ...], int]:
+    """The checked estimator (bandwidths, weights, n_min); no weights means equal weights."""
+    bandwidths = _numbers(bandwidths, "bandwidths")
+    if len(bandwidths) == 0 or not all(b > 0 for b in bandwidths):
+        raise ConfigError(f"bandwidths must be positive, got {bandwidths!r}")
+    if math.inf in bandwidths:
+        raise ConfigError(f"bandwidths must be finite, got {bandwidths!r}")
+    weights = [1.0 / len(bandwidths)] * len(bandwidths) if weights is None else _numbers(weights, "weights")
+    if len(weights) != len(bandwidths):
+        raise ConfigError("need one weight per bandwidth")
+    # weights in [0, 1] rules out NaN and inf before they reach the sum
+    if not all(0 <= w <= 1 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
+        raise ConfigError(f"weights must be nonnegative and sum to 1, got {weights!r}")
+    return tuple(float(b) for b in bandwidths), tuple(float(w) for w in weights), checked_count(n_min, "n_min")
+
+
+@dataclass(frozen=True)
+class RhoConfig:
+    """Physics-weight shape: rho = (alpha + V*) * D* * (1 + H*).
+
+    V* = v / (v + v0) saturates toward 1 for fast pairs; alpha keeps a
+    floor so stationary-but-close pairs are not zeroed outright.
+    D* = exp(-d / sigma_d) decays with separation.
+    H* = 1 - 2h/pi is +1 heading straight at the partner, -1 directly away.
+    With use_a, the velocity factor becomes (alpha + V* + A*) where
+    A* = a / (a + a0); the augmentation is part of the velocity factor and
+    is ignored when use_v is off. Each use_* flag replaces its factor by 1.
+    Checked when built, also by dataclasses.replace: a bad field is a ConfigError.
+    """
+
+    alpha: float = 0.3
+    v0: float = 1.0
+    sigma_d: float = 125.0
+    a0: float = 0.25
+    use_v: bool = True
+    use_d: bool = True
+    use_h: bool = True
+    use_a: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "v0", "sigma_d", "a0"):
+            check_positive(getattr(self, name), name, zero=name == "alpha")
+        for name in ("use_v", "use_d", "use_h", "use_a"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be True or False, got {getattr(self, name)!r}")
 
 
 class InsufficientDataError(ToolError):

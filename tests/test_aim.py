@@ -270,7 +270,7 @@ def test_extract_directed_pair_with_buffer() -> None:
     assert len(pairs) == 2
     assert {(p.agent_i.track_id, p.agent_j.track_id) for p in pairs} == {(1, 2), (2, 1)}
     for p in pairs:
-        assert p.t_prime == 30
+        assert int(p.frames[p.n_window]) == 30  # the first measured frame
         assert p.first_frame == 0
         assert p.last_frame == 99
 
@@ -467,7 +467,7 @@ def test_measure_interaction_series_shape() -> None:
     pair = crossing_pair()
     out = measure_interaction(pair, delta=0.98, rho_config=RhoConfig())
     assert isinstance(out, MeasureSeries)
-    assert out.frames[0] == pair.t_prime
+    assert out.frames[0] == int(pair.frames[pair.n_window])
     assert out.frames[-1] == pair.last_frame
     assert len(out.frames) == len(out.mi) == len(out.rho) == len(out.aim)
     assert np.isfinite(out.mi).all() and (out.mi >= 0).all()

@@ -210,18 +210,29 @@ def test_every_config_key_is_read(tmp_path) -> None:
         "rho: {alpha: 0, v0: 2, sigma_d: 50.5, a0: 3, use_v: false, use_d: false,"
         " use_h: false, use_a: true}\n"
         "aim: {delta: 1, n_window: 7}\n"
-        "mi: {bandwidths: [4, 2.5], weights: [1, 3], n_min: 3}\n"
+        "mi: {bandwidths: [4, 2.5], weights: [0.25, 0.75], n_min: 3}\n"
     )
     cfg = load_run_config(config)
     assert cfg.preprocess == PreprocessConfig(LostPolicy.KEEP_LOST, True, 5.0, 3, 4, 2)
     assert cfg.rho == RhoConfig(0.0, 2.0, 50.5, 3.0, False, False, False, True)
     assert (cfg.fit_v0, cfg.fit_sigma_d, cfg.fit_a0) == (False, False, False)
     assert (cfg.delta, cfg.n_window, cfg.n_min) == (1.0, 7, 3)
-    assert (cfg.bandwidths, cfg.weights) == ((4.0, 2.5), (1.0, 3.0))
+    assert (cfg.bandwidths, cfg.weights) == ((4.0, 2.5), (0.25, 0.75))
     assert (cfg.dataset, cfg.export_format) == ("ind", "csv")
     # floats stay floats and integers integers, as the dataclasses declare them
     assert type(cfg.preprocess.target_rate) is float and type(cfg.rho.v0) is float
     assert type(cfg.preprocess.predict_len) is int
+
+
+def test_a_loaded_config_makes_a_valid_estimator(tmp_path) -> None:
+    # each value has the right type, but together they are no estimator
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"dataset: sdd\ninputs: [{tmp_path}]\nout: {tmp_path / 'out'}\n"
+        "mi: {bandwidths: [4, 2.5], weights: [1, 3]}\n"
+    )
+    with pytest.raises(ConfigError, match=r"^weights must be nonnegative and sum to 1, got \[1\.0, 3\.0\]$"):
+        load_run_config(config)
 
 
 def test_readme_config_reference_matches_the_config_keys_and_defaults(tmp_path) -> None:
@@ -851,10 +862,13 @@ def test_options_are_checked_before_the_store_loads(workspace, capsys, monkeypat
     ],
     ids=["bandwidths", "weights-sum", "weights-count", "n-min"],
 )
-def test_aim_checks_the_mi_settings_before_the_store_loads(workspace, capsys, mi, message) -> None:
+@pytest.mark.parametrize("command", ["ingest", "stats", "eval", "aim"])
+def test_every_command_checks_the_mi_settings_before_reading_any_file(
+    workspace, capsys, command, mi, message
+) -> None:
     _, _, out, config = workspace  # never ingested: no store
     config.write_text(config.read_text().replace("  n_min: 6", mi))
-    assert run(["aim", "--config", config]) == 1
+    assert run([command, "--config", config]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

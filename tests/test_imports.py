@@ -9,6 +9,7 @@ modules it runs, checked in a fresh interpreter.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import trajscope
+import trajscope.types
 from test_cli import write_config, write_ind_recording, write_sdd_tree
 from trajscope.cli import main
 
@@ -51,13 +53,13 @@ def test_the_import_guard_sees_third_party_imports(tmp_path) -> None:
 
 
 # Imported by `import trajscope.cli`: config loading needs these.
-CONFIG_MODULES = {"aim", "cli", "mi", "preprocess", "types"}
+CONFIG_MODULES = {"cli", "preprocess", "types"}
 # What each command adds to them.
 COMMAND_MODULES = {
     "ingest-sdd": {"sdd", "store"},
     "ingest-ind": {"ind", "store"},
     "stats": {"analytics", "registry", "store"},
-    "aim": {"store"},
+    "aim": {"aim", "mi", "store"},
     "eval": {"evaluation", "registry", "store"},
 }
 PROBE = (
@@ -106,3 +108,30 @@ def test_every_public_name_resolves_and_is_listed() -> None:
         assert name in listed, name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         trajscope.no_such_name  # noqa: B018
+
+
+# Setting rules and defaults defined in `types`, by the other modules that
+# name them: each must hold the one object, not a copy, and `aim` and `mi`
+# keep offering them under their older import paths.
+MOVED = {
+    "aim": ("DEFAULT_BANDWIDTHS", "DEFAULT_DELTA", "DEFAULT_N_MIN", "RhoConfig"),
+    "mi": ("DEFAULT_BANDWIDTHS", "DEFAULT_N_MIN"),
+    "cli": ("DEFAULT_BANDWIDTHS", "DEFAULT_DELTA", "DEFAULT_N_MIN", "RhoConfig"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(MOVED))
+def test_each_setting_rule_has_one_definition(module) -> None:
+    owner = importlib.import_module(f"trajscope.{module}")
+    for name in MOVED[module]:
+        assert getattr(owner, name) is getattr(trajscope.types, name), name
+        assert getattr(trajscope, name) is getattr(trajscope.types, name), name
+
+
+def test_the_cli_offers_the_pair_code_it_runs_without_importing_it() -> None:
+    from trajscope import aim, cli
+
+    for name in ("extract_interactions", "final_bounds", "fit_normalizers", "sweep"):
+        assert getattr(cli, name) is getattr(aim, name), name
+    with pytest.raises(AttributeError, match="no attribute 'measure_interaction'"):
+        cli.measure_interaction  # noqa: B018
