@@ -522,6 +522,15 @@ def measure_interaction(
     return series
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values (a zero's sign aside), without its NaN check,
+    which imports numpy.ma: the middle value, or the mean of the two middle
+    values, of the sorted array."""
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def fit_normalizers(
     pairs: Sequence[InteractionPair], base: RhoConfig | None = None
 ) -> RhoConfig:
@@ -541,8 +550,8 @@ def fit_normalizers(
     kinematics = [pair.kinematics for pair in pairs if len(pair.frames) > pair.n_window]
     if not kinematics:
         return cfg
-    v0 = float(np.median(np.concatenate([k.v for k in kinematics])))
-    a0 = float(np.median(np.concatenate([k.a for k in kinematics])))
+    v0 = _median(np.concatenate([k.v for k in kinematics]))
+    a0 = _median(np.concatenate([k.a for k in kinematics]))
     return dataclasses.replace(
         cfg,
         v0=v0 if v0 > 0 else cfg.v0,

@@ -13,6 +13,11 @@ no timestamps). Status lines go to stderr; data goes to files.
 """
 from __future__ import annotations
 
+import os
+
+# src/ makes no BLAS call, yet OpenBLAS starts its thread pool when numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import csv
 import dataclasses
@@ -28,7 +33,7 @@ from .preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from .types import (
     DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, IND_CLASSES,
     InsufficientDataError, RhoConfig, SDD_CLASSES, SourceRef, ToolError, Trajectory, checked_count,
-    checked_delta, checked_mi_settings, load_yaml, scene_diagonal,
+    checked_delta, checked_mi_settings, is_number, load_yaml, scene_diagonal,
 )
 
 # Beyond config loading, each command imports the modules it runs when it
@@ -52,9 +57,10 @@ DEFAULT_N_WINDOW = {"sdd": 30, "ind": 25}
 EXPORT_FORMATS = ("csv", "jsonl", "both")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a command needs, resolved from YAML plus --out."""
+    """Everything a command needs, resolved from YAML plus --out. Checked when
+    built, also by dataclasses.replace; the loader checks that the paths exist."""
 
     dataset: str
     inputs: list[Path]
@@ -72,6 +78,20 @@ class RunConfig:
     bandwidths: tuple[float, ...] = DEFAULT_BANDWIDTHS
     weights: tuple[float, ...] | None = None
     n_min: int = DEFAULT_N_MIN
+
+    def __post_init__(self) -> None:
+        if self.dataset not in ("sdd", "ind"):
+            raise ConfigError(f"dataset must be 'sdd' or 'ind', got {self.dataset!r}")
+        object.__setattr__(self, "delta", checked_delta(self.delta, "aim.delta"))
+        if self.n_window is not None:
+            object.__setattr__(self, "n_window", checked_count(self.n_window, "aim.n_window"))
+        bandwidths, weights, n_min = checked_mi_settings(self.bandwidths, self.weights, self.n_min)
+        object.__setattr__(self, "bandwidths", bandwidths)
+        # unset weights stay None (equal weights), as meta.json records them
+        object.__setattr__(self, "weights", None if self.weights is None else weights)
+        object.__setattr__(self, "n_min", n_min)
+        if self.export_format not in EXPORT_FORMATS:
+            raise ConfigError(f"export_format must be one of {EXPORT_FORMATS}, got {self.export_format!r}")
 
     @property
     def store_dir(self) -> Path:
@@ -119,7 +139,8 @@ def _convert(key: str, value, kind: type, what: str = "config key"):
     whether it is a config key or a command-line option).
 
     `tuple` means a list of floats. A bool must be a YAML boolean (a quoted
-    "false" is not one); numbers must be finite, and integers integral.
+    "false" is not one) and a number a YAML number (a quoted "2" is not
+    one); numbers must be finite, and integers integral.
     """
     if kind is LostPolicy:
         return LostPolicy.parse(value)
@@ -129,7 +150,7 @@ def _convert(key: str, value, kind: type, what: str = "config key"):
     elif kind in (bool, str):
         if isinstance(value, kind):
             return value
-    elif not isinstance(value, bool):
+    elif is_number(value) or what == "option":  # an option is text to parse
         try:
             number = float(value)
         except (TypeError, ValueError, OverflowError):
@@ -167,10 +188,6 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {unknown}")
 
-    dataset = raw.get("dataset")
-    if dataset not in ("sdd", "ind"):
-        raise ConfigError(f"dataset must be 'sdd' or 'ind', got {dataset!r}")
-
     inputs_raw = raw.get("inputs")
     if not inputs_raw:
         raise ConfigError("config needs at least one entry under inputs:")
@@ -195,22 +212,8 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     rho_given = _section(raw, "rho")
     rho = RhoConfig(**rho_given)
 
-    aim_mi = _section(raw, "aim")
-    checked_delta(aim_mi.get("delta", DEFAULT_DELTA), "aim.delta")
-    if "n_window" in aim_mi:
-        checked_count(aim_mi["n_window"], "aim.n_window")
-    mi = _section(raw, "mi")
-    checked_mi_settings(mi.get("bandwidths", DEFAULT_BANDWIDTHS), mi.get("weights"), mi.get("n_min", DEFAULT_N_MIN))
-    aim_mi.update(mi)
-
-    export_format = raw.get("export_format", "both")
-    if export_format not in EXPORT_FORMATS:
-        raise ConfigError(
-            f"export_format must be one of {EXPORT_FORMATS}, got {export_format!r}"
-        )
-
     return RunConfig(
-        dataset=dataset,
+        dataset=raw.get("dataset"),
         inputs=inputs,
         out=Path(out_raw),
         registry_path=registry_path,
@@ -220,8 +223,9 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
         fit_v0="v0" not in rho_given,
         fit_sigma_d="sigma_d" not in rho_given,
         fit_a0="a0" not in rho_given,
-        export_format=export_format,
-        **aim_mi,
+        export_format=raw.get("export_format", "both"),
+        **_section(raw, "aim"),
+        **_section(raw, "mi"),
     )
 
 
@@ -697,7 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_aim)
     selection = p_aim.add_mutually_exclusive_group()
     selection.add_argument("--pair", default=None, help="directed pair of track ids: I,J")
-    selection.add_argument("--top-k", type=int, default=None, help="export the K pairs with the highest final measure (default 5)")
+    selection.add_argument(
+        "--top-k", type=int, default=None, help="export the K directed pairs with the highest final measure (default 5)"
+    )
     p_aim.add_argument("--sweep-delta", default=None, help="comma-separated memory factors to sweep")
     p_aim.add_argument("--sweep-n", default=None, help="comma-separated window lengths to sweep")
     p_aim.set_defaults(func=cmd_aim)

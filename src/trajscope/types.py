@@ -4,7 +4,7 @@ Coordinates are pixel-space throughout: x grows rightward, y grows downward.
 All timestamps are integer frame indices in the source video's native clock.
 
 Every setting rule lives here, with its default: integers, positive numbers,
-the memory factor, `RhoConfig` and the estimator settings. The config loader,
+the memory factor, `RhoConfig` and the estimator settings. The CLI's `RunConfig`,
 `aim` and `mi` all check with them, so they accept the same values.
 
 A trajectory's points are one numpy structured array of POINT_DTYPE, one

@@ -565,6 +565,24 @@ def test_fit_normalizers() -> None:
     assert fitted.a0 == float(np.median([k.a for k in kins]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(-1e300, 1e300),
+            st.floats(-1e3, 1e3).map(lambda x: round(x, 1)),
+            st.sampled_from([0.0, -0.0, 1.0, 2.5]),  # ties
+        ),
+        min_size=1,
+        max_size=500,
+    )
+)
+def test_the_fit_median_is_numpys(values) -> None:
+    array = np.array(values, dtype=np.float64)
+    # equal values, so equal bits but for the sign of a zero, which the fit refuses either way
+    assert aim._median(array) == float(np.median(array))
+
+
 # --- upper bounds for the ranking -------------------------------------------------------
 
 

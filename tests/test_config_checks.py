@@ -1,8 +1,9 @@
-"""PreprocessConfig and RhoConfig check their fields once, when built."""
+"""PreprocessConfig, RhoConfig and RunConfig check their fields once, when built."""
 from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import straight_line
 from trajscope.aim import Kinematics, RhoConfig, compute_rho
+from trajscope.cli import RunConfig, load_run_config
 from trajscope.preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from trajscope.types import ConfigError, ToolError
 
@@ -39,6 +41,68 @@ def test_replace_checks_again() -> None:
         dataclasses.replace(fitted, sigma_d=0.0)
     with pytest.raises(ConfigError, match="^observe_len must be >= 2, got 1$"):
         dataclasses.replace(PreprocessConfig(), observe_len=1)
+
+
+def write_run_config(tmp_path: Path, extra: str = "") -> Path:
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: sdd\ninputs: [{tmp_path}]\nout: {tmp_path / 'out'}\n{extra}")
+    return config
+
+
+# field, a bad value, and the config text that sets it
+BAD_RUN_SETTINGS = [
+    ("dataset", "sdd2", ""),
+    ("export_format", "xml", "export_format: xml\n"),
+    ("delta", 1.5, "aim: {delta: 1.5}\n"),
+    ("n_window", 0, "aim: {n_window: 0}\n"),
+    ("bandwidths", (0.0, 8.0), "mi: {bandwidths: [0, 8]}\n"),
+    ("weights", (0.5, 0.6, 0.0, 0.0), "mi: {weights: [0.5, 0.6, 0, 0]}\n"),
+    ("n_min", 0, "mi: {n_min: 0}\n"),
+]
+
+
+@pytest.mark.parametrize("field, value, text", BAD_RUN_SETTINGS, ids=[f for f, _, _ in BAD_RUN_SETTINGS])
+def test_replace_checks_a_run_config_as_loading_does(tmp_path, field, value, text) -> None:
+    ok = load_run_config(write_run_config(tmp_path))
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(ok, **{field: value})
+    config = write_run_config(tmp_path, text)
+    if field == "dataset":
+        config.write_text(config.read_text().replace("dataset: sdd", f"dataset: {value}"))
+    with pytest.raises(ConfigError) as loaded:
+        load_run_config(config)
+    assert str(replaced.value) == str(loaded.value)
+    assert "\n" not in str(loaded.value)
+
+
+def test_a_run_config_is_frozen_and_keeps_unset_settings_unset(tmp_path) -> None:
+    cfg = load_run_config(write_run_config(tmp_path))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.delta = 0.5  # type: ignore[misc]
+    # no weights means equal weights, recorded as null; no window means the dataset's
+    assert (cfg.weights, cfg.n_window) == (None, None)
+    built = RunConfig(
+        "ind", [tmp_path], tmp_path, None, PreprocessConfig(), RhoConfig(), True, True, True, "csv",
+        delta=1, n_window=3, bandwidths=[4, 2], weights=[0.5, 0.5], n_min=2,
+    )
+    # the checked values are the ones stored
+    assert (built.delta, built.bandwidths, built.weights) == (1.0, (4.0, 2.0), (0.5, 0.5))
+    assert type(built.delta) is float
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('rho: {v0: "2"}', "config key rho.v0 must be a finite number, got '2'"),
+        ('preprocess: {observe_len: "8"}', "config key preprocess.observe_len must be an integer, got '8'"),
+        ('aim: {delta: "0.5"}', "config key aim.delta must be a finite number, got '0.5'"),
+        ('mi: {bandwidths: ["4", 8]}', "config key mi.bandwidths must be a finite number, got '4'"),
+    ],
+)
+def test_a_quoted_number_in_the_config_is_an_error_naming_its_key(tmp_path, text, message) -> None:
+    with pytest.raises(ConfigError) as err:
+        load_run_config(write_run_config(tmp_path, text + "\n"))
+    assert str(err.value) == message
 
 
 def test_the_lost_policy_is_stored_parsed() -> None:

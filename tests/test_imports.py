@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -69,15 +70,21 @@ PROBE = (
 )
 
 
-def loaded_modules(run: str, cwd: Path) -> set[str]:
-    """The trajscope submodules a fresh interpreter holds after `run`."""
+def fresh(code: str, cwd: Path, **env: str | None) -> str:
+    """What a fresh interpreter running `code` prints, with `env` set (None: unset)."""
+    environ = dict(os.environ, PYTHONPATH=str(SRC.parent), **env)
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(run=run)],
-        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        [sys.executable, "-c", code],
+        env={name: value for name, value in environ.items() if value is not None},
         cwd=cwd, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def loaded_modules(run: str, cwd: Path) -> set[str]:
+    """The trajscope submodules a fresh interpreter holds after `run`."""
+    return set(fresh(PROBE.format(run=run), cwd).split())
 
 
 def test_importing_the_cli_loads_only_what_config_loading_needs(tmp_path) -> None:
@@ -98,6 +105,23 @@ def test_each_command_loads_only_its_own_modules(tmp_path, command) -> None:
     argv = [command.split("-")[0], "--config", str(config)]
     run = f"from trajscope.cli import main; assert main({argv!r}) == 0"
     assert loaded_modules(run, tmp_path) == CONFIG_MODULES | COMMAND_MODULES[command]
+
+
+def test_the_cli_pins_openblas_to_one_thread_unless_the_user_set_it(tmp_path) -> None:
+    probe = "import os, trajscope.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh(probe, tmp_path, OPENBLAS_NUM_THREADS=None).strip() == "1"
+    assert fresh(probe, tmp_path, OPENBLAS_NUM_THREADS="3").strip() == "3"
+
+
+def test_a_fitted_aim_run_leaves_numpy_ma_unloaded(tmp_path) -> None:
+    config = write_config(tmp_path / "config.yaml", write_sdd_tree(tmp_path), tmp_path / "out")
+    # v0 and a0 unset: aim fits them from the store
+    config.write_text(config.read_text().replace("  v0: 1.0\n", "").replace("  a0: 0.25\n", ""))
+    assert main(["ingest", "--config", str(config)]) == 0
+    run = f"import sys; from trajscope.cli import main; assert main(['aim', '--config', {str(config)!r}]) == 0"
+    assert fresh(run + "; print('numpy.ma' in sys.modules)", tmp_path).strip() == "False"
+    metas = [json.loads(path.read_text()) for path in (tmp_path / "out" / "aim").glob("*.meta.json")]
+    assert metas and all(meta["v0"] != 1.0 for meta in metas)  # fitted
 
 
 def test_every_public_name_resolves_and_is_listed() -> None:
