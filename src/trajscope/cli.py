@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from .types import (
     DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, IND_CLASSES,
-    InsufficientDataError, RhoConfig, SDD_CLASSES, SourceRef, ToolError, Trajectory, checked_count,
-    checked_delta, checked_mi_settings, is_number, load_yaml, scene_diagonal,
+    InsufficientDataError, RhoConfig, SDD_CLASSES, SourceRef, ToolError, Trajectory, check_first_eval_point,
+    checked_count, checked_delta, checked_mi_settings, is_number, load_yaml, scene_diagonal,
 )
 
 # Beyond config loading, each command imports the modules it runs when it
@@ -521,6 +521,8 @@ def cmd_aim(args: argparse.Namespace) -> int:
             raise ConfigError(f"--pair names track {parts[0]!r} twice; a pair needs two tracks")
         named = (parts[0], parts[1])
     top_k = checked_count(args.top_k if args.top_k is not None else 5, "--top-k")
+    # the smallest window measured: --pair measures the n_values, the top-k ranking n_window too
+    check_first_eval_point(min(n_values if named is not None else [n_window, *n_values]) + 1, cfg.n_min)
 
     trajectories = load_store(cfg.store_dir)
     if named is not None:
@@ -613,7 +615,7 @@ def cmd_aim(args: argparse.Namespace) -> int:
         _export_series(cfg, key, series, swept)
     _status(
         f"exported {len(selected)} measure series for "
-        f"{len({(key, series.pair.key) for key, series in selected})} pairs to {cfg.aim_dir} "
+        f"{len({(key, series.pair.key) for key, series in selected})} directed pairs to {cfg.aim_dir} "
         f"({considered} pairs considered, {measurable} measurable, {measured} measured, "
         f"{0 if named is not None else measurable - measured} skipped by the bound)"
     )

@@ -10,7 +10,6 @@ evaluated by exporting their outputs to the documented JSONL record format
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +19,6 @@ import numpy as np
 
 from .preprocess import TrajectoryWindow
 from .types import StructuralError, not_utf8
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +44,8 @@ class EvalReport:
 Predictor = Callable[[TrajectoryWindow], Prediction]
 
 
-def _paired(prediction, truth) -> tuple[np.ndarray, np.ndarray]:
+def _displacements(prediction, truth) -> np.ndarray:
+    """Euclidean displacement at each predicted point."""
     pred = np.asarray(prediction, dtype=np.float64)
     true = np.asarray(truth, dtype=np.float64)
     if pred.shape != true.shape or pred.ndim != 2 or pred.shape[1] != 2:
@@ -57,21 +55,18 @@ def _paired(prediction, truth) -> tuple[np.ndarray, np.ndarray]:
         )
     if len(pred) == 0:
         raise StructuralError("cannot score an empty prediction")
-    return pred, true
+    gaps = pred - true
+    return np.hypot(gaps[:, 0], gaps[:, 1])
 
 
 def ade(prediction, truth) -> float:
     """Mean Euclidean displacement over all predicted points."""
-    pred, true = _paired(prediction, truth)
-    gaps = pred - true
-    return float(np.hypot(gaps[:, 0], gaps[:, 1]).mean())
+    return float(_displacements(prediction, truth).mean())
 
 
 def fde(prediction, truth) -> float:
     """Euclidean displacement at the final predicted point."""
-    pred, true = _paired(prediction, truth)
-    gap = pred[-1] - true[-1]
-    return float(np.hypot(gap[0], gap[1]))
+    return float(_displacements(prediction, truth)[-1])
 
 
 def constant_velocity_predict(window: TrajectoryWindow) -> Prediction:
@@ -144,31 +139,18 @@ def evaluate(
     *,
     config_label: str = "default",
 ) -> list[EvalReport]:
-    """Score every window once, then average per group.
+    """Score every window once, grouping as it scores, then average per group.
 
     Groups are "all" plus one row per class present; classes with no
-    windows are omitted. Rows come back sorted by dataset, with "all"
-    ahead of the class rows.
+    windows are omitted, so no windows give no rows. Rows come back
+    sorted by dataset, with "all" ahead of the class rows.
     """
-    if not windows:
-        logger.info("evaluate called with no windows; nothing to report")
-        return []
-    scored: list[tuple[str, str, float, float]] = []
-    for window in windows:
-        prediction = predictor(window)
-        scored.append(
-            (
-                window.track.source.dataset,
-                window.class_label,
-                ade(prediction.points, window.future),
-                fde(prediction.points, window.future),
-            )
-        )
-
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for dataset, class_label, a, f in scored:
-        for group in ("all", class_label):
-            groups.setdefault((dataset, group), []).append((a, f))
+    for window in windows:
+        displacements = _displacements(predictor(window).points, window.future)
+        ade_fde = (displacements.mean(), displacements[-1])
+        for group in ("all", window.class_label):
+            groups.setdefault((window.track.source.dataset, group), []).append(ade_fde)
 
     def order(key: tuple[str, str]):
         dataset, group = key

@@ -40,7 +40,7 @@ import numpy as np
 
 from .types import (
     DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, ConfigError, DomainError, InsufficientDataError,
-    StructuralError, checked_mi_settings,
+    StructuralError, check_first_eval_point, checked_mi_settings,
 )
 
 # Prefix counts are built for a block of eval points at once; this caps a
@@ -213,10 +213,7 @@ def _prefix_input(
         raise ConfigError(f"eval points must be integers, got {points.tolist()!r}")
     if (np.diff(points) <= 0).any():
         raise ConfigError(f"eval points must be strictly increasing, got {points.tolist()!r}")
-    if points[0] < n_min:
-        raise InsufficientDataError(
-            f"first eval point {points[0]} is below the {n_min}-sample minimum"
-        )
+    check_first_eval_point(points[0], n_min)
     samples = pairs if isinstance(pairs, np.ndarray) else list(pairs)
     if points[-1] > len(samples):
         beyond = points[points > len(samples)][0]

@@ -20,9 +20,12 @@ all the points of a file by one numpy text read straight into POINT_DTYPE.
 A file in any other layout is a StructuralError naming the file: a line
 without `"points": [` as the writer spaces it, points that are not a list
 of rows of six numbers of the fields' types, a truncated line. (Spacing
-around the numbers inside a row is the one thing not checked.) Loading
-also checks the manifest's schema_version and that frames strictly
-increase.
+around the numbers inside a row is the one thing not checked.) So is, at
+its line, what the writer cannot write: a record of another video than
+its manifest entry, a non-integer or out-of-order `(track_id, segment)`,
+a class outside ALL_CLASSES, frames not strictly increasing within a
+record, a non-finite coordinate, a flag other than 0 and 1. Loading also
+checks the manifest's schema_version; nothing after it checks the data.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .types import POINT_DTYPE, SourceRef, StructuralError, Trajectory, read_columns
+from .types import ALL_CLASSES, POINT_DTYPE, SourceRef, StructuralError, Trajectory, read_columns
 
 STORE_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -99,7 +102,10 @@ def write_store(
             partials.append(store_path / f"{filename}.partial")
             with open(partials[-1], "w") as fh:
                 for traj in trajs:
-                    fh.write(json.dumps(_trajectory_record(traj), sort_keys=True))
+                    try:  # NaN and Infinity are not JSON
+                        fh.write(json.dumps(_trajectory_record(traj), sort_keys=True, allow_nan=False))
+                    except ValueError:
+                        raise StructuralError(f"track {traj.uid} of video {key}: a point that is not finite") from None
                     fh.write("\n")
             entries[key] = {
                 "dataset": key[0],
@@ -162,15 +168,17 @@ def _rows(points_text: list[str]) -> Iterator[str]:
         yield from points_text.pop().split(_ROW_SEP)
 
 
-def _read_video(path: Path) -> list[Trajectory]:
-    """The trajectories of one store file, in file order.
+def _read_video(path: Path, source: SourceRef) -> list[Trajectory]:
+    """The trajectories of one store file, in file order, checked.
 
-    Each line is parsed by `json.loads` with its points list cut out; the
-    points of all lines are then read by one `read_columns` call and split
-    by each line's row count.
+    Each line is parsed by `json.loads` with its points list cut out, and
+    its record checked against `source` and the line before; the points of
+    all lines are then read by one `read_columns` call, checked as one
+    array, and split by each line's row count.
     """
-    records: list[tuple[dict, int]] = []  # each line's record and row count
+    records: list[tuple[dict, int, int]] = []  # each line's record, row count and line number
     points_text: list[str] = []  # each non-empty points list, without its outer brackets
+    last: tuple = ()  # the (track_id, segment) of the line before; () is below every pair
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -188,36 +196,44 @@ def _read_video(path: Path) -> list[Trajectory]:
                     raise ValueError(f"line {line_no}: the points are not a list of rows")
                 points_text.append(line[start + 1 : close])
                 end, n_rows = close + 2, points_text[-1].count(_ROW_SEP) + 1
-            records.append((json.loads(line[: start - 1] + "0" + line[end:]), n_rows))
-    total = sum(n_rows for _, n_rows in records)
+            record = json.loads(line[: start - 1] + "0" + line[end:])
+            ident = (record["track_id"], record["segment"])
+            if (record["dataset"], record["scene"], record["video"]) != source.key():
+                raise ValueError(f"line {line_no}: a record of another video than {source.key()}")
+            if not all(type(v) is int for v in ident):
+                raise ValueError(f"line {line_no}: track_id and segment must be integers, got {ident}")
+            if ident <= last:
+                raise ValueError(f"line {line_no}: (track_id, segment) {ident} does not follow {last}")
+            if record["class"] not in ALL_CLASSES:
+                raise ValueError(f"line {line_no}: class {record['class']!r} is not one of {ALL_CLASSES}")
+            records.append((record, n_rows, line_no))
+            last = ident
+    ends = np.cumsum([n_rows for _, n_rows, _ in records], dtype=np.int64)
+    total = int(ends[-1]) if records else 0
     points = np.empty(0, POINT_DTYPE)
     if total:
         points = read_columns(_rows(points_text), POINT_DTYPE, delimiter=",")
         # numpy skips a blank line, so an empty row reads as one row too few
         if points is None or len(points) != total:
             raise ValueError("a point that is not a row of six numbers of the fields' types")
-    trajectories = []
-    stop = 0
-    for record, n_rows in records:
-        stop += n_rows
-        traj = Trajectory(
-            track_id=int(record["track_id"]),
-            class_label=str(record["class"]),
-            points=points[stop - n_rows : stop],
-            source=SourceRef(
-                dataset=str(record["dataset"]),
-                scene=str(record["scene"]),
-                video=str(record["video"]),
-            ),
-            segment=int(record["segment"]),
-        )
-        traj.validate()
-        trajectories.append(traj)
-    return trajectories
+    frames = points["frame"]
+    falls = np.concatenate(([False], frames[1:] <= frames[:-1]))
+    falls[ends[ends < total]] = False  # a record's first row follows another record
+    for bad, what in (
+        (falls, "frames not strictly increasing"),
+        (~(np.isfinite(points["x"]) & np.isfinite(points["y"])), "a coordinate that is not finite"),
+        ((points["lost"] | points["occluded"] | points["generated"]) > 1, "a flag that is not 0 or 1"),
+    ):
+        if bad.any():
+            raise ValueError(f"line {records[np.searchsorted(ends, bad.argmax(), 'right')][2]}: {what}")
+    return [
+        Trajectory(record["track_id"], record["class"], points[stop - n_rows : stop], source, record["segment"])
+        for (record, n_rows, _), stop in zip(records, ends)
+    ]
 
 
 def load_store(store_dir) -> list[Trajectory]:
-    """Read every trajectory back, in manifest order, and validate each."""
+    """Read every trajectory back, in manifest order, each file checked once."""
     store_path = Path(store_dir)
     manifest = load_manifest(store_path)
     trajectories: list[Trajectory] = []
@@ -225,7 +241,8 @@ def load_store(store_dir) -> list[Trajectory]:
     try:
         for entry in manifest["videos"]:
             file_path = store_path / entry["file"]
-            trajectories += _read_video(file_path)
+            source = SourceRef(*(str(entry[name]) for name in ("dataset", "scene", "video")))
+            trajectories += _read_video(file_path, source)
     except (OSError, KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:
         raise StructuralError(f"corrupt store file {file_path}: {exc}")
     return trajectories

@@ -182,6 +182,12 @@ def checked_mi_settings(bandwidths, weights, n_min) -> tuple[tuple[float, ...], 
     return tuple(float(b) for b in bandwidths), tuple(float(w) for w in weights), checked_count(n_min, "n_min")
 
 
+def check_first_eval_point(first: int, n_min: int) -> None:
+    """An InsufficientDataError unless the first estimate, after `first` samples, has `n_min`."""
+    if first < n_min:
+        raise InsufficientDataError(f"first eval point {first} is below the {n_min}-sample minimum")
+
+
 @dataclass(frozen=True)
 class RhoConfig:
     """Physics-weight shape: rho = (alpha + V*) * D* * (1 + H*).
@@ -287,12 +293,6 @@ class Trajectory:
             source=self.source,
             segment=self.segment if segment is None else segment,
         )
-
-    def validate(self) -> None:
-        if np.any(np.diff(self.points["frame"]) <= 0):
-            raise StructuralError(
-                f"track {self.uid} of {self.source.key()}: frames not strictly increasing"
-            )
 
 
 def split_tracks(track_ids: np.ndarray, frames: np.ndarray) -> list[np.ndarray]:

@@ -416,6 +416,22 @@ def test_stats_requires_ingest(workspace, capsys) -> None:
     assert "ingest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["stats", "eval", "aim"])
+def test_a_nan_in_the_store_is_one_error_line_and_no_output(workspace, capsys, command) -> None:
+    _, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    victim = out / "store" / "sdd__quad__video0.jsonl"
+    lines = victim.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace(", 104.0, ", ", NaN, ", 1)  # track 1's first y
+    victim.write_text("".join(lines))
+    capsys.readouterr()
+    assert run([command, "--config", config]) == 1
+    *warnings, error = capsys.readouterr().err.splitlines()  # stats and eval load the registry first
+    assert error == f"error: corrupt store file {victim}: line 2: a coordinate that is not finite"
+    assert all(line.startswith("warning: sdd scene ") for line in warnings)
+    assert sorted(p.name for p in out.iterdir()) == ["store"]
+
+
 # --- aim ---------------------------------------------------------------------------
 
 
@@ -686,7 +702,7 @@ def test_aim_status_counts_the_pairs(tmp_path, monkeypatch, capsys) -> None:
     measured = len(mi_calls)
     assert 0 < measured < measurable
     assert capsys.readouterr().err == (
-        f"exported 2 measure series for 2 pairs to {out / 'aim'} (31 pairs considered, "
+        f"exported 2 measure series for 2 directed pairs to {out / 'aim'} (31 pairs considered, "
         f"{measurable} measurable, {measured} measured, {measurable - measured} skipped by the bound)\n"
     )
 
@@ -700,6 +716,19 @@ def test_aim_n_min_above_the_first_eval_point_is_one_error_line(tmp_path, capsys
     capsys.readouterr()
     assert run(["aim", "--config", config]) == 1
     assert capsys.readouterr().err == "error: first eval point 6 is below the 7-sample minimum\n"
+
+
+@pytest.mark.parametrize(
+    "argv, n_min, first",
+    [([], 7, 6), (["--sweep-n", "1"], 6, 2), (["--pair", "0,9", "--sweep-n", "3,8"], 6, 4)],
+    ids=["n_window", "sweep-n", "pair-sweep-n"],
+)
+def test_aim_n_min_above_the_first_eval_point_is_found_before_the_store(workspace, capsys, argv, n_min, first) -> None:
+    _, _, out, config = workspace  # nothing ingested, and track 9 is in no store
+    config.write_text(config.read_text().replace("n_min: 6", f"n_min: {n_min}"))
+    assert run(["aim", "--config", config, *argv]) == 1
+    assert capsys.readouterr().err == f"error: first eval point {first} is below the {n_min}-sample minimum\n"
+    assert not out.exists()
 
 
 def test_aim_sweep(workspace) -> None:
@@ -782,7 +811,7 @@ def test_aim_pair_exports_the_named_direction_of_each_video(tmp_path, capsys, fi
     assert exported == tree_bytes(cfg.aim_dir)
     measurable = sum(len(ps) // 2 for ps in pairs.values())
     assert status == (
-        f"exported 2 measure series for 2 pairs to {out / 'aim'} (30 pairs considered, "
+        f"exported 2 measure series for 2 directed pairs to {out / 'aim'} (30 pairs considered, "
         f"{measurable} measurable, 2 measured, 0 skipped by the bound)\n"
     )
 

@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import make_traj
 from trajscope.evaluation import (
     Prediction,
@@ -16,8 +19,8 @@ from trajscope.evaluation import (
     predictor_from_mapping,
     fde,
 )
-from trajscope.preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory, window
-from trajscope.types import ParseError, StructuralError
+from trajscope.preprocess import LostPolicy, PreprocessConfig, TrajectoryWindow, preprocess_trajectory, window
+from trajscope.types import ParseError, SourceRef, StructuralError
 
 CFG = PreprocessConfig(target_rate=2.5)  # identity resample at native 2.5
 
@@ -183,6 +186,57 @@ def test_evaluate_permutation_invariant() -> None:
 
 def test_evaluate_empty_windows() -> None:
     assert evaluate([], constant_velocity_predict) == []
+
+
+def oracle_errors(prediction, truth) -> tuple[float, float]:
+    """One window's (ade, fde) as before one displacement pass served both:
+    ade over all gaps, fde from the last gap alone."""
+    gaps = np.asarray(prediction, dtype=np.float64) - np.asarray(truth, dtype=np.float64)
+    return float(np.hypot(gaps[:, 0], gaps[:, 1]).mean()), float(np.hypot(gaps[-1][0], gaps[-1][1]))
+
+
+def evaluate_oracle(windows, predictor) -> list[tuple]:
+    """The per-window loop `evaluate` replaced, kept as its reference, as
+    (dataset, group, ade, fde, n_windows) rows."""
+    errors: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    for w in windows:
+        scored = oracle_errors(predictor(w).points, w.future)
+        for group in ("all", w.class_label):
+            errors.setdefault((w.track.source.dataset, group), []).append(scored)
+    return [
+        (dataset, group, math.fsum(a for a, _ in rows) / len(rows), math.fsum(f for _, f in rows) / len(rows), len(rows))
+        for (dataset, group), rows in sorted(errors.items(), key=lambda kv: (kv[0][0], kv[0][1] != "all", kv[0][1]))
+    ]
+
+
+@st.composite
+def scored_windows(draw) -> tuple[list[TrajectoryWindow], dict[str, np.ndarray]]:
+    """Windows of 1-4 future points in two datasets and three classes, each with a prediction."""
+    coords = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    windows, predictions = [], {}
+    for k in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(1, 4))
+        future, predicted = (np.reshape(draw(st.lists(coords, min_size=2 * n, max_size=2 * n)), (n, 2)) for _ in "ab")
+        traj = make_traj(
+            [(0.0, 0.0)],
+            class_label=draw(st.sampled_from(["Pedestrian", "Biker", "Car"])),
+            source=SourceRef(draw(st.sampled_from(["sdd", "ind"])), "scene", "video0"),
+        )
+        windows.append(TrajectoryWindow(traj, k, np.arange(n), np.zeros((0, 2)), future))
+        predictions[windows[-1].window_id] = predicted
+    return windows, predictions
+
+
+@settings(max_examples=80, deadline=None)
+@given(scored_windows())
+def test_evaluate_equals_the_per_window_loop_bit_for_bit(scored) -> None:
+    windows, predictions = scored
+    predict = predictor_from_mapping(predictions)
+    got = [(r.dataset, r.group, r.ade, r.fde, r.n_windows) for r in evaluate(windows, predict)]
+    assert got == evaluate_oracle(windows, predict)  # == on floats: the same bits, as none is NaN or -0.0
+    for w in windows:
+        want = oracle_errors(predictions[w.window_id], w.future)
+        assert (ade(predictions[w.window_id], w.future), fde(predictions[w.window_id], w.future)) == want
 
 
 def test_lost_policy_bias_ordering(parked_then_moving) -> None:

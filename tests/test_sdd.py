@@ -395,11 +395,11 @@ def _oracle_float(token: str, what: str, path: str, line_no: int) -> float:
 def parse_oracle(source, path: str | None = None) -> np.ndarray:
     """The line-by-line parser, kept as the reference; the center check is its one addition."""
     if isinstance(source, str):
-        lines, path = open(source, encoding="utf-8"), path or source
-    else:
-        lines, path = source, path or str(getattr(source, "name", "<input>"))
+        with open(source, encoding="utf-8") as lines:  # closed on an error too
+            return parse_oracle(lines, path or source)
+    path = path or str(getattr(source, "name", "<input>"))
     records = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -435,8 +435,6 @@ def parse_oracle(source, path: str | None = None) -> np.ndarray:
             if token != "0" and token != "1":
                 raise ParseError(f"field {what!r} must be 0 or 1, got {token!r}", path, line_no)
         records.append(record)
-    if isinstance(source, str):
-        lines.close()
     return np.array(records, dtype=RECORD_DTYPE)
 
 

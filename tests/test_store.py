@@ -273,6 +273,49 @@ CORRUPT_LINES = {
     "compact separators": lambda line: json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")),
     "a points list that is not a list of rows": lambda line: line.replace('"points": [[', '"points": [0, ['),
 }
+# content the writer cannot have written, each refused with the line it is on
+REFUSED_CONTENT = {
+    "a NaN x": (lambda line: line.replace("[1, 9.0,", "[1, NaN,"), "line 2: a coordinate that is not finite"),
+    "an Infinity y": (
+        lambda line: line.replace("[1, 9.0, 9.0,", "[1, 9.0, Infinity,"),
+        "line 2: a coordinate that is not finite",
+    ),
+    "a -Infinity x": (lambda line: line.replace("[1, 9.0,", "[1, -Infinity,"), "line 2: a coordinate that is not finite"),
+    **{
+        f"a {flag} flag of 2": (
+            lambda line, row=row: line.replace("[1, 9.0, 9.0, 0, 0, 0]", f"[1, 9.0, 9.0, {row}]"),
+            "line 2: a flag that is not 0 or 1",
+        )
+        for flag, row in (("lost", "2, 0, 0"), ("occluded", "0, 2, 0"), ("generated", "0, 0, 2"))
+    },
+    "a repeated frame": (lambda line: line.replace("[1, 9.0,", "[0, 9.0,"), "line 2: frames not strictly increasing"),
+    "a record of the other video": (
+        lambda line: line.replace('"video": "video0"', '"video": "video1"'),
+        "line 2: a record of another video than ('sdd', 'quad', 'video0')",
+    ),
+    "a record of another dataset": (
+        lambda line: line.replace('"dataset": "sdd"', '"dataset": "ind"'),
+        "line 2: a record of another video than ('sdd', 'quad', 'video0')",
+    ),
+    "a repeated line": (lambda line: f"{line}\n{line}", "line 3: (track_id, segment) (2, 0) does not follow (2, 0)"),
+    "track_id 3.5": (
+        lambda line: line.replace('"track_id": 2', '"track_id": 3.5'),
+        "line 2: track_id and segment must be integers, got (3.5, 0)",
+    ),
+    'track_id "3"': (
+        lambda line: line.replace('"track_id": 2', '"track_id": "3"'),
+        "line 2: track_id and segment must be integers, got ('3', 0)",
+    ),
+    "segment true": (
+        lambda line: line.replace('"segment": 0', '"segment": true'),
+        "line 2: track_id and segment must be integers, got (2, True)",
+    ),
+    'class "Unicycle"': (
+        lambda line: line.replace('"class": "Biker"', '"class": "Unicycle"'),
+        "line 2: class 'Unicycle' is not one of ('Pedestrian', 'Biker', 'Skater', 'Cart', 'Car', 'Bus', 'TruckBus')",
+    ),
+}
+CORRUPT_LINES.update({name: corrupt for name, (corrupt, _) in REFUSED_CONTENT.items()})
 
 
 @pytest.mark.parametrize("corrupt", list(CORRUPT_LINES.values()), ids=list(CORRUPT_LINES))
@@ -285,6 +328,46 @@ def test_a_corrupt_line_is_a_structural_error_naming_the_file(tmp_path, corrupt)
     with pytest.raises(StructuralError) as err:
         load_store(tmp_path)
     assert str(err.value).startswith(f"corrupt store file {victim}: ")
+
+
+@pytest.mark.parametrize("corrupt, message", list(REFUSED_CONTENT.values()), ids=list(REFUSED_CONTENT))
+def test_content_the_writer_cannot_write_is_refused_at_its_line(tmp_path, corrupt, message) -> None:
+    write_store(sample_trajectories(), tmp_path)
+    victim = tmp_path / "sdd__quad__video0.jsonl"
+    lines = victim.read_text().splitlines()
+    lines[1] = corrupt(lines[1])
+    victim.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StructuralError) as err:
+        load_store(tmp_path)
+    assert str(err.value) == f"corrupt store file {victim}: {message}"
+
+
+def test_two_swapped_lines_are_refused_at_the_second(tmp_path) -> None:
+    write_store(sample_trajectories(), tmp_path)
+    victim = tmp_path / "sdd__quad__video0.jsonl"
+    lines = victim.read_text().splitlines()
+    victim.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
+    with pytest.raises(StructuralError) as err:
+        load_store(tmp_path)
+    assert str(err.value) == f"corrupt store file {victim}: line 3: (track_id, segment) (2, 0) does not follow (2, 2)"
+
+
+def test_frames_at_the_ends_of_int64_load(tmp_path) -> None:
+    # their difference is beyond int64, so the check compares frames rather than subtracting them
+    points = np.zeros(2, POINT_DTYPE)
+    points["frame"] = [np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    write_store([Trajectory(1, "Biker", points, SourceRef("sdd", "quad", "video0"))], tmp_path)
+    assert load_store(tmp_path)[0].points.tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_store_refuses_a_non_finite_point_and_leaves_no_file(tmp_path, value) -> None:
+    trajs = sample_trajectories()
+    trajs[3].points["y"][0] = value
+    with pytest.raises(StructuralError) as err:
+        write_store(trajs, tmp_path / "a" / "store")
+    assert str(err.value) == "track 2.2 of video ('sdd', 'quad', 'video0'): a point that is not finite"
+    assert not (tmp_path / "a").exists()
 
 
 def test_load_peak_is_a_small_multiple_of_the_arrays(tmp_path) -> None:
