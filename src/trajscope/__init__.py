@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # first use, so a command pays only for the modules it runs.
 _EXPORTS = {
     "aim": (
-        "InteractionPair", "Kinematics", "MeasureSeries", "accumulate_aim", "compute_kinematics",
-        "compute_rho", "extract_interactions", "fit_normalizers", "measure_interaction", "sweep",
+        "InteractionPair", "Kinematics", "MeasureSeries", "Selection", "accumulate_aim", "compute_kinematics",
+        "compute_rho", "extract_interactions", "fit_normalizers", "measure_interaction", "select", "sweep",
     ),
     "analytics": (
         "ClassDistributionRow", "LostStatsRow", "OverlapRow", "SplitCandidate",

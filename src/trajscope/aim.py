@@ -32,10 +32,11 @@ arrays, so both equal the series bit for bit.
 dependence as an argument: the estimate (`mi_prefix_series`) for the
 measurement, an upper bound on it (`mi_prefix_bound`, no joint counts)
 for the bound, through the same checks, kinematics, rho series and
-recurrence. A top-k ranking can then measure pairs in decreasing order of
-their bound and stop once the k-th best final value is above the next
-bound: every pair left is below it, so the selection is the one that
-measuring every pair would give.
+recurrence. `select`, the selection `trajscope aim` exports, ranks the
+top k by measuring pairs in decreasing order of their bound, video by
+video, and stops once the k-th best final value is above the next bound:
+every pair left is below it, so the selection is the one that measuring
+every pair would give.
 """
 from __future__ import annotations
 
@@ -43,15 +44,15 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .mi import mi_prefix_bound, mi_prefix_series
 from .types import (
-    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, DomainError, InsufficientDataError, RhoConfig,
-    StructuralError, Trajectory, checked_count, checked_delta,
+    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, DEFAULT_N_WINDOW, DomainError, InsufficientDataError,
+    RhoConfig, StructuralError, Trajectory, checked_count, checked_delta, scene_diagonal,
 )
 
 
@@ -557,3 +558,91 @@ def fit_normalizers(
         v0=v0 if v0 > 0 else cfg.v0,
         a0=a0 if a0 > 0 else cfg.a0,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class Selection:
+    """`select`'s (video key, series) list, and its counts of the unordered pairs
+    of tracks in a video (considered), of those `extract_interactions` keeps
+    (measurable) and of those measured (with a named pair, its directions)."""
+
+    series: list[tuple[tuple[str, str, str], MeasureSeries]]
+    considered: int
+    measurable: int
+    measured: int
+
+
+def select(
+    videos: Iterable[tuple[tuple[str, str, str], Iterable[Trajectory]]], settings, *, top_k: int = 5,
+    named: tuple[str, str] | None = None, deltas: Sequence[float], n_values: Sequence[int],
+) -> Selection:
+    """The series `trajscope aim` exports, from one read of `videos`: each
+    video's key and trajectories, in key order. `settings` is a run config
+    (`trajscope.cli.RunConfig`), read by attribute.
+
+    With `named`, the series of that directed pair at every (n_window, delta)
+    of `n_values` x `deltas`, in each video where it is measurable. Else the
+    `top_k` best series at the config's delta and n_window, best first; each
+    video's pairs are measured in decreasing order of `final_bounds` until
+    the k-th best final value so far is above the next bound. They are
+    measured again at `n_values` x `deltas` if those differ. A v0/a0 fit is a
+    first pass over every video's pairs, which are kept for the second; a
+    fitted sigma_d is each video's scene diagonal / 8.
+    """
+    n_window = settings.n_window or DEFAULT_N_WINDOW[settings.dataset]
+    options = dict(bandwidths=settings.bandwidths, weights=settings.weights, n_min=settings.n_min)
+    considered = measurable = measured = 0
+
+    def pairs_of_each_video():
+        nonlocal considered, measurable
+        for key, trajectories in videos:
+            trajectories = list(trajectories)
+            considered += len(trajectories) * (len(trajectories) - 1) // 2
+            # extract_interactions puts both directions of a pair next to each other
+            pairs = extract_interactions(trajectories, n_window)[::2]
+            measurable += len(pairs)
+            if pairs:
+                yield key, trajectories, pairs
+
+    batches = pairs_of_each_video()
+    rho = settings.rho
+    if settings.fit_v0 or settings.fit_a0:
+        batches = list(batches)
+        fitted = fit_normalizers([pair for *_, pairs in batches for pair in pairs], base=rho)
+        v0, a0 = fitted.v0 if settings.fit_v0 else rho.v0, fitted.a0 if settings.fit_a0 else rho.a0
+        rho = dataclasses.replace(rho, v0=v0, a0=a0)
+    chosen: list[tuple[tuple[str, str, str], MeasureSeries]] = []
+    for key, trajectories, pairs in batches:
+        diagonal = scene_diagonal(trajectories) if settings.fit_sigma_d else 0.0
+        video_rho = dataclasses.replace(rho, sigma_d=diagonal / 8.0) if diagonal > 0 else rho
+        if named is not None:
+            for direction in [d for pair in pairs for d in (pair, pair.reversed()) if d.key == named]:
+                measured += 1
+                chosen += [(key, s) for s in sweep(direction, deltas, n_values, rho_config=video_rho, **options)]
+            continue
+        bounds = [max(final_bounds(pair, delta=settings.delta, rho_config=video_rho, **options)) for pair in pairs]
+        for bound, pair in sorted(zip(bounds, pairs), key=lambda c: (-c[0], c[1].key)):
+            # bounds only fall from here on, and a series whose final value is
+            # below the k-th best cannot enter the selection, even by a tie
+            if len(chosen) == top_k and chosen[-1][1].final > bound:
+                break
+            measured += 1
+            series = sweep(pair, [settings.delta], [n_window], rho_config=video_rho, both_directions=True, **options)
+            # best first: the highest final value, ties to the lower video key, then the lower pair key
+            chosen += [(key, s) for s in series]
+            chosen = sorted(chosen, key=lambda c: (-c[1].final, c[0], c[1].pair.key))[:top_k]
+    if not chosen:
+        raise InsufficientDataError(
+            f"tracks {named[0]} and {named[1]} share too few co-present frames "
+            f"(need {n_window + 1} at constant spacing in one video)"
+            if named is not None
+            else f"no measurable pairs in the store (need {n_window + 1} co-present frames at constant spacing)"
+        )
+    if named is None and (list(deltas), list(n_values)) != ([settings.delta], [n_window]):
+        # the selected pairs, measured again at every swept setting
+        chosen = [
+            (key, series)
+            for key, best in chosen
+            for series in sweep(best.pair, deltas, n_values, rho_config=best.rho_config, **options)
+        ]
+    return Selection(chosen, considered, measurable, measured)

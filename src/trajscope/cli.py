@@ -26,14 +26,15 @@ import math
 import sys
 from dataclasses import dataclass
 from importlib import import_module
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from .types import (
-    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, IND_CLASSES,
+    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, DEFAULT_N_WINDOW, ConfigError, IND_CLASSES,
     InsufficientDataError, RhoConfig, SDD_CLASSES, SourceRef, ToolError, Trajectory, check_first_eval_point,
-    checked_count, checked_delta, checked_mi_settings, is_number, load_yaml, scene_diagonal,
+    checked_count, checked_delta, checked_mi_settings, is_number, load_yaml,
 )
 
 # Beyond config loading, each command imports the modules it runs when it
@@ -49,10 +50,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(".aim", __package__), name)
 
-
-# Kinematics window length in native frames when the config leaves it null:
-# about 1 second of motion history at each dataset's frame rate.
-DEFAULT_N_WINDOW = {"sdd": 30, "ind": 25}
 
 EXPORT_FORMATS = ("csv", "jsonl", "both")
 
@@ -498,15 +495,12 @@ def _export_series(
 
 
 def cmd_aim(args: argparse.Namespace) -> int:
-    from .aim import extract_interactions, final_bounds, fit_normalizers, sweep
+    from .aim import select
     from .store import load_store
 
     cfg = load_run_config(args.config, args.out)
     n_window = cfg.n_window or DEFAULT_N_WINDOW[cfg.dataset]
-    measure_options = dict(bandwidths=cfg.bandwidths, weights=cfg.weights, n_min=cfg.n_min)
-
-    deltas = [cfg.delta]
-    n_values = [n_window]
+    deltas, n_values = [cfg.delta], [n_window]
     swept = args.sweep_delta is not None or args.sweep_n is not None
     if args.sweep_delta is not None:
         deltas = [checked_delta(d) for d in _parse_list(args.sweep_delta, "--sweep-delta", float)]
@@ -519,105 +513,27 @@ def cmd_aim(args: argparse.Namespace) -> int:
             raise ConfigError(f"--pair expects 'TRACK_I,TRACK_J', got {args.pair!r}")
         if parts[0] == parts[1]:
             raise ConfigError(f"--pair names track {parts[0]!r} twice; a pair needs two tracks")
-        named = (parts[0], parts[1])
+        named = tuple(parts)
     top_k = checked_count(args.top_k if args.top_k is not None else 5, "--top-k")
     # the smallest window measured: --pair measures the n_values, the top-k ranking n_window too
     check_first_eval_point(min(n_values if named is not None else [n_window, *n_values]) + 1, cfg.n_min)
 
     trajectories = load_store(cfg.store_dir)
-    if named is not None:
-        known = {t.uid for t in trajectories}
-        for uid in named:
-            if uid not in known:
-                raise ConfigError(f"unknown track id {uid!r} (not in the ingested store)")
-    by_video: dict[tuple[str, str, str], list[Trajectory]] = {}
-    for traj in trajectories:
-        by_video.setdefault(traj.source.key(), []).append(traj)
-    videos = sorted(by_video)
-    considered = sum(len(trajs) * (len(trajs) - 1) // 2 for trajs in by_video.values())
-
-    fit = cfg.fit_v0 or cfg.fit_a0
-    base_rho = cfg.rho
-
-    # The best top_k series so far, best first: the highest final value,
-    # ties to the lower video key, then the lower pair key.
-    def rank(item: tuple[tuple[str, str, str], MeasureSeries]) -> tuple:
-        return (-item[1].final, item[0], item[1].pair.key)
-
-    # With --pair, every series of the named direction; else the top_k best.
-    selected: list[tuple[tuple[str, str, str], MeasureSeries]] = []
-    measurable = measured = 0
-    # One direction of every measurable pair, in batches: the whole store
-    # when v0/a0 are fitted from it, else one video at a time, so that
-    # without a fit only one video's pairs are in memory.
-    for batch in [videos] if fit else [[key] for key in videos]:
-        # extract_interactions puts both directions of a pair next to each other
-        pairs = [(key, pair) for key in batch for pair in extract_interactions(by_video[key], n_window)[::2]]
-        measurable += len(pairs)
-        if fit:
-            fitted = fit_normalizers([pair for _, pair in pairs], base=base_rho)
-            base_rho = dataclasses.replace(
-                base_rho,
-                v0=fitted.v0 if cfg.fit_v0 else base_rho.v0,
-                a0=fitted.a0 if cfg.fit_a0 else base_rho.a0,
-            )
-        # each video's config, once v0/a0 are final; a fitted sigma_d is its scene diagonal / 8
-        rho_of = {key: base_rho for key, _ in pairs}
-        for key in rho_of:
-            diagonal = scene_diagonal(by_video[key]) if cfg.fit_sigma_d else 0.0
-            if diagonal > 0:
-                rho_of[key] = dataclasses.replace(base_rho, sigma_d=diagonal / 8.0)
-        if named is not None:
-            for key, pair in pairs:
-                for direction in (pair, pair.reversed()):
-                    if direction.key == named:
-                        measured += 1
-                        series = sweep(direction, deltas, n_values, rho_config=rho_of[key], **measure_options)
-                        selected += [(key, s) for s in series]
-        else:
-            bounds = [
-                max(final_bounds(pair, delta=cfg.delta, rho_config=rho_of[key], **measure_options))
-                for key, pair in pairs
-            ]
-            for bound, (key, pair) in sorted(zip(bounds, pairs), key=lambda c: (-c[0], c[1][0], c[1][1].key)):
-                # bounds only fall from here on, and a series whose final value is
-                # below the k-th best cannot enter the selection, even by a tie
-                if len(selected) == top_k and selected[-1][1].final > bound:
-                    break
-                measured += 1
-                series = sweep(
-                    pair,
-                    [cfg.delta],
-                    [n_window],
-                    rho_config=rho_of[key],
-                    both_directions=True,
-                    **measure_options,
-                )
-                selected = sorted(selected + [(key, s) for s in series], key=rank)[:top_k]
-        del pairs
-    if not selected:
-        raise InsufficientDataError(
-            f"tracks {named[0]} and {named[1]} share too few co-present frames "
-            f"(need {n_window + 1} at constant spacing in one video)"
-            if named is not None
-            else "no measurable pairs in the store "
-            f"(need {n_window + 1} co-present frames at constant spacing)"
-        )
-    if named is None and swept:
-        # the selected pairs, measured again at every swept setting
-        selected = [
-            (key, series)
-            for key, best in selected
-            for series in sweep(best.pair, deltas, n_values, rho_config=best.rho_config, **measure_options)
-        ]
-
-    for key, series in selected:
+    for uid in named or ():
+        if uid not in {t.uid for t in trajectories}:
+            raise ConfigError(f"unknown track id {uid!r} (not in the ingested store)")
+    # the store lists its videos in key order, so each video is one group
+    selection = select(
+        groupby(trajectories, key=lambda t: t.source.key()),
+        cfg, top_k=top_k, named=named, deltas=deltas, n_values=n_values,
+    )
+    for key, series in selection.series:
         _export_series(cfg, key, series, swept)
     _status(
-        f"exported {len(selected)} measure series for "
-        f"{len({(key, series.pair.key) for key, series in selected})} directed pairs to {cfg.aim_dir} "
-        f"({considered} pairs considered, {measurable} measurable, {measured} measured, "
-        f"{0 if named is not None else measurable - measured} skipped by the bound)"
+        f"exported {len(selection.series)} measure series for "
+        f"{len({(key, series.pair.key) for key, series in selection.series})} directed pairs to {cfg.aim_dir} "
+        f"({selection.considered} pairs considered, {selection.measurable} measurable, {selection.measured} measured, "
+        f"{0 if named is not None else selection.measurable - selection.measured} skipped by the bound)"
     )
     return 0
 
@@ -630,10 +546,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .store import load_store
 
     cfg = load_run_config(args.config, args.out)
+    policies = [cfg.preprocess.lost_policy]
     if args.lost_policy:
         policies = _parse_list(args.lost_policy, "--lost-policy", LostPolicy)
-    else:
-        policies = [cfg.preprocess.lost_policy]
 
     if args.predictor == "constant_velocity":
         predictor = constant_velocity_predict
@@ -641,8 +556,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         predictions_path = Path(args.predictor)
         if not predictions_path.is_file():
             raise ConfigError(
-                f"--predictor must be 'constant_velocity' or an existing "
-                f"predictions file, got {args.predictor!r}"
+                f"--predictor must be 'constant_velocity' or an existing predictions file, got {args.predictor!r}"
             )
         predictor = predictor_from_mapping(load_predictions(predictions_path))
 
@@ -652,11 +566,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rows = []
     for policy in policies:
         pcfg = dataclasses.replace(cfg.preprocess, lost_policy=policy)
-        windows = [
-            window
-            for traj in trajectories
-            for window in preprocess_trajectory(traj, pcfg, native_rate)
-        ]
+        windows = [window for traj in trajectories for window in preprocess_trajectory(traj, pcfg, native_rate)]
         if not windows:
             raise InsufficientDataError(
                 f"preprocessing with lost policy {policy.value!r} produced no windows"

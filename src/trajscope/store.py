@@ -17,15 +17,15 @@ are written, so a failed write leaves an earlier store as it was.
 The reader reads the layout the writer writes, and only that: each file in
 one pass, each line's record by `json.loads` with its points cut out, and
 all the points of a file by one numpy text read straight into POINT_DTYPE.
-A file in any other layout is a StructuralError naming the file: a line
-without `"points": [` as the writer spaces it, points that are not a list
-of rows of six numbers of the fields' types, a truncated line. (Spacing
-around the numbers inside a row is the one thing not checked.) So is, at
-its line, what the writer cannot write: a record of another video than
-its manifest entry, a non-integer or out-of-order `(track_id, segment)`,
-a class outside ALL_CLASSES, frames not strictly increasing within a
-record, a non-finite coordinate, a flag other than 0 and 1. Loading also
-checks the manifest's schema_version; nothing after it checks the data.
+A file in any other layout is a StructuralError naming the file and line:
+a line without `"points": [` as the writer spaces it, points that are not
+a list of rows of six numbers of the fields' types, a truncated line.
+(Spacing around the numbers inside a row is the one thing not checked.)
+So is what `_checked` refuses, which the writer refuses too, naming the
+track: a record of another video than its manifest entry, a non-integer
+or out-of-order `(track_id, segment)`, a class outside ALL_CLASSES, frames
+not strictly increasing within a record, a non-finite coordinate, a flag
+other than 0 and 1. Loading also checks the manifest's schema_version.
 """
 from __future__ import annotations
 
@@ -94,18 +94,20 @@ def write_store(
         for trajs in videos:
             if not trajs:
                 continue
-            key = trajs[0].source.key()
-            if key in entries or any(t.source.key() != key for t in trajs):
-                raise StructuralError(f"the trajectories of video {key} must come as one group")
             trajs = sorted(trajs, key=lambda t: (t.track_id, t.segment))
+            key = trajs[0].source.key()
+            if key in entries:
+                raise StructuralError(f"the trajectories of video {key} must come as one group")
+            records = [(t.source.key(), (t.track_id, t.segment), t.class_label) for t in trajs]
+            ends = np.cumsum([len(t) for t in trajs], dtype=np.int64)
+            bad = _checked(records, np.concatenate([t.points for t in trajs]), ends, trajs[0].source)
+            if bad:
+                raise StructuralError(f"track {trajs[bad[0]].uid} of video {trajs[bad[0]].source.key()}: {bad[1]}")
             filename = video_filename(trajs[0].source)
             partials.append(store_path / f"{filename}.partial")
             with open(partials[-1], "w") as fh:
                 for traj in trajs:
-                    try:  # NaN and Infinity are not JSON
-                        fh.write(json.dumps(_trajectory_record(traj), sort_keys=True, allow_nan=False))
-                    except ValueError:
-                        raise StructuralError(f"track {traj.uid} of video {key}: a point that is not finite") from None
+                    fh.write(json.dumps(_trajectory_record(traj), sort_keys=True))
                     fh.write("\n")
             entries[key] = {
                 "dataset": key[0],
@@ -168,67 +170,90 @@ def _rows(points_text: list[str]) -> Iterator[str]:
         yield from points_text.pop().split(_ROW_SEP)
 
 
-def _read_video(path: Path, source: SourceRef) -> list[Trajectory]:
-    """The trajectories of one store file, in file order, checked.
-
-    Each line is parsed by `json.loads` with its points list cut out, and
-    its record checked against `source` and the line before; the points of
-    all lines are then read by one `read_columns` call, checked as one
-    array, and split by each line's row count.
-    """
-    records: list[tuple[dict, int, int]] = []  # each line's record, row count and line number
-    points_text: list[str] = []  # each non-empty points list, without its outer brackets
-    last: tuple = ()  # the (track_id, segment) of the line before; () is below every pair
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            # Inside a JSON string a quote is escaped, so the first match is the key.
-            key = line.find(_POINTS_KEY)
-            if key < 0:
-                raise ValueError(f"line {line_no}: no points list")
-            start = key + len(_POINTS_KEY)  # just past the list's "["
-            if line.startswith("]", start):
-                end, n_rows = start + 1, 0
-            else:
-                close = line.find("]]", start)
-                if not line.startswith("[", start) or close < 0:
-                    raise ValueError(f"line {line_no}: the points are not a list of rows")
-                points_text.append(line[start + 1 : close])
-                end, n_rows = close + 2, points_text[-1].count(_ROW_SEP) + 1
-            record = json.loads(line[: start - 1] + "0" + line[end:])
-            ident = (record["track_id"], record["segment"])
-            if (record["dataset"], record["scene"], record["video"]) != source.key():
-                raise ValueError(f"line {line_no}: a record of another video than {source.key()}")
-            if not all(type(v) is int for v in ident):
-                raise ValueError(f"line {line_no}: track_id and segment must be integers, got {ident}")
-            if ident <= last:
-                raise ValueError(f"line {line_no}: (track_id, segment) {ident} does not follow {last}")
-            if record["class"] not in ALL_CLASSES:
-                raise ValueError(f"line {line_no}: class {record['class']!r} is not one of {ALL_CLASSES}")
-            records.append((record, n_rows, line_no))
-            last = ident
-    ends = np.cumsum([n_rows for _, n_rows, _ in records], dtype=np.int64)
-    total = int(ends[-1]) if records else 0
-    points = np.empty(0, POINT_DTYPE)
-    if total:
-        points = read_columns(_rows(points_text), POINT_DTYPE, delimiter=",")
-        # numpy skips a blank line, so an empty row reads as one row too few
-        if points is None or len(points) != total:
-            raise ValueError("a point that is not a row of six numbers of the fields' types")
+def _checked(records: Sequence[tuple], points: np.ndarray, ends: np.ndarray, source: SourceRef) -> tuple | None:
+    """(index, what is wrong) for the first record of a store file that breaks a
+    rule, or None. Record i is (video key, (track_id, segment), class) and owns
+    the rows of `points` before ends[i] and from ends[i - 1] on."""
+    last: tuple = ()  # the (track_id, segment) of the record before; () is below every pair
+    for index, (key, ident, label) in enumerate(records):
+        if key != source.key():
+            return index, f"a record of another video than {source.key()}"
+        if not all(type(v) is int for v in ident):
+            return index, f"track_id and segment must be integers, got {ident}"
+        if ident <= last:
+            return index, f"(track_id, segment) {ident} does not follow {last}"
+        if label not in ALL_CLASSES:
+            return index, f"class {label!r} is not one of {ALL_CLASSES}"
+        last = ident
     frames = points["frame"]
     falls = np.concatenate(([False], frames[1:] <= frames[:-1]))
-    falls[ends[ends < total]] = False  # a record's first row follows another record
+    falls[ends[ends < len(points)]] = False  # a record's first row follows another record
     for bad, what in (
         (falls, "frames not strictly increasing"),
         (~(np.isfinite(points["x"]) & np.isfinite(points["y"])), "a coordinate that is not finite"),
         ((points["lost"] | points["occluded"] | points["generated"]) > 1, "a flag that is not 0 or 1"),
     ):
         if bad.any():
-            raise ValueError(f"line {records[np.searchsorted(ends, bad.argmax(), 'right')][2]}: {what}")
+            return int(np.searchsorted(ends, bad.argmax(), "right")), what
+    return None
+
+
+def _lines(path: Path) -> Iterator[tuple[int, tuple, str | None]]:
+    """Each non-empty line of a store file: its number, its record (by `json.loads`
+    with the points cut out) and its points list without the outer brackets,
+    None if empty. An error names the line."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                # Inside a JSON string a quote is escaped, so the first match is the key.
+                key = line.find(_POINTS_KEY)
+                if key < 0:
+                    raise ValueError("no points list")
+                start = key + len(_POINTS_KEY)  # just past the list's "["
+                text, end = None, start + 1
+                if not line.startswith("]", start):
+                    close = line.find("]]", start)
+                    if not line.startswith("[", start) or close < 0:
+                        raise ValueError("the points are not a list of rows")
+                    text, end = line[start + 1 : close], close + 2
+                record = json.loads(line[: start - 1] + "0" + line[end:])
+                video = (record["dataset"], record["scene"], record["video"])
+                fields = (video, (record["track_id"], record["segment"]), record["class"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+            yield line_no, fields, text
+
+
+def _read_video(path: Path, source: SourceRef) -> list[Trajectory]:
+    """The trajectories of one store file, in file order, checked by `_checked`
+    on the points of all lines, read by one `read_columns` call. If numpy
+    cannot read them, a second read, a line at a time, names the bad line."""
+    line_nos, records, points_text, counts = [], [], [], []
+    for line_no, record, text in _lines(path):
+        line_nos.append(line_no)
+        records.append(record)
+        counts.append(0 if text is None else text.count(_ROW_SEP) + 1)
+        points_text += [] if text is None else [text]
+    ends = np.cumsum(counts, dtype=np.int64)
+    points = np.empty(0, POINT_DTYPE)
+    if points_text:
+        points = read_columns(_rows(points_text), POINT_DTYPE, delimiter=",")
+        # numpy skips a blank line, so an empty row reads as one row too few
+        if points is None or len(points) != ends[-1]:
+            for line_no, _, text in _lines(path):
+                rows = [] if text is None else text.split(_ROW_SEP)
+                read = read_columns(rows, POINT_DTYPE, delimiter=",") if rows else rows
+                if read is None or len(read) != len(rows):
+                    raise ValueError(f"line {line_no}: a point that is not a row of six numbers of the fields' types")
+            raise ValueError("a point that is not a row of six numbers of the fields' types")
+    bad = _checked(records, points, ends, source)
+    if bad:
+        raise ValueError(f"line {line_nos[bad[0]]}: {bad[1]}")
     return [
-        Trajectory(record["track_id"], record["class"], points[stop - n_rows : stop], source, record["segment"])
-        for (record, n_rows, _), stop in zip(records, ends)
+        Trajectory(track_id, label, points[stop - n_rows : stop], source, segment)
+        for (_, (track_id, segment), label), n_rows, stop in zip(records, counts, ends)
     ]
 
 

@@ -142,6 +142,9 @@ def check_positive(value, name: str, zero: bool = False) -> None:
 
 
 DEFAULT_DELTA = 0.98
+# Kinematics window length in native frames when the config leaves it null:
+# about 1 second of motion history at each dataset's frame rate.
+DEFAULT_N_WINDOW = {"sdd": 30, "ind": 25}
 DEFAULT_BANDWIDTHS: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
 DEFAULT_N_MIN = 10
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -131,12 +132,22 @@ def test_write_store_takes_one_group_per_video_lazily(tmp_path) -> None:
     assert sorted(p.name for p in (tmp_path / "lazy").iterdir()) == names
 
 
-@pytest.mark.parametrize("groups", [[[0], [1]], [[0, 2]]], ids=["two-groups", "mixed-group"])
-def test_write_store_rejects_a_video_split_or_mixed_across_groups(tmp_path, groups) -> None:
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        ([[0], [1]], "the trajectories of video ('sdd', 'quad', 'video0') must come as one group"),
+        (
+            [[0, 2]],
+            "track 1 of video ('sdd', 'quad', 'video1'): a record of another video than ('sdd', 'quad', 'video0')",
+        ),
+    ],
+    ids=["two-groups", "mixed-group"],
+)
+def test_write_store_rejects_a_video_split_or_mixed_across_groups(tmp_path, groups, message) -> None:
     trajs = sample_trajectories()
     with pytest.raises(StructuralError) as err:
         write_store(([trajs[i] for i in group] for group in groups), tmp_path / "a" / "store")
-    assert str(err.value) == "the trajectories of video ('sdd', 'quad', 'video0') must come as one group"
+    assert str(err.value) == message
     assert not (tmp_path / "a").exists()
 
 
@@ -328,6 +339,8 @@ def test_a_corrupt_line_is_a_structural_error_naming_the_file(tmp_path, corrupt)
     with pytest.raises(StructuralError) as err:
         load_store(tmp_path)
     assert str(err.value).startswith(f"corrupt store file {victim}: ")
+    # the last line of the corrupted text: line 2, or line 3 where the line is repeated
+    assert str(err.value).startswith(f"corrupt store file {victim}: line {1 + len(lines[1].splitlines())}: ")
 
 
 @pytest.mark.parametrize("corrupt, message", list(REFUSED_CONTENT.values()), ids=list(REFUSED_CONTENT))
@@ -366,7 +379,71 @@ def test_write_store_refuses_a_non_finite_point_and_leaves_no_file(tmp_path, val
     trajs[3].points["y"][0] = value
     with pytest.raises(StructuralError) as err:
         write_store(trajs, tmp_path / "a" / "store")
-    assert str(err.value) == "track 2.2 of video ('sdd', 'quad', 'video0'): a point that is not finite"
+    assert str(err.value) == "track 2.2 of video ('sdd', 'quad', 'video0'): a coordinate that is not finite"
+    assert not (tmp_path / "a").exists()
+
+
+def _changed(trajs: list[Trajectory], index: int, **fields) -> list[Trajectory]:
+    """The trajectories with fields of trajs[index] replaced."""
+    return [dataclasses.replace(t, **fields) if i == index else t for i, t in enumerate(trajs)]
+
+
+def _with_row(trajs: list[Trajectory], index: int, row: int, **values) -> list[Trajectory]:
+    points = trajs[index].points.copy()
+    for name, value in values.items():
+        points[name][row] = value
+    return _changed(trajs, index, points=points)
+
+
+# each makes the sample trajectories of video0 a group that load_store would refuse
+WRITER_REFUSES = {
+    "a repeated (track_id, segment)": (
+        lambda trajs: _changed(trajs, 3, segment=0),
+        "track 2 of video ('sdd', 'quad', 'video0'): (track_id, segment) (2, 0) does not follow (2, 0)",
+    ),
+    "track_id 2.5": (
+        lambda trajs: _changed(trajs, 1, track_id=2.5),
+        "track 2.5 of video ('sdd', 'quad', 'video0'): track_id and segment must be integers, got (2.5, 0)",
+    ),
+    "a numpy segment": (
+        lambda trajs: _changed(trajs, 3, segment=np.int64(2)),
+        f"track 2.2 of video ('sdd', 'quad', 'video0'): track_id and segment must be integers, got {(2, np.int64(2))}",
+    ),
+    'class "Unicycle"': (
+        lambda trajs: _changed(trajs, 1, class_label="Unicycle"),
+        "track 2 of video ('sdd', 'quad', 'video0'): class 'Unicycle' is not one of "
+        "('Pedestrian', 'Biker', 'Skater', 'Cart', 'Car', 'Bus', 'TruckBus')",
+    ),
+    "a repeated frame": (
+        lambda trajs: _with_row(trajs, 1, 2, frame=1),
+        "track 2 of video ('sdd', 'quad', 'video0'): frames not strictly increasing",
+    ),
+    "falling frames": (
+        lambda trajs: _with_row(trajs, 0, 1, frame=-1),
+        "track 1 of video ('sdd', 'quad', 'video0'): frames not strictly increasing",
+    ),
+    "a NaN x": (
+        lambda trajs: _with_row(trajs, 1, 0, x=np.nan),
+        "track 2 of video ('sdd', 'quad', 'video0'): a coordinate that is not finite",
+    ),
+    "a lost flag of 2": (
+        lambda trajs: _with_row(trajs, 3, 0, lost=2),
+        "track 2.2 of video ('sdd', 'quad', 'video0'): a flag that is not 0 or 1",
+    ),
+    "a generated flag of 255": (
+        lambda trajs: _with_row(trajs, 0, 0, generated=255),
+        "track 1 of video ('sdd', 'quad', 'video0'): a flag that is not 0 or 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("change, message", list(WRITER_REFUSES.values()), ids=list(WRITER_REFUSES))
+def test_write_store_refuses_what_load_store_refuses_and_leaves_no_file(tmp_path, change, message) -> None:
+    trajs = change(sample_trajectories())
+    video1 = [t for t in trajs if t.source.video == "video1"]
+    with pytest.raises(StructuralError) as err:
+        write_store([video1, [t for t in trajs if t.source.video == "video0"]], tmp_path / "a" / "store")
+    assert str(err.value) == message
     assert not (tmp_path / "a").exists()
 
 
