@@ -39,7 +39,7 @@ _EXPORTS = {
         "RECORD_DTYPE", "IngestDiagnostics", "assemble_trajectories", "format_sdd_row",
         "parse_sdd_annotations",
     ),
-    "store": ("load_manifest", "load_store", "write_store"),
+    "store": ("load_manifest", "load_store", "videos", "write_store"),
     "types": (
         "ALL_CLASSES", "DEFAULT_BANDWIDTHS", "DEFAULT_DELTA", "DEFAULT_N_MIN", "POINT_DTYPE",
         "ConfigError", "DomainError", "IND_CLASSES", "InsufficientDataError", "ParseError",

@@ -51,8 +51,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .mi import mi_prefix_bound, mi_prefix_series
 from .types import (
-    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, DEFAULT_N_WINDOW, DomainError, InsufficientDataError,
-    RhoConfig, StructuralError, Trajectory, checked_count, checked_delta, scene_diagonal,
+    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, DEFAULT_N_WINDOW, ConfigError, DomainError,
+    InsufficientDataError, RhoConfig, StructuralError, Trajectory, checked_count, checked_delta, scene_diagonal,
 )
 
 
@@ -581,22 +581,24 @@ def select(
     (`trajscope.cli.RunConfig`), read by attribute.
 
     With `named`, the series of that directed pair at every (n_window, delta)
-    of `n_values` x `deltas`, in each video where it is measurable. Else the
-    `top_k` best series at the config's delta and n_window, best first; each
-    video's pairs are measured in decreasing order of `final_bounds` until
-    the k-th best final value so far is above the next bound. They are
-    measured again at `n_values` x `deltas` if those differ. A v0/a0 fit is a
-    first pass over every video's pairs, which are kept for the second; a
-    fitted sigma_d is each video's scene diagonal / 8.
+    of `n_values` x `deltas`, in each video where it is measurable; a named
+    track in no video is a ConfigError. Else the `top_k` best series at the
+    config's delta and n_window, best first; each video's pairs are measured
+    in decreasing order of `final_bounds` until the k-th best final value so
+    far is above the next bound. The winners are measured again at `n_values`
+    x `deltas` if those differ. A v0/a0 fit is a first pass over every video's
+    pairs, kept for the second; a fitted sigma_d is the video's scene diagonal / 8.
     """
     n_window = settings.n_window or DEFAULT_N_WINDOW[settings.dataset]
     options = dict(bandwidths=settings.bandwidths, weights=settings.weights, n_min=settings.n_min)
     considered = measurable = measured = 0
+    uids: set[str] = set()
 
     def pairs_of_each_video():
         nonlocal considered, measurable
         for key, trajectories in videos:
             trajectories = list(trajectories)
+            uids.update(t.uid for t in trajectories)
             considered += len(trajectories) * (len(trajectories) - 1) // 2
             # extract_interactions puts both directions of a pair next to each other
             pairs = extract_interactions(trajectories, n_window)[::2]
@@ -631,6 +633,9 @@ def select(
             # best first: the highest final value, ties to the lower video key, then the lower pair key
             chosen += [(key, s) for s in series]
             chosen = sorted(chosen, key=lambda c: (-c[1].final, c[0], c[1].pair.key))[:top_k]
+    for uid in named or ():
+        if uid not in uids:
+            raise ConfigError(f"unknown track id {uid!r} (not in the ingested store)")
     if not chosen:
         raise InsufficientDataError(
             f"tracks {named[0]} and {named[1]} share too few co-present frames "

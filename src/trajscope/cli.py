@@ -26,7 +26,6 @@ import math
 import sys
 from dataclasses import dataclass
 from importlib import import_module
-from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -496,7 +495,7 @@ def _export_series(
 
 def cmd_aim(args: argparse.Namespace) -> int:
     from .aim import select
-    from .store import load_store
+    from .store import videos
 
     cfg = load_run_config(args.config, args.out)
     n_window = cfg.n_window or DEFAULT_N_WINDOW[cfg.dataset]
@@ -518,15 +517,7 @@ def cmd_aim(args: argparse.Namespace) -> int:
     # the smallest window measured: --pair measures the n_values, the top-k ranking n_window too
     check_first_eval_point(min(n_values if named is not None else [n_window, *n_values]) + 1, cfg.n_min)
 
-    trajectories = load_store(cfg.store_dir)
-    for uid in named or ():
-        if uid not in {t.uid for t in trajectories}:
-            raise ConfigError(f"unknown track id {uid!r} (not in the ingested store)")
-    # the store lists its videos in key order, so each video is one group
-    selection = select(
-        groupby(trajectories, key=lambda t: t.source.key()),
-        cfg, top_k=top_k, named=named, deltas=deltas, n_values=n_values,
-    )
+    selection = select(videos(cfg.store_dir), cfg, top_k=top_k, named=named, deltas=deltas, n_values=n_values)
     for key, series in selection.series:
         _export_series(cfg, key, series, swept)
     _status(

@@ -25,12 +25,15 @@ So is what `_checked` refuses, which the writer refuses too, naming the
 track: a record of another video than its manifest entry, a non-integer
 or out-of-order `(track_id, segment)`, a class outside ALL_CLASSES, frames
 not strictly increasing within a record, a non-finite coordinate, a flag
-other than 0 and 1. Loading also checks the manifest's schema_version.
+other than 0 and 1. The manifest must have this schema_version and list
+each video once, in key order (checked before any file is opened), each
+entry what `_entry` gives for the `video_filename` file read: name, counts.
 """
 from __future__ import annotations
 
 import json
 from contextlib import suppress
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -48,9 +51,14 @@ _ROW_SEP = "], ["
 
 def video_filename(source: SourceRef) -> str:
     for part in source.key():
-        if "__" in part or "/" in part or not part:
+        if not isinstance(part, str) or "__" in part or "/" in part or not part:
             raise StructuralError(f"source {source.key()} cannot name a store file")
     return f"{source.dataset}__{source.scene}__{source.video}.jsonl"
+
+
+def _entry(source: SourceRef, n_trajectories, n_points) -> dict:
+    """A video's manifest entry, as the writer writes it and the reader requires it."""
+    return {**vars(source), "file": video_filename(source), "n_trajectories": n_trajectories, "n_points": n_points}
 
 
 def _trajectory_record(traj: Trajectory) -> dict:
@@ -103,20 +111,12 @@ def write_store(
             bad = _checked(records, np.concatenate([t.points for t in trajs]), ends, trajs[0].source)
             if bad:
                 raise StructuralError(f"track {trajs[bad[0]].uid} of video {trajs[bad[0]].source.key()}: {bad[1]}")
-            filename = video_filename(trajs[0].source)
-            partials.append(store_path / f"{filename}.partial")
+            entries[key] = _entry(trajs[0].source, len(trajs), int(ends[-1]))
+            partials.append(store_path / f"{entries[key]['file']}.partial")
             with open(partials[-1], "w") as fh:
                 for traj in trajs:
                     fh.write(json.dumps(_trajectory_record(traj), sort_keys=True))
                     fh.write("\n")
-            entries[key] = {
-                "dataset": key[0],
-                "scene": key[1],
-                "video": key[2],
-                "file": filename,
-                "n_trajectories": len(trajs),
-                "n_points": sum(len(t) for t in trajs),
-            }
             del trajs  # so the next group is built without this one
         if not entries:
             raise StructuralError("refusing to write an empty store")
@@ -260,14 +260,35 @@ def _read_video(path: Path, source: SourceRef) -> list[Trajectory]:
 def load_store(store_dir) -> list[Trajectory]:
     """Read every trajectory back, in manifest order, each file checked once."""
     store_path = Path(store_dir)
-    manifest = load_manifest(store_path)
+    entries = load_manifest(store_path).get("videos")
     trajectories: list[Trajectory] = []
-    file_path = store_path / MANIFEST_NAME  # blamed for a malformed video list
+    path = store_path / MANIFEST_NAME
     try:
-        for entry in manifest["videos"]:
-            file_path = store_path / entry["file"]
-            source = SourceRef(*(str(entry[name]) for name in ("dataset", "scene", "video")))
-            trajectories += _read_video(file_path, source)
+        if not isinstance(entries, list) or not entries or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("'videos' must be a non-empty list of objects")
+        sources = [SourceRef(*(entry.get(name) for name in ("dataset", "scene", "video"))) for entry in entries]
+        for before, source in zip([None, *sources], sources):
+            video_filename(source)  # refuses a key that is not three strings a file name can hold
+            if before and source.key() <= before.key():
+                raise ValueError(f"video {source.key()} does not follow {before.key()}")
+        for entry, source in zip(entries, sources):
+            path = store_path / video_filename(source)
+            video = _read_video(path, source)
+            path = store_path / MANIFEST_NAME
+            expected = _entry(source, len(video), sum(len(t) for t in video))
+            for name in sorted(entry.keys() | expected.keys()):
+                got, want = entry.get(name), expected.get(name)
+                if type(got) is not type(want) or got != want:
+                    raise ValueError(f"video {source.key()}: {name} is {got!r}, expected {want!r}")
+            trajectories += video
     except (OSError, KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:
-        raise StructuralError(f"corrupt store file {file_path}: {exc}")
+        raise StructuralError(f"corrupt store file {path}: {exc}")
     return trajectories
+
+
+def videos(store_dir) -> Iterator[tuple[tuple[str, str, str], list[Trajectory]]]:
+    """Each video's key and trajectories, in the store's key order, from one
+    `load_store` call: the benchmark tracer's `store.load` span counts those
+    calls, so reading a file at a time waits for a span of its own."""
+    for key, group in groupby(load_store(store_dir), key=lambda t: t.source.key()):
+        yield key, list(group)

@@ -11,7 +11,7 @@ from conftest import make_traj
 from trajscope import aim
 from trajscope.cli import RunConfig
 from trajscope.preprocess import PreprocessConfig
-from trajscope.types import InsufficientDataError, RhoConfig, SourceRef, scene_diagonal
+from trajscope.types import ConfigError, InsufficientDataError, RhoConfig, SourceRef, scene_diagonal
 
 N_WINDOW = 5
 
@@ -139,3 +139,14 @@ def test_select_with_nothing_measurable_is_an_error() -> None:
         aim.select(Once(far), run_config(False), deltas=[0.98], n_values=[N_WINDOW])
     with pytest.raises(InsufficientDataError, match="tracks 0 and 1 share too few co-present frames"):
         aim.select(Once(far), run_config(False), named=("0", "1"), deltas=[0.98], n_values=[N_WINDOW])
+
+
+@pytest.mark.parametrize("named, unknown", [(("77", "1"), "77"), (("1", "77"), "77"), (("78", "77"), "78")])
+@pytest.mark.parametrize("kind", ["walkers", "far"])
+def test_select_reports_the_first_unknown_named_track(kind, named, unknown) -> None:
+    # on "far" nothing is measurable, so the unknown track is reported before co-presence
+    far = [(("sdd", "walk", "video0"), [make_traj([(0.0, 0.0)] * 3, track_id=t) for t in range(3)])]
+    videos = far if kind == "far" else store(kind)
+    with pytest.raises(ConfigError) as err:
+        aim.select(Once(videos), run_config(False), named=named, deltas=[0.98], n_values=[N_WINDOW])
+    assert str(err.value) == f"unknown track id {unknown!r} (not in the ingested store)"

@@ -432,6 +432,23 @@ def test_a_nan_in_the_store_is_one_error_line_and_no_output(workspace, capsys, c
     assert sorted(p.name for p in out.iterdir()) == ["store"]
 
 
+@pytest.mark.parametrize("command", ["stats", "eval", "aim"])
+def test_a_manifest_repeating_a_video_is_one_error_line_and_no_output(workspace, capsys, command) -> None:
+    _, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    manifest_path = out / "store" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["videos"].append(manifest["videos"][-1])
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run([command, "--config", config]) == 1
+    *warnings, error = capsys.readouterr().err.splitlines()  # stats and eval load the registry first
+    video1 = ("sdd", "quad", "video1")
+    assert error == f"error: corrupt store file {manifest_path}: video {video1} does not follow {video1}"
+    assert len(warnings) <= 2 and all(line.startswith("warning: sdd scene ") for line in warnings)
+    assert sorted(p.name for p in out.iterdir()) == ["store"]
+
+
 # --- aim ---------------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_traj
+from trajscope import store as store_module
 from trajscope.store import load_manifest, load_store, write_store
 from trajscope.types import POINT_DTYPE, SourceRef, StructuralError, Trajectory
 
@@ -203,6 +204,90 @@ def test_load_store_rejects_non_increasing_frames(tmp_path) -> None:
         load_store(tmp_path / "store")
     assert str(victim) in str(err.value)
     assert "not strictly increasing" in str(err.value)
+
+
+def _edit_manifest(store: Path, change) -> None:
+    manifest_path = store / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    change(manifest["videos"])
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _drop_last_line(path: Path) -> None:
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+V0, V1 = ("sdd", "quad", "video0"), ("sdd", "quad", "video1")
+# each makes the sample store's manifest one the writer cannot have written;
+# `videos` is the manifest's video list (video0, video1), changed in place
+MANIFEST_REFUSED = {
+    "a repeated video": (lambda store, videos: videos.append(videos[1]), f"video {V1} does not follow {V1}"),
+    "two swapped videos": (lambda store, videos: videos.reverse(), f"video {V0} does not follow {V1}"),
+    "an empty video list": (lambda store, videos: videos.clear(), "'videos' must be a non-empty list of objects"),
+    "file naming the other video": (
+        lambda store, videos: videos[1].update(file="sdd__quad__video0.jsonl"),
+        f"video {V1}: file is 'sdd__quad__video0.jsonl', expected 'sdd__quad__video1.jsonl'",
+    ),
+    "file as an absolute path": (
+        lambda store, videos: videos[1].update(file=str(store / "sdd__quad__video1.jsonl")),
+        "video {V1}: file is '{store}/sdd__quad__video1.jsonl', expected 'sdd__quad__video1.jsonl'",
+    ),
+    "file with ../": (
+        lambda store, videos: videos[1].update(file="../store/sdd__quad__video1.jsonl"),
+        f"video {V1}: file is '../store/sdd__quad__video1.jsonl', expected 'sdd__quad__video1.jsonl'",
+    ),
+    **{
+        f"{field} {delta:+d}": (
+            lambda store, videos, field=field, delta=delta: videos[0].update({field: videos[0][field] + delta}),
+            f"video {V0}: {field} is {count + delta}, expected {count}",
+        )
+        for field, count in (("n_trajectories", 3), ("n_points", 6))
+        for delta in (1, -1)
+    },
+    "a data file without its last line": (
+        lambda store, videos: _drop_last_line(store / "sdd__quad__video0.jsonl"),
+        f"video {V0}: n_points is 6, expected 5",
+    ),
+    'video 0': (
+        lambda store, videos: videos[1].update(video=0),
+        "source ('sdd', 'quad', 0) cannot name a store file",
+    ),
+    "a second entry without file": (
+        lambda store, videos: videos[1].pop("file"),
+        f"video {V1}: file is None, expected 'sdd__quad__video1.jsonl'",
+    ),
+}
+
+
+@pytest.mark.parametrize("change, message", list(MANIFEST_REFUSED.values()), ids=list(MANIFEST_REFUSED))
+def test_a_manifest_the_writer_cannot_write_is_one_error_naming_it(tmp_path, change, message) -> None:
+    store = tmp_path / "store"
+    write_store(sample_trajectories(), store)
+    _edit_manifest(store, lambda videos: change(store, videos))
+    with pytest.raises(StructuralError) as err:
+        load_store(store)
+    assert str(err.value) == f"corrupt store file {store / 'manifest.json'}: {message.format(V1=V1, store=store)}"
+
+
+def test_the_video_list_is_checked_before_any_data_file_is_opened(tmp_path) -> None:
+    write_store(sample_trajectories(), tmp_path)
+    (tmp_path / "sdd__quad__video0.jsonl").write_text("not a store line\n")
+    _edit_manifest(tmp_path, lambda videos: videos.append(videos[1]))
+    with pytest.raises(StructuralError, match="manifest.json: video .* does not follow"):
+        load_store(tmp_path)
+
+
+def test_videos_yields_each_video_once_in_key_order_from_one_load(tmp_path, monkeypatch) -> None:
+    trajs = sample_trajectories()
+    write_store(trajs, tmp_path)
+    loads = []
+    monkeypatch.setattr(store_module, "load_store", lambda store_dir: loads.append(store_dir) or load_store(store_dir))
+    got = list(store_module.videos(tmp_path))
+    assert loads == [tmp_path]
+    assert [key for key, _ in got] == [V0, V1]
+    assert [[t.uid for t in group] for _, group in got] == [["1", "2", "2.2"], ["1"]]
+    flat = [(t.source, t.uid, t.class_label, t.points.tobytes()) for _, group in got for t in group]
+    assert flat == [(t.source, t.uid, t.class_label, t.points.tobytes()) for t in load_store(tmp_path)]
 
 
 @st.composite
