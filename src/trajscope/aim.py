@@ -52,7 +52,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .mi import mi_prefix_bound, mi_prefix_series
 from .types import (
     DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, DEFAULT_N_WINDOW, ConfigError, DomainError,
-    InsufficientDataError, RhoConfig, StructuralError, Trajectory, checked_count, checked_delta, scene_diagonal,
+    InsufficientDataError, RhoConfig, StructuralError, Trajectory, check_first_eval_point, checked_count,
+    checked_delta, scene_diagonal,
 )
 
 
@@ -564,17 +565,19 @@ def fit_normalizers(
 class Selection:
     """`select`'s (video key, series) list, and its counts of the unordered pairs
     of tracks in a video (considered), of those `extract_interactions` keeps
-    (measurable) and of those measured (with a named pair, its directions)."""
+    (measurable), of those measured (with a named pair, its directions) and of
+    the measurable pairs the bound left unmeasured (skipped; 0 with a named pair)."""
 
     series: list[tuple[tuple[str, str, str], MeasureSeries]]
     considered: int
     measurable: int
     measured: int
+    skipped: int
 
 
 def select(
     videos: Iterable[tuple[tuple[str, str, str], Iterable[Trajectory]]], settings, *, top_k: int = 5,
-    named: tuple[str, str] | None = None, deltas: Sequence[float], n_values: Sequence[int],
+    named: tuple[str, str] | None = None, deltas: Sequence[float] | None = None, n_values: Sequence[int] | None = None,
 ) -> Selection:
     """The series `trajscope aim` exports, from one read of `videos`: each
     video's key and trajectories, in key order. `settings` is a run config
@@ -582,20 +585,33 @@ def select(
 
     With `named`, the series of that directed pair at every (n_window, delta)
     of `n_values` x `deltas`, in each video where it is measurable; a named
-    track in no video is a ConfigError. Else the `top_k` best series at the
-    config's delta and n_window, best first; each video's pairs are measured
-    in decreasing order of `final_bounds` until the k-th best final value so
-    far is above the next bound. The winners are measured again at `n_values`
-    x `deltas` if those differ. A v0/a0 fit is a first pass over every video's
-    pairs, kept for the second; a fitted sigma_d is the video's scene diagonal / 8.
+    track in no video is a ConfigError once every video is read, before a
+    v0/a0 fit. Else the `top_k` best series at the config's delta and
+    n_window, best first; each video's pairs are measured in decreasing order
+    of `final_bounds` until the k-th best final value so far is above the next
+    bound. The winners are measured again at `n_values` x `deltas` (None: the
+    config's own) if those differ. A v0/a0 fit is a first pass over every
+    video's pairs, kept for the second; a fitted sigma_d is the video's scene
+    diagonal / 8. Before `videos` is read, each argument is checked with the
+    message of the `trajscope aim` option it comes from, and the smallest
+    window measured against the config's n_min.
     """
     n_window = settings.n_window or DEFAULT_N_WINDOW[settings.dataset]
+    deltas = [settings.delta] if deltas is None else [checked_delta(d) for d in deltas]
+    n_values = [n_window] if n_values is None else [checked_count(n, "n_window") for n in n_values]
+    if not deltas or not n_values:
+        raise ConfigError(f"{'--sweep-n' if deltas else '--sweep-delta'} is empty")
+    if named is not None and named[0] == named[1]:
+        raise ConfigError(f"--pair names track {named[0]!r} twice; a pair needs two tracks")
+    top_k = checked_count(top_k, "--top-k")
+    # the smallest window measured: a named pair is measured at the n_values, the top-k ranking at n_window too
+    check_first_eval_point(min(n_values if named is not None else [n_window, *n_values]) + 1, settings.n_min)
     options = dict(bandwidths=settings.bandwidths, weights=settings.weights, n_min=settings.n_min)
     considered = measurable = measured = 0
-    uids: set[str] = set()
 
     def pairs_of_each_video():
         nonlocal considered, measurable
+        uids: set[str] = set()
         for key, trajectories in videos:
             trajectories = list(trajectories)
             uids.update(t.uid for t in trajectories)
@@ -605,6 +621,9 @@ def select(
             measurable += len(pairs)
             if pairs:
                 yield key, trajectories, pairs
+        for uid in named or ():
+            if uid not in uids:
+                raise ConfigError(f"unknown track id {uid!r} (not in the ingested store)")
 
     batches = pairs_of_each_video()
     rho = settings.rho
@@ -633,9 +652,6 @@ def select(
             # best first: the highest final value, ties to the lower video key, then the lower pair key
             chosen += [(key, s) for s in series]
             chosen = sorted(chosen, key=lambda c: (-c[1].final, c[0], c[1].pair.key))[:top_k]
-    for uid in named or ():
-        if uid not in uids:
-            raise ConfigError(f"unknown track id {uid!r} (not in the ingested store)")
     if not chosen:
         raise InsufficientDataError(
             f"tracks {named[0]} and {named[1]} share too few co-present frames "
@@ -643,11 +659,11 @@ def select(
             if named is not None
             else f"no measurable pairs in the store (need {n_window + 1} co-present frames at constant spacing)"
         )
-    if named is None and (list(deltas), list(n_values)) != ([settings.delta], [n_window]):
+    if named is None and (deltas, n_values) != ([settings.delta], [n_window]):
         # the selected pairs, measured again at every swept setting
         chosen = [
             (key, series)
             for key, best in chosen
             for series in sweep(best.pair, deltas, n_values, rho_config=best.rho_config, **options)
         ]
-    return Selection(chosen, considered, measurable, measured)
+    return Selection(chosen, considered, measurable, measured, 0 if named is not None else measurable - measured)

@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from .types import (
-    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, DEFAULT_N_WINDOW, ConfigError, IND_CLASSES,
-    InsufficientDataError, RhoConfig, SDD_CLASSES, SourceRef, ToolError, Trajectory, check_first_eval_point,
+    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, IND_CLASSES,
+    InsufficientDataError, RhoConfig, SDD_CLASSES, SourceRef, ToolError, Trajectory,
     checked_count, checked_delta, checked_mi_settings, is_number, load_yaml,
 )
 
@@ -498,33 +498,22 @@ def cmd_aim(args: argparse.Namespace) -> int:
     from .store import videos
 
     cfg = load_run_config(args.config, args.out)
-    n_window = cfg.n_window or DEFAULT_N_WINDOW[cfg.dataset]
-    deltas, n_values = [cfg.delta], [n_window]
-    swept = args.sweep_delta is not None or args.sweep_n is not None
-    if args.sweep_delta is not None:
-        deltas = [checked_delta(d) for d in _parse_list(args.sweep_delta, "--sweep-delta", float)]
-    if args.sweep_n is not None:
-        n_values = [checked_count(n, "n_window") for n in _parse_list(args.sweep_n, "--sweep-n", int)]
-    named: tuple[str, str] | None = None
+    deltas = None if args.sweep_delta is None else _parse_list(args.sweep_delta, "--sweep-delta", float)
+    n_values = None if args.sweep_n is None else _parse_list(args.sweep_n, "--sweep-n", int)
+    named = None
     if args.pair:
-        parts = [part.strip() for part in args.pair.split(",")]
-        if len(parts) != 2 or not all(parts):
+        named = tuple(part.strip() for part in args.pair.split(","))
+        if len(named) != 2 or not all(named):
             raise ConfigError(f"--pair expects 'TRACK_I,TRACK_J', got {args.pair!r}")
-        if parts[0] == parts[1]:
-            raise ConfigError(f"--pair names track {parts[0]!r} twice; a pair needs two tracks")
-        named = tuple(parts)
-    top_k = checked_count(args.top_k if args.top_k is not None else 5, "--top-k")
-    # the smallest window measured: --pair measures the n_values, the top-k ranking n_window too
-    check_first_eval_point(min(n_values if named is not None else [n_window, *n_values]) + 1, cfg.n_min)
-
-    selection = select(videos(cfg.store_dir), cfg, top_k=top_k, named=named, deltas=deltas, n_values=n_values)
+    top_k = {} if args.top_k is None else {"top_k": args.top_k}  # else select's default
+    selection = select(videos(cfg.store_dir), cfg, named=named, deltas=deltas, n_values=n_values, **top_k)
     for key, series in selection.series:
-        _export_series(cfg, key, series, swept)
+        _export_series(cfg, key, series, deltas is not None or n_values is not None)
     _status(
         f"exported {len(selection.series)} measure series for "
         f"{len({(key, series.pair.key) for key, series in selection.series})} directed pairs to {cfg.aim_dir} "
         f"({selection.considered} pairs considered, {selection.measurable} measurable, {selection.measured} measured, "
-        f"{0 if named is not None else selection.measurable - selection.measured} skipped by the bound)"
+        f"{selection.skipped} skipped by the bound)"
     )
     return 0
 

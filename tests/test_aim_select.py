@@ -11,7 +11,7 @@ from conftest import make_traj
 from trajscope import aim
 from trajscope.cli import RunConfig
 from trajscope.preprocess import PreprocessConfig
-from trajscope.types import ConfigError, InsufficientDataError, RhoConfig, SourceRef, scene_diagonal
+from trajscope.types import ConfigError, InsufficientDataError, RhoConfig, SourceRef, ToolError, scene_diagonal
 
 N_WINDOW = 5
 
@@ -131,6 +131,41 @@ def test_select_equals_measuring_every_pair(fitted, kind, top_k, named, deltas, 
         assert 0 < selection.measured <= measurable
     else:
         assert selection.measured == len({(key, s.pair.key) for key, s in expected})
+
+
+@pytest.mark.parametrize("fitted", [False, True], ids=["fixed", "fitted"])
+def test_select_measures_at_the_runs_own_delta_and_window_by_default(fitted) -> None:
+    videos = store("walkers")
+    cfg = run_config(fitted)
+    expected, considered, measurable = oracle(videos, cfg, 3, None, [cfg.delta], [N_WINDOW])
+    selection = aim.select(Once(videos), cfg, top_k=3, deltas=None, n_values=None)
+    assert summary(selection.series) == summary(expected)
+    assert (selection.considered, selection.measurable) == (considered, measurable)
+    assert selection.skipped == measurable - selection.measured
+    assert aim.select(Once(videos), cfg, named=("2", "4")).skipped == 0
+
+
+@pytest.mark.parametrize(
+    "arguments, message",
+    [
+        ({"top_k": 0}, "--top-k must be >= 1, got 0"),
+        ({"top_k": -1}, "--top-k must be >= 1, got -1"),
+        ({"top_k": True}, "--top-k must be an integer, got True"),
+        ({"deltas": []}, "--sweep-delta is empty"),
+        ({"n_values": []}, "--sweep-n is empty"),
+        ({"deltas": [1.5]}, "delta must be in (0, 1], got 1.5"),
+        ({"n_values": [0]}, "n_window must be >= 1, got 0"),
+        ({"named": ("0", "0")}, "--pair names track '0' twice; a pair needs two tracks"),
+        ({"n_values": [3]}, "first eval point 4 is below the 6-sample minimum"),  # n_min 6
+    ],
+    ids=["top-k-0", "top-k-negative", "top-k-bool", "no-deltas", "no-n-values", "delta", "n-value", "pair", "n-min"],
+)
+def test_select_checks_its_arguments_before_reading_a_video(arguments, message) -> None:
+    videos = Once(store("walkers"))
+    with pytest.raises(ToolError) as err:
+        aim.select(videos, run_config(False), **{"deltas": [0.98], "n_values": [N_WINDOW], **arguments})
+    assert str(err.value) == message
+    assert not videos.read
 
 
 def test_select_with_nothing_measurable_is_an_error() -> None:

@@ -506,6 +506,19 @@ def test_aim_pair_naming_one_track_twice_is_one_error_line(workspace, capsys) ->
     assert not (out / "aim").exists()
 
 
+def test_aim_unknown_pair_track_is_reported_before_the_fit(tmp_path, capsys, monkeypatch) -> None:
+    annotations = write_sdd_tree(tmp_path)
+    out = tmp_path / "out"
+    config = fitted_config(tmp_path / "config.yaml", annotations, out)
+    assert run(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    fits = counting(monkeypatch, aim, "fit_normalizers")
+    assert run(["aim", "--config", config, "--pair", "0,99"]) == 1
+    assert capsys.readouterr().err == "error: unknown track id '99' (not in the ingested store)\n"
+    assert fits == []
+    assert not (out / "aim").exists()
+
+
 def test_aim_top_k(workspace) -> None:
     _, _, out, config = workspace
     run(["ingest", "--config", config])

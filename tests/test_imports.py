@@ -152,6 +152,13 @@ def test_each_setting_rule_has_one_definition(module) -> None:
         assert getattr(trajscope, name) is getattr(trajscope.types, name), name
 
 
+def test_the_aim_request_rules_live_in_select_not_the_cli() -> None:
+    # the windows an `aim` run measures and their n_min check are `aim.select`'s decision
+    source = (SRC / "cli.py").read_text()
+    for name in ("DEFAULT_N_WINDOW", "check_first_eval_point"):
+        assert name not in source, name
+
+
 def test_the_cli_offers_the_pair_code_it_runs_without_importing_it() -> None:
     from trajscope import aim, cli
 
