@@ -577,7 +577,7 @@ class Selection:
 
 def select(
     videos: Iterable[tuple[tuple[str, str, str], Iterable[Trajectory]]], settings, *, top_k: int = 5,
-    named: tuple[str, str] | None = None, deltas: Sequence[float] | None = None, n_values: Sequence[int] | None = None,
+    named: Sequence[str] | None = None, deltas: Sequence[float] | None = None, n_values: Sequence[int] | None = None,
 ) -> Selection:
     """The series `trajscope aim` exports, from one read of `videos`: each
     video's key and trajectories, in key order. `settings` is a run config
@@ -601,6 +601,7 @@ def select(
     n_values = [n_window] if n_values is None else [checked_count(n, "n_window") for n in n_values]
     if not deltas or not n_values:
         raise ConfigError(f"{'--sweep-n' if deltas else '--sweep-delta'} is empty")
+    named = None if named is None else tuple(named)
     if named is not None and named[0] == named[1]:
         raise ConfigError(f"--pair names track {named[0]!r} twice; a pair needs two tracks")
     top_k = checked_count(top_k, "--top-k")

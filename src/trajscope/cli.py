@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from .types import (
     DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, IND_CLASSES,
-    InsufficientDataError, RhoConfig, SDD_CLASSES, SourceRef, ToolError, Trajectory,
-    checked_count, checked_delta, checked_mi_settings, is_number, load_yaml,
+    InsufficientDataError, RhoConfig, SDD_CLASSES, ToolError, checked_count, checked_delta,
+    checked_mi_settings, is_number, load_yaml, unknown_keys,
 )
 
 # Beyond config loading, each command imports the modules it runs when it
@@ -162,7 +162,7 @@ def _section(raw: Mapping, name: str) -> dict:
     section = raw.get(name) or {}
     if not isinstance(section, Mapping):
         raise ConfigError(f"config section {name!r} must be a mapping")
-    unknown = sorted(set(section) - set(kinds))
+    unknown = unknown_keys(section, kinds)
     if unknown:
         raise ConfigError(f"unknown keys in config section {name!r}: {unknown}")
     return {
@@ -180,7 +180,7 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config file {config_file} must contain a mapping")
     allowed_top = ("dataset", "inputs", "out", "registry", *_SECTIONS, "export_format")
-    unknown = sorted(set(raw) - set(allowed_top))
+    unknown = unknown_keys(raw, allowed_top)
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {unknown}")
 
@@ -293,81 +293,12 @@ def _load_registry(cfg: RunConfig) -> DatasetRegistry:
 # --- ingest -----------------------------------------------------------------------
 
 
-def _find(inputs: Sequence[Path], pattern: str) -> list[Path]:
-    """Each input that is a file, and the files matching `pattern` under
-    each input directory; a directory without any is an error."""
-    found: list[Path] = []
-    for path in inputs:
-        hits = [path] if path.is_file() else sorted(path.rglob(pattern))
-        if not hits:
-            raise ConfigError(f"no {pattern} files found under {path}")
-        found += hits
-    return found
-
-
-def _claim_video(files: dict[tuple[str, str], Path], video: tuple[str, str], path: Path) -> None:
-    """Record `path` as the input file of `video`; a second file for the same
-    video is an error (the same file reached twice is not)."""
-    first = files.setdefault(video, path)
-    if first.resolve() != path.resolve():
-        raise ConfigError(f"two input files for video {'/'.join(video)}: {first} and {path}")
-
-
-def _discover_sdd(inputs: Sequence[Path]) -> list[tuple[str, str, Path]]:
-    found: dict[tuple[str, str], Path] = {}
-    for hit in _find(inputs, "annotations.txt"):
-        _claim_video(found, (hit.parent.parent.name, hit.parent.name), hit)
-    return [(scene, video, found[(scene, video)]) for scene, video in sorted(found)]
-
-
-def _discover_ind(inputs: Sequence[Path]) -> list[tuple[Path, Path, Path]]:
-    # one entry per file, however many inputs reach it
-    tracks_files = {path.resolve(): path for path in _find(inputs, "*_tracks.csv")}
-    triples = []
-    for tracks in sorted(tracks_files.values()):
-        if not tracks.name.endswith("_tracks.csv"):
-            raise ConfigError(f"not a tracks file: {tracks}")
-        prefix = tracks.name[: -len("_tracks.csv")]
-        meta = tracks.with_name(f"{prefix}_tracksMeta.csv")
-        recording = tracks.with_name(f"{prefix}_recordingMeta.csv")
-        for required in (meta, recording):
-            if not required.is_file():
-                raise ConfigError(f"missing companion file: {required}")
-        triples.append((tracks, meta, recording))
-    return triples
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     from .store import write_store
 
     cfg = load_run_config(args.config, args.out)
-    diagnostics: dict[str, dict] = {}  # filled as each video is read
-    tracks_of: dict[tuple[str, str], Path] = {}
-
-    def sdd_video(scene: str, video: str, path: Path) -> list[Trajectory]:
-        from .sdd import IngestDiagnostics, assemble_trajectories, parse_sdd_annotations
-
-        diag = IngestDiagnostics()
-        trajectories = assemble_trajectories(parse_sdd_annotations(path), SourceRef("sdd", scene, video), diag)
-        diagnostics[f"{scene}/{video}"] = diag.to_dict()
-        return trajectories
-
-    def ind_video(tracks: Path, meta: Path, recording: Path) -> list[Trajectory]:
-        from .ind import parse_ind_tracks
-
-        parsed = parse_ind_tracks(tracks, meta, recording)
-        if parsed:
-            video = parsed[0].source.key()[1:]
-            _claim_video(tracks_of, video, tracks)
-            diagnostics["/".join(video)] = {"tracks_file": tracks.name, "n_trajectories": len(parsed)}
-        return parsed
-
-    # Inputs are found now; each video is read only when the writer asks for
-    # it, so one video at a time is held.
-    if cfg.dataset == "sdd":
-        videos = (sdd_video(*found) for found in _discover_sdd(cfg.inputs))
-    else:
-        videos = (ind_video(*found) for found in _discover_ind(cfg.inputs))
+    diagnostics: dict[str, dict] = {}  # filled as the writer asks the reader for each video
+    videos = import_module(f".{cfg.dataset}", __package__).read_videos(cfg.inputs, diagnostics)
     manifest = write_store(videos, cfg.store_dir, diagnostics)
     _status(
         f"ingested {sum(v['n_trajectories'] for v in manifest['videos'])} trajectories "

@@ -121,6 +121,8 @@ def load_predictions(path) -> dict[str, np.ndarray]:
             points = np.asarray(record["points"], dtype=np.float64)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"{path}:{line_no}: bad prediction record: {exc}")
+        if not isinstance(window_id, str):
+            raise StructuralError(f"{path}:{line_no}: window_id must be a string, got {json.dumps(window_id)}")
         if points.ndim != 2 or points.shape[1] != 2:
             raise StructuralError(
                 f"{path}:{line_no}: points must be a list of [x, y] pairs"
@@ -129,7 +131,7 @@ def load_predictions(path) -> dict[str, np.ndarray]:
             raise StructuralError(f"{path}:{line_no}: points must be finite numbers")
         if window_id in out:
             raise StructuralError(f"{path}:{line_no}: duplicate window id {window_id}")
-        out[str(window_id)] = points
+        out[window_id] = points
     return out
 
 

@@ -1,4 +1,4 @@
-"""Parser for inD-style recordings.
+"""Parser and input-tree reader (`read_videos`) for inD-style recordings.
 
 A recording ships as three CSV files: tracks (per-frame rows in meters),
 tracksMeta (per-track class and frame span), and recordingMeta (conversion
@@ -26,16 +26,19 @@ import io
 import math
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .types import (
     POINT_DTYPE,
+    ConfigError,
     ParseError,
     SourceRef,
     StructuralError,
     Trajectory,
+    claim_video,
+    input_files,
     not_utf8,
     read_columns,
     split_tracks,
@@ -212,30 +215,47 @@ def parse_ind_tracks(
     points["x"], points["y"] = meters_to_pixels(columns["xCenter"], columns["yCenter"], factor)
 
     trajectories: list[Trajectory] = []
-    for rows in split_tracks(track_ids, points["frame"]):
-        track_id = int(track_ids[rows[0]])
-        track = points[rows]
+    for track_id, _, track in split_tracks(track_ids, points):
         frames = track["frame"]
         steps = np.diff(frames)
         bad = np.flatnonzero(steps != 1)
+        where = f"track {track_id} of {source.key()}"
         if bad.size:
             k = bad[0]
             if steps[k] == 0:
-                raise StructuralError(f"track {track_id}: duplicate frame {frames[k]}")
-            raise StructuralError(
-                f"track {track_id}: frame gap between {frames[k]} and {frames[k + 1]}"
-            )
+                raise StructuralError(f"{where}: duplicate frame {frames[k]}")
+            raise StructuralError(f"{where}: frame gap between {frames[k]} and {frames[k + 1]}")
         expected = num_frames[track_id]
         if len(track) != expected:
-            raise StructuralError(
-                f"track {track_id}: numFrames says {expected}, file has {len(track)} rows"
-            )
-        trajectories.append(
-            Trajectory(
-                track_id=track_id,
-                class_label=classes[track_id],
-                points=track,
-                source=source,
-            )
-        )
+            raise StructuralError(f"{where}: numFrames says {expected}, file has {len(track)} rows")
+        trajectories.append(Trajectory(track_id, classes[track_id], track, source))
     return trajectories
+
+
+def read_videos(inputs: Sequence[Path], diagnostics: dict[str, dict]) -> Iterator[list[Trajectory]]:
+    """Each recording's trajectories, one list per <prefix>_tracks.csv under
+    `inputs` with its _tracksMeta.csv and _recordingMeta.csv beside it, in path
+    order. The files are found now; each recording is parsed when asked for,
+    then claimed as its source's <scene>/<video> and sets that diagnostics
+    entry, unless it has no tracks."""
+    triples = []
+    for tracks in sorted(input_files(inputs, "*_tracks.csv")):
+        if not tracks.name.endswith("_tracks.csv"):
+            raise ConfigError(f"not a tracks file: {tracks}")
+        prefix = tracks.name[: -len("_tracks.csv")]
+        companions = [tracks.with_name(f"{prefix}_{name}.csv") for name in ("tracksMeta", "recordingMeta")]
+        for required in companions:
+            if not required.is_file():
+                raise ConfigError(f"missing companion file: {required}")
+        triples.append((tracks, *companions))
+    claimed: dict[tuple[str, str], Path] = {}
+
+    def read(tracks: Path, meta: Path, recording: Path) -> list[Trajectory]:
+        trajectories = parse_ind_tracks(tracks, meta, recording)
+        if trajectories:
+            video = trajectories[0].source.key()[1:]
+            claim_video(claimed, video, tracks)
+            diagnostics["/".join(video)] = {"tracks_file": tracks.name, "n_trajectories": len(trajectories)}
+        return trajectories
+
+    return (read(*triple) for triple in triples)

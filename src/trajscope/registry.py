@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .types import ConfigError, check_positive, load_yaml
+from .types import ConfigError, check_positive, load_yaml, unknown_keys
 
 SCHEMA_VERSION = 1
 OVERLAP_LEVELS = ("none", "partial", "full")
@@ -89,7 +89,7 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _known_keys(body: Mapping, allowed: set[str], where: str) -> None:
-    unknown = sorted(str(key) for key in body if key not in allowed)
+    unknown = unknown_keys(body, allowed)
     _require(not unknown, f"unknown keys in {where}: {unknown}")
 
 

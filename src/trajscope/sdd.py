@@ -1,4 +1,4 @@
-"""Parser for SDD-style annotation files.
+"""Parser and input-tree reader (`read_videos`) for SDD-style annotation files.
 
 Row format: 10 whitespace-separated fields, newline-terminated:
 
@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .types import (
     StructuralError,
     Trajectory,
     canonical_class,
+    claim_video,
+    input_files,
     not_utf8,
     read_columns,
     split_tracks,
@@ -252,7 +254,6 @@ def assemble_trajectories(
     its first frame; label changes mid-track are recorded in diagnostics.
     Duplicate (track, frame) pairs and non-finite centers mean corrupt input.
     """
-    track_ids = records["track_id"]
     points = np.empty(len(records), POINT_DTYPE)
     points["frame"] = records["frame"]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -263,33 +264,39 @@ def assemble_trajectories(
         points[flag] = records[flag]
 
     trajectories: list[Trajectory] = []
-    for rows in split_tracks(track_ids, points["frame"]):
-        track_id = int(track_ids[rows[0]])
-        track = points[rows]
+    for track_id, rows, track in split_tracks(records["track_id"], points):
         frames = track["frame"]
         duplicate = np.flatnonzero(np.diff(frames) == 0)
         if duplicate.size:
-            raise StructuralError(
-                f"track {track_id} of {source.key()}: duplicate frame {frames[duplicate[0]]}"
-            )
+            raise StructuralError(f"track {track_id} of {source.key()}: duplicate frame {frames[duplicate[0]]}")
         overflow = np.flatnonzero(~finite[rows])
         if overflow.size:
             raise StructuralError(
-                f"track {track_id} of {source.key()}: box center at frame "
-                f"{frames[overflow[0]]} is not finite"
+                f"track {track_id} of {source.key()}: box center at frame {frames[overflow[0]]} is not finite"
             )
         labels_in_order = list(dict.fromkeys(records["label"][rows].tolist()))
         if diagnostics is not None and len(labels_in_order) > 1:
             diagnostics.label_changes[track_id] = labels_in_order
-        trajectories.append(
-            Trajectory(
-                track_id=track_id,
-                class_label=labels_in_order[0],
-                points=track,
-                source=source,
-            )
-        )
+        trajectories.append(Trajectory(track_id, labels_in_order[0], track, source))
     if diagnostics is not None:
         diagnostics.rows += len(records)
         diagnostics.tracks += len(trajectories)
     return trajectories
+
+
+def read_videos(inputs: Sequence[Path], diagnostics: dict[str, dict]) -> Iterator[list[Trajectory]]:
+    """Each video's trajectories, one list per <scene>/<video>/annotations.txt
+    under `inputs`, in (scene, video) order. The files are found and claimed
+    now; each is parsed when asked for and sets diagnostics["<scene>/<video>"]."""
+    files: dict[tuple[str, str], Path] = {}
+    for path in input_files(inputs, "annotations.txt"):
+        claim_video(files, (path.parent.parent.name, path.parent.name), path)
+
+    def read(scene: str, video: str) -> list[Trajectory]:
+        diag = IngestDiagnostics()
+        source = SourceRef("sdd", scene, video)
+        trajectories = assemble_trajectories(parse_sdd_annotations(files[scene, video]), source, diag)
+        diagnostics[f"{scene}/{video}"] = diag.to_dict()
+        return trajectories
+
+    return (read(*video) for video in sorted(files))

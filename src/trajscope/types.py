@@ -1,4 +1,4 @@
-"""Shared domain types, error classes and setting rules.
+"""Shared domain types, error classes, setting rules and input-file rules.
 
 Coordinates are pixel-space throughout: x grows rightward, y grows downward.
 All timestamps are integer frame indices in the source video's native clock.
@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Hashable, Iterable, Sequence
+from typing import IO, Container, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 import yaml
@@ -117,6 +117,11 @@ def load_yaml(path: Path, prefix: str = ""):
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
         raise ConfigError(f"{prefix}{where}: not valid YAML ({getattr(exc, 'problem', exc)})") from None
+
+
+def unknown_keys(mapping: Iterable, allowed: Container) -> list[str]:
+    """The keys of `mapping` not in `allowed` as sorted text: a YAML key may be a number or null."""
+    return sorted(str(key) for key in mapping if key not in allowed)
 
 
 def checked_count(value, name: str, minimum: int = 1) -> int:
@@ -298,11 +303,33 @@ class Trajectory:
         )
 
 
-def split_tracks(track_ids: np.ndarray, frames: np.ndarray) -> list[np.ndarray]:
-    """Row indices of each track, tracks by increasing id, rows by frame."""
-    order = np.lexsort((frames, track_ids))
+def input_files(inputs: Iterable[Path], pattern: str) -> list[Path]:
+    """Each input that is a file, and the files matching `pattern` under each
+    input directory, in that order; a file reached again, by any spelling of
+    its path, is left out. A directory without any is a ConfigError."""
+    found: dict[Path, Path] = {}
+    for path in inputs:
+        hits = [path] if path.is_file() else sorted(path.rglob(pattern))
+        if not hits:
+            raise ConfigError(f"no {pattern} files found under {path}")
+        for hit in hits:
+            found.setdefault(hit.resolve(), hit)
+    return list(found.values())
+
+
+def claim_video(claimed: dict[tuple[str, str], Path], video: tuple[str, str], path: Path) -> None:
+    """Record `path` as the file of `video`, its (scene, video); a second file for it is a ConfigError."""
+    first = claimed.setdefault(video, path)
+    if first != path:
+        raise ConfigError(f"two input files for video {'/'.join(video)}: {first} and {path}")
+
+
+def split_tracks(track_ids: np.ndarray, points: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Each track's id, row indices and points, tracks by increasing id, rows by frame."""
+    order = np.lexsort((points["frame"], track_ids))
     cuts = np.flatnonzero(np.diff(track_ids[order])) + 1
-    return np.split(order, cuts) if order.size else []
+    for rows in np.split(order, cuts) if order.size else []:
+        yield int(track_ids[rows[0]]), rows, points[rows]
 
 
 def read_columns(text: IO[str] | Iterable[str], dtype: np.dtype, **options) -> np.ndarray | None:

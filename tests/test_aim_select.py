@@ -145,6 +145,16 @@ def test_select_measures_at_the_runs_own_delta_and_window_by_default(fitted) -> 
     assert aim.select(Once(videos), cfg, named=("2", "4")).skipped == 0
 
 
+
+def test_select_takes_a_named_pair_as_any_sequence() -> None:
+    cfg = run_config(False)
+    as_tuple = aim.select(Once(store("walkers")), cfg, named=("2", "4"))
+    as_list = aim.select(Once(store("walkers")), cfg, named=["2", "4"])
+    assert as_tuple.series
+    assert summary(as_list.series) == summary(as_tuple.series)
+    assert as_list.measured == as_tuple.measured
+
+
 @pytest.mark.parametrize(
     "arguments, message",
     [

@@ -363,6 +363,19 @@ def test_two_ind_recordings_for_one_video_is_an_error(tmp_path, capsys) -> None:
     assert sorted(t.uid for t in load_store(out / "store")) == ["0", "1", "2", "3", "4"]
 
 
+
+def test_ind_repeated_frame_is_one_error_line_naming_the_video(tmp_path, capsys) -> None:
+    tracks = write_ind_recording(tmp_path / "data")
+    lines = tracks.read_text().splitlines(keepends=True)
+    tracks.write_text("".join(lines[:4] + lines[3:]))  # track 0's frame 2 twice
+    out = tmp_path / "out"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'data'}]\nout: {out}\n")
+    assert run(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err == "error: track 0 of ('ind', 'location2', '7'): duplicate frame 2\n"
+    assert not out.exists()
+
+
 # --- stats ------------------------------------------------------------------------
 
 
@@ -930,6 +943,24 @@ def test_every_command_checks_the_mi_settings_before_reading_any_file(
     assert run([command, "--config", config]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ("1: 2\nfoo: 3\n", "unknown top-level config keys: ['1', 'foo']"),
+        ("rho: {1: 2, foo: 3}\n", "unknown keys in config section 'rho': ['1', 'foo']"),
+        ("~: 2\nfoo: 3\n", "unknown top-level config keys: ['None', 'foo']"),
+    ],
+    ids=["top-level", "section", "null"],
+)
+@pytest.mark.parametrize("command", ["ingest", "stats", "eval", "aim"])
+def test_config_keys_that_are_not_text_are_one_error_line(workspace, capsys, command, keys, message) -> None:
+    _, annotations, out, config = workspace
+    config.write_text(f"dataset: sdd\ninputs: [{annotations}]\nout: {out}\n{keys}")
+    assert run([command, "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # --- eval ---------------------------------------------------------------------------

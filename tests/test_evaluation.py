@@ -334,6 +334,16 @@ def test_load_predictions_rejects_bad_record(tmp_path) -> None:
         load_predictions(path)
 
 
+
+@pytest.mark.parametrize("window_id", ["[1]", "5", "null"])
+def test_load_predictions_refuses_a_window_id_that_is_not_a_string(tmp_path, window_id) -> None:
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"window_id": "5", "points": [[0, 0]]}\n' f'{{"window_id": {window_id}, "points": [[0, 0]]}}\n')
+    with pytest.raises(StructuralError) as err:
+        load_predictions(path)
+    assert str(err.value) == f"{path}:2: window_id must be a string, got {window_id}"
+
+
 def test_load_predictions_non_utf8_names_file_and_line(tmp_path) -> None:
     path = tmp_path / "preds.jsonl"
     path.write_bytes(b'{"window_id": "a", "points": [[0, 0]]}\n{"window_id": "caf\xe9"}\n')

@@ -159,6 +159,14 @@ def test_the_aim_request_rules_live_in_select_not_the_cli() -> None:
         assert name not in source, name
 
 
+
+def test_the_input_layouts_live_in_the_dataset_modules_not_the_cli() -> None:
+    # which files make a video is `sdd.read_videos`' and `ind.read_videos`' decision
+    source = (SRC / "cli.py").read_text()
+    for name in ("annotations.txt", "_tracks.csv", "_tracksMeta"):
+        assert name not in source, name
+
+
 def test_the_cli_offers_the_pair_code_it_runs_without_importing_it() -> None:
     from trajscope import aim, cli
 

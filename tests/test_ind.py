@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from trajscope import ind
 from trajscope.ind import IND_CLASS_MAP, meters_to_pixels, parse_ind_tracks, pixels_to_meters
-from trajscope.types import POINT_DTYPE, ParseError, SourceRef, StructuralError, ToolError, Trajectory
+from trajscope.types import POINT_DTYPE, ConfigError, ParseError, SourceRef, StructuralError, ToolError, Trajectory
 
 TRACKS_HEADER = "recordingId,trackId,frame,trackLifetime,xCenter,yCenter,heading\n"
 META_HEADER = "recordingId,trackId,initialFrame,finalFrame,numFrames,class\n"
@@ -290,12 +290,12 @@ def ind_oracle(tracks, tracks_meta, recording_meta) -> list[Trajectory]:
         rows = sorted((f, x, y) for t, f, x, y in zip(track_col, frame_col, x_m, y_m) if t == track_id)
         for (a, _, _), (b, _, _) in zip(rows, rows[1:]):
             if a == b:
-                raise StructuralError(f"track {track_id}: duplicate frame {a}")
+                raise StructuralError(f"track {track_id} of {source.key()}: duplicate frame {a}")
             if b != a + 1:
-                raise StructuralError(f"track {track_id}: frame gap between {a} and {b}")
+                raise StructuralError(f"track {track_id} of {source.key()}: frame gap between {a} and {b}")
         if len(rows) != num_frames[track_id]:
             raise StructuralError(
-                f"track {track_id}: numFrames says {num_frames[track_id]}, file has {len(rows)} rows"
+                f"track {track_id} of {source.key()}: numFrames says {num_frames[track_id]}, file has {len(rows)} rows"
             )
         points = np.zeros(len(rows), POINT_DTYPE)
         points["frame"] = [f for f, _, _ in rows]
@@ -509,3 +509,21 @@ def test_non_utf8_byte_deep_in_large_tracks_names_its_line(tmp_path) -> None:
     with pytest.raises(ParseError) as err:
         parse_ind_tracks(*paths)
     assert str(err.value) == f"{paths[0]}:4321: not valid UTF-8 (byte 0xff)"
+
+
+def test_read_videos_reads_recordings_in_path_order_and_claims_each_after_parsing(tmp_path) -> None:
+    for name in "abc":
+        (tmp_path / name).mkdir()
+    write_recording(tmp_path / "a", ["7,0,0,0,1,1,0\n"], ["7,0,0,0,1,car\n"])
+    write_recording(tmp_path / "b", [], [])  # no tracks: no video, no diagnostics
+    write_recording(tmp_path / "c", ["7,0,0,0,1,1,0\n"], ["7,0,0,0,1,car\n"])
+    diagnostics: dict = {}
+    videos = ind.read_videos([tmp_path / "c", tmp_path / "b", tmp_path / "a"], diagnostics)
+    assert diagnostics == {}
+    assert [t.source.key() for t in next(videos)] == [("ind", "location1", "7")]
+    assert diagnostics == {"location1/7": {"tracks_file": "07_tracks.csv", "n_trajectories": 1}}
+    assert next(videos) == []
+    with pytest.raises(ConfigError) as err:
+        next(videos)
+    first, second = (tmp_path / name / "07_tracks.csv" for name in ("a", "c"))
+    assert str(err.value) == f"two input files for video location1/7: {first} and {second}"

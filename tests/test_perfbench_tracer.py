@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from conftest import straight_line
-from test_cli import write_config, write_sdd_tree
+from test_cli import write_config, write_ind_recording, write_sdd_tree
 from trajscope import aim
 from trajscope.cli import main
 
@@ -55,6 +55,24 @@ def test_every_traced_name_resolves_and_the_tracer_restores_it(tmp_path) -> None
     assert tracer.groups["store.load"].calls == 1
     assert tracer.groups["aim.extract"].calls >= 1
     assert tracer.groups["types.array_conversion"].calls > 0
+
+
+
+def test_a_traced_ingest_parses_and_assembles_each_video_once(tmp_path) -> None:
+    layers = load_layers()
+    sdd_config = write_config(tmp_path / "sdd.yaml", write_sdd_tree(tmp_path / "sdd"), tmp_path / "sdd-out")
+    write_ind_recording(tmp_path / "ind")
+    ind_config = tmp_path / "ind.yaml"
+    ind_config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'ind'}]\nout: {tmp_path / 'ind-out'}\n")
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        assert main(["ingest", "--config", str(sdd_config)]) == 0
+        assert main(["ingest", "--config", str(ind_config)]) == 0
+    finally:
+        tracer.restore()
+    calls = {group: tracer.groups[group].calls for group in ("sdd.parse", "sdd.assemble", "ind.parse")}
+    assert calls == {"sdd.parse": 2, "sdd.assemble": 2, "ind.parse": 1}
 
 
 def test_hot_functions_call_no_other_traced_function() -> None:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_cli import write_sdd_tree
 from trajscope import sdd
 from trajscope.sdd import (
     RECORD_DTYPE,
@@ -21,6 +22,7 @@ from trajscope.sdd import (
 )
 from trajscope.types import (
     ALL_CLASSES,
+    ConfigError,
     ParseError,
     SourceRef,
     StructuralError,
@@ -692,3 +694,28 @@ def test_non_utf8_file_is_parse_error_naming_its_line(tmp_path) -> None:
     with pytest.raises(ParseError) as err:
         parse_sdd_annotations(path)
     assert str(err.value) == f"{path}:2: not valid UTF-8 (byte 0xff)"
+
+
+def test_read_videos_parses_one_file_per_video_as_each_is_asked_for(tmp_path, monkeypatch) -> None:
+    root = write_sdd_tree(tmp_path / "a")
+    parsed = []
+    parse = sdd.parse_sdd_annotations
+    monkeypatch.setattr(sdd, "parse_sdd_annotations", lambda path: parsed.append(path) or parse(path))
+    diagnostics: dict = {}
+    videos = sdd.read_videos([root], diagnostics)
+    assert parsed == [] and diagnostics == {}
+    for video in ("video0", "video1"):
+        trajectories = next(videos)
+        assert parsed[-1] == root / "quad" / video / "annotations.txt"
+        assert {t.source.key() for t in trajectories} == {("sdd", "quad", video)}
+        assert list(diagnostics)[-1] == f"quad/{video}"
+    assert next(videos, None) is None
+    assert len(parsed) == 2
+
+    # every file is claimed before the first is read
+    other = write_sdd_tree(tmp_path / "b")
+    with pytest.raises(ConfigError) as err:
+        sdd.read_videos([root, other], {})
+    first, second = (tree / "quad" / "video0" / "annotations.txt" for tree in (root, other))
+    assert str(err.value) == f"two input files for video quad/video0: {first} and {second}"
+    assert len(parsed) == 2
