@@ -21,11 +21,11 @@ _EXPORTS = {
     "analytics": (
         "ClassDistributionRow", "LostStatsRow", "OverlapRow", "SplitCandidate",
         "class_distribution", "detect_split_candidates", "group_trajectories_for_stats",
-        "lost_stats", "overlap_report",
+        "lost_stats", "overlap_report", "reports",
     ),
     "evaluation": (
         "EvalReport", "Prediction", "ade", "constant_velocity_predict", "evaluate", "fde",
-        "load_predictions", "predictor_from_mapping",
+        "load_predictions", "predictor_from_mapping", "scores",
     ),
     "ind": ("meters_to_pixels", "parse_ind_tracks", "pixels_to_meters"),
     "mi": ("HashMIState", "g_divergence", "mi_prefix_series"),

@@ -1,16 +1,17 @@
 """Dataset characterization reports: lost-annotation frequency, class mix,
 curated overlap metadata, and a heuristic for track ids that look like two
-halves of the same individual.
+halves of the same individual. `reports` is the whole of `trajscope stats`
+but the file writing.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .preprocess import classify_lost_positions
 from .registry import DatasetRegistry
-from .types import SDD_CLASSES, Trajectory
+from .types import IND_CLASSES, SDD_CLASSES, Trajectory, row_columns
 
 DEFAULT_MAX_FRAME_GAP = 60
 DEFAULT_MAX_SPATIAL_GAP = 50.0
@@ -58,7 +59,7 @@ class OverlapRow:
 
 
 def group_trajectories_for_stats(
-    trajectories: Sequence[Trajectory],
+    trajectories: Iterable[Trajectory],
     registry: DatasetRegistry | None = None,
 ) -> dict[str, list[Trajectory]]:
     """Group for reporting: scene name, except inD recordings pool into their
@@ -198,3 +199,26 @@ def overlap_report(registry: DatasetRegistry) -> list[OverlapRow]:
             )
         )
     return rows
+
+
+def reports(
+    videos: Iterable[tuple[tuple[str, str, str], Iterable[Trajectory]]], registry: DatasetRegistry, dataset: str
+) -> dict[str, tuple[dict[str, list], dict[str, int]]]:
+    """The tables `trajscope stats` writes, by file name, each as its columns
+    in order and the decimals of its float columns: `lost_stats` and
+    `class_distribution` (the dataset's classes) per scene, or per registry
+    intersection for inD, and on SDD the registry's `overlap_report`.
+    `videos` yields each video's key and trajectories and is read once."""
+    groups = group_trajectories_for_stats((t for _, video in videos for t in video), registry)
+    lost = ("pct_lost_start", "pct_lost_middle", "pct_lost_end")
+    tables = {
+        "lost_stats": (row_columns(lost_stats(groups), ("scene", "n_trajectories", *lost)), dict.fromkeys(lost, 2))
+    }
+    classes = SDD_CLASSES if dataset == "sdd" else IND_CLASSES
+    rows = class_distribution(groups, classes)
+    columns = {**row_columns(rows, ("scene", "n_tracks")), **{c: [row.percentages[c] for row in rows] for c in classes}}
+    tables["class_distribution"] = (columns, dict.fromkeys(classes, 2))
+    if dataset == "sdd":
+        overlap = ("scene", "location_overlap", "time_overlap", "simultaneous_groups")
+        tables["overlap_report"] = (row_columns(overlap_report(registry), overlap), {})
+    return tables

@@ -29,11 +29,10 @@ from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
+from .preprocess import LostPolicy, PreprocessConfig
 from .types import (
-    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, IND_CLASSES,
-    InsufficientDataError, RhoConfig, SDD_CLASSES, ToolError, checked_count, checked_delta,
-    checked_mi_settings, is_number, load_yaml, unknown_keys,
+    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, RhoConfig, ToolError, checked_count,
+    checked_delta, checked_mi_settings, is_number, load_yaml, row_columns, unknown_keys,
 )
 
 # Beyond config loading, each command imports the modules it runs when it
@@ -157,9 +156,10 @@ def _convert(key: str, value, kind: type, what: str = "config key"):
 
 
 def _section(raw: Mapping, name: str) -> dict:
-    """The converted values of a config section's keys that are set."""
+    """The converted values of a config section's keys that are set; a null
+    section is an empty one."""
     kinds = _SECTIONS[name]
-    section = raw.get(name) or {}
+    section = {} if raw.get(name) is None else raw[name]
     if not isinstance(section, Mapping):
         raise ConfigError(f"config section {name!r} must be a mapping")
     unknown = unknown_keys(section, kinds)
@@ -200,7 +200,7 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     out_raw = _convert("out", out_raw, str)
 
     registry_raw = raw.get("registry")
-    registry_path = Path(_convert("registry", registry_raw, str)) if registry_raw else None
+    registry_path = None if registry_raw is None else Path(_convert("registry", registry_raw, str))
     if registry_path is not None and not registry_path.is_file():
         raise ConfigError(f"registry file does not exist: {registry_path}")
 
@@ -271,11 +271,6 @@ def _write_table(
     return written
 
 
-def _columns(rows: Sequence, names: Sequence[str]) -> dict[str, list]:
-    """The named attributes of each row, a column at a time."""
-    return {name: [getattr(row, name) for row in rows] for name in names}
-
-
 def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -311,49 +306,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .analytics import class_distribution, group_trajectories_for_stats, lost_stats, overlap_report
-    from .store import load_store
+    from .analytics import reports
+    from .store import videos
 
     cfg = load_run_config(args.config, args.out)
-    registry = _load_registry(cfg)
-    trajectories = load_store(cfg.store_dir)
-    groups = group_trajectories_for_stats(
-        trajectories, registry=registry if cfg.dataset == "ind" else None
-    )
-
-    written = _write_table(
-        cfg.reports_dir / "lost_stats",
-        _columns(
-            lost_stats(groups),
-            ("scene", "n_trajectories", "pct_lost_start", "pct_lost_middle", "pct_lost_end"),
-        ),
-        {"pct_lost_start": 2, "pct_lost_middle": 2, "pct_lost_end": 2},
-        cfg.export_format,
-    )
-
-    classes = SDD_CLASSES if cfg.dataset == "sdd" else IND_CLASSES
-    class_rows = class_distribution(groups, classes)
-    written += _write_table(
-        cfg.reports_dir / "class_distribution",
-        {
-            **_columns(class_rows, ("scene", "n_tracks")),
-            **{c: [row.percentages[c] for row in class_rows] for c in classes},
-        },
-        {c: 2 for c in classes},
-        cfg.export_format,
-    )
-
-    if cfg.dataset == "sdd":
-        written += _write_table(
-            cfg.reports_dir / "overlap_report",
-            _columns(
-                overlap_report(registry),
-                ("scene", "location_overlap", "time_overlap", "simultaneous_groups"),
-            ),
-            {},
-            cfg.export_format,
-        )
-
+    tables = reports(videos(cfg.store_dir), _load_registry(cfg), cfg.dataset)
+    written = []
+    for name, (columns, decimals) in tables.items():
+        written += _write_table(cfg.reports_dir / name, columns, decimals, cfg.export_format)
     _status(f"wrote {len(written)} report files to {cfg.reports_dir}")
     return 0
 
@@ -453,43 +413,24 @@ def cmd_aim(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .evaluation import constant_velocity_predict, evaluate, load_predictions, predictor_from_mapping
-    from .store import load_store
+    from .evaluation import constant_velocity_predict, load_predictions, predictor_from_mapping, scores
+    from .store import videos
 
     cfg = load_run_config(args.config, args.out)
     policies = [cfg.preprocess.lost_policy]
     if args.lost_policy:
         policies = _parse_list(args.lost_policy, "--lost-policy", LostPolicy)
-
-    if args.predictor == "constant_velocity":
-        predictor = constant_velocity_predict
-    else:
-        predictions_path = Path(args.predictor)
-        if not predictions_path.is_file():
+    predictor = constant_velocity_predict
+    if args.predictor != "constant_velocity":
+        if not Path(args.predictor).is_file():
             raise ConfigError(
                 f"--predictor must be 'constant_velocity' or an existing predictions file, got {args.predictor!r}"
             )
-        predictor = predictor_from_mapping(load_predictions(predictions_path))
-
-    registry = _load_registry(cfg)
-    trajectories = load_store(cfg.store_dir)
-    native_rate = registry.frame_rate(cfg.dataset)
-    rows = []
-    for policy in policies:
-        pcfg = dataclasses.replace(cfg.preprocess, lost_policy=policy)
-        windows = [window for traj in trajectories for window in preprocess_trajectory(traj, pcfg, native_rate)]
-        if not windows:
-            raise InsufficientDataError(
-                f"preprocessing with lost policy {policy.value!r} produced no windows"
-            )
-        rows += evaluate(windows, predictor, config_label=policy.value)
-
-    written = _write_table(
-        cfg.reports_dir / "eval",
-        _columns(rows, ("dataset", "config", "group", "n_windows", "ade", "fde")),
-        {"ade": 6, "fde": 6},
-        cfg.export_format,
-    )
+        predictor = predictor_from_mapping(load_predictions(Path(args.predictor)))
+    native_rate = _load_registry(cfg).frame_rate(cfg.dataset)
+    rows = scores(videos(cfg.store_dir), predictor, cfg.preprocess, policies, native_rate)
+    columns = row_columns(rows, ("dataset", "config", "group", "n_windows", "ade", "fde"))
+    written = _write_table(cfg.reports_dir / "eval", columns, {"ade": 6, "fde": 6}, cfg.export_format)
     _status(f"wrote {len(written)} evaluation report files to {cfg.reports_dir}")
     return 0
 

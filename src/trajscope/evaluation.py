@@ -6,19 +6,21 @@ predicted point, fde looks at the final point only. The harness scores any
 callable that maps a window to a Prediction, so learned models can be
 evaluated by exporting their outputs to the documented JSONL record format
 (one object per line: {"window_id": ..., "points": [[x, y], ...]}).
+`scores` is the whole of `trajscope eval` but the file writing.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .preprocess import TrajectoryWindow
-from .types import StructuralError, not_utf8
+from .preprocess import LostPolicy, PreprocessConfig, TrajectoryWindow, preprocess_trajectory
+from .types import InsufficientDataError, StructuralError, Trajectory, not_utf8
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,3 +176,23 @@ def evaluate(
             )
         )
     return reports
+
+
+def scores(
+    videos: Iterable[tuple[tuple[str, str, str], Iterable[Trajectory]]], predictor: Predictor,
+    preprocess: PreprocessConfig, policies: Sequence[LostPolicy], native_rate: float,
+) -> list[EvalReport]:
+    """The rows `trajscope eval` writes: for each lost policy in order, the
+    `evaluate` rows of every window that `preprocess` with that policy cuts
+    from the trajectories, at `native_rate` frames per second. `videos`
+    yields each video's key and trajectories and is read once; a policy that
+    leaves no windows is an InsufficientDataError."""
+    trajectories = [t for _, video in videos for t in video]
+    rows = []
+    for policy in policies:
+        config = dataclasses.replace(preprocess, lost_policy=policy)
+        windows = [window for traj in trajectories for window in preprocess_trajectory(traj, config, native_rate)]
+        if not windows:
+            raise InsufficientDataError(f"preprocessing with lost policy {policy.value!r} produced no windows")
+        rows += evaluate(windows, predictor, config_label=policy.value)
+    return rows

@@ -240,8 +240,6 @@ def read_videos(inputs: Sequence[Path], diagnostics: dict[str, dict]) -> Iterato
     entry, unless it has no tracks."""
     triples = []
     for tracks in sorted(input_files(inputs, "*_tracks.csv")):
-        if not tracks.name.endswith("_tracks.csv"):
-            raise ConfigError(f"not a tracks file: {tracks}")
         prefix = tracks.name[: -len("_tracks.csv")]
         companions = [tracks.with_name(f"{prefix}_{name}.csv") for name in ("tracksMeta", "recordingMeta")]
         for required in companions:

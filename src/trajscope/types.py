@@ -1,4 +1,4 @@
-"""Shared domain types, error classes, setting rules and input-file rules.
+"""Shared domain types, error classes, setting rules, input-file rules, tables.
 
 Coordinates are pixel-space throughout: x grows rightward, y grows downward.
 All timestamps are integer frame indices in the source video's native clock.
@@ -303,12 +303,20 @@ class Trajectory:
         )
 
 
+def row_columns(rows: Sequence, names: Sequence[str]) -> dict[str, list]:
+    """The named attributes of each row, a column at a time: a report table."""
+    return {name: [getattr(row, name) for row in rows] for name in names}
+
+
 def input_files(inputs: Iterable[Path], pattern: str) -> list[Path]:
     """Each input that is a file, and the files matching `pattern` under each
     input directory, in that order; a file reached again, by any spelling of
-    its path, is left out. A directory without any is a ConfigError."""
+    its path, is left out. An input file whose name does not match, or a
+    directory without any, is a ConfigError."""
     found: dict[Path, Path] = {}
     for path in inputs:
+        if path.is_file() and not path.match(pattern):
+            raise ConfigError(f"input file {path} does not match {pattern}")
         hits = [path] if path.is_file() else sorted(path.rglob(pattern))
         if not hits:
             raise ConfigError(f"no {pattern} files found under {path}")

@@ -275,6 +275,53 @@ def test_null_config_value_is_absent_or_an_error_naming_the_key(tmp_path, key) -
             load_run_config(null)
 
 
+@pytest.mark.parametrize("value", ["0", "false", "[]", '""'])
+@pytest.mark.parametrize("section", ["preprocess", "rho", "aim", "mi"])
+def test_a_config_section_set_to_a_non_mapping_is_one_error_line(workspace, capsys, section, value) -> None:
+    """Only null or an absent key leaves a section empty; a falsy scalar or list is refused."""
+    _, annotations, out, config = workspace
+    config.write_text(f"dataset: sdd\ninputs: [{annotations}]\nout: {out}\n{section}: {value}\n")
+    assert run(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: config section {section!r} must be a mapping\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, shown", [("0", "0"), ("false", "False")])
+def test_a_registry_key_that_is_not_a_path_is_one_error_line(workspace, capsys, value, shown) -> None:
+    _, annotations, out, config = workspace
+    config.write_text(f"dataset: sdd\ninputs: [{annotations}]\nout: {out}\nregistry: {value}\n")
+    assert run(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: config key registry must be a string, got {shown}\n"
+    assert not out.exists()
+
+    config.write_text(f"dataset: sdd\ninputs: [{annotations}]\nout: {out}\nregistry: null\n")
+    assert load_run_config(config).registry_path is None  # the packaged registry
+
+
+def test_an_input_file_not_named_as_the_dataset_names_its_files_is_one_error_line(tmp_path, capsys) -> None:
+    annotations = write_sdd_tree(tmp_path / "sdd")
+    notes = annotations / "quad" / "video0" / "notes.txt"
+    notes.write_text((annotations / "quad" / "video0" / "annotations.txt").read_text())
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "config.yaml", notes, out)
+    assert run(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: input file {notes} does not match annotations.txt\n"
+    assert not out.exists()
+
+    meta = write_ind_recording(tmp_path / "ind").with_name("07_tracksMeta.csv")
+    config.write_text(f"dataset: ind\ninputs: [{meta}]\nout: {out}\n")
+    assert run(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: input file {meta} does not match *_tracks.csv\n"
+    assert not out.exists()
+
+    # a file named as the dataset names its files is read as given
+    config.write_text(f"dataset: ind\ninputs: [{meta.with_name('07_tracks.csv')}]\nout: {out}\n")
+    assert run(["ingest", "--config", config]) == 0
+    write_config(config, notes.with_name("annotations.txt"), out)
+    assert run(["ingest", "--config", config]) == 0
+    assert [t.source.video for t in load_store(out / "store")] == ["video0"] * 4
+
+
 def test_ingest_ind_store(tmp_path, capsys) -> None:
     data = tmp_path / "data"
     data.mkdir()
@@ -991,6 +1038,16 @@ def test_eval_constant_velocity_two_policies(workspace) -> None:
     csv_lines = (out / "reports" / "eval.csv").read_text().splitlines()
     assert csv_lines[0] == "dataset,config,group,n_windows,ade,fde"
     assert all(len(line.split(",")) == 6 for line in csv_lines[1:])
+
+
+def test_eval_reports_a_registry_without_the_dataset_before_reading_the_store(tmp_path, capsys) -> None:
+    registry = tmp_path / "registry.yaml"
+    registry.write_text("version: 1\ndatasets:\n  sdd:\n    frame_rate: 30\n    scenes: {}\n")
+    data = write_ind_recording(tmp_path / "data").parent
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: ind\ninputs: [{data}]\nout: {tmp_path / 'out'}\nregistry: {registry}\n")
+    assert run(["eval", "--config", config]) == 1  # nothing ingested
+    assert capsys.readouterr().err == "error: unknown dataset 'ind'\n"
 
 
 def test_eval_lost_policy_given_twice_is_one_error_line(workspace, capsys) -> None:

@@ -13,6 +13,7 @@ from conftest import straight_line
 from test_cli import write_config, write_ind_recording, write_sdd_tree
 from trajscope import aim
 from trajscope.cli import main
+from trajscope.store import load_store
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -73,6 +74,47 @@ def test_a_traced_ingest_parses_and_assembles_each_video_once(tmp_path) -> None:
         tracer.restore()
     calls = {group: tracer.groups[group].calls for group in ("sdd.parse", "sdd.assemble", "ind.parse")}
     assert calls == {"sdd.parse": 2, "sdd.assemble": 2, "ind.parse": 1}
+
+
+def traced_calls(layers, argv: list[str], groups: tuple[str, ...]) -> dict[str, int]:
+    """The number of calls of each span group in one traced run of `argv`."""
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracer.restore()
+    return {group: tracer.groups[group].calls for group in groups}
+
+
+STATS_SPANS = (
+    "store.load", "registry.load", "analytics.group", "analytics.lost_stats",
+    "analytics.class_distribution", "analytics.overlap_report",
+)
+
+
+def test_a_traced_stats_runs_each_report_once(tmp_path) -> None:
+    layers = load_layers()
+    sdd_config = write_config(tmp_path / "sdd.yaml", write_sdd_tree(tmp_path / "sdd"), tmp_path / "sdd-out")
+    write_ind_recording(tmp_path / "ind")
+    ind_config = tmp_path / "ind.yaml"
+    ind_config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'ind'}]\nout: {tmp_path / 'ind-out'}\n")
+    for config in (sdd_config, ind_config):
+        assert main(["ingest", "--config", str(config)]) == 0
+    assert traced_calls(layers, ["stats", "--config", str(sdd_config)], STATS_SPANS) == dict.fromkeys(STATS_SPANS, 1)
+    # inD gets no overlap report
+    calls = traced_calls(layers, ["stats", "--config", str(ind_config)], STATS_SPANS)
+    assert calls == {**dict.fromkeys(STATS_SPANS, 1), "analytics.overlap_report": 0}
+
+
+def test_a_traced_eval_loads_the_store_once_and_windows_each_trajectory_per_policy(tmp_path) -> None:
+    layers = load_layers()
+    config = write_config(tmp_path / "config.yaml", write_sdd_tree(tmp_path), tmp_path / "out")
+    assert main(["ingest", "--config", str(config)]) == 0
+    n_trajectories = len(load_store(tmp_path / "out" / "store"))
+    argv = ["eval", "--config", str(config), "--lost-policy", "keep_lost,filter_keep_first"]
+    calls = traced_calls(layers, argv, ("store.load", "evaluation.evaluate", "preprocess.trajectory"))
+    assert calls == {"store.load": 1, "evaluation.evaluate": 2, "preprocess.trajectory": 2 * n_trajectories}
 
 
 def test_hot_functions_call_no_other_traced_function() -> None:
