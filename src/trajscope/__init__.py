@@ -36,8 +36,7 @@ _EXPORTS = {
     ),
     "registry": ("DatasetRegistry", "SceneOverlap", "default_registry_path", "load_registry"),
     "sdd": (
-        "RECORD_DTYPE", "IngestDiagnostics", "assemble_trajectories", "format_sdd_row",
-        "parse_sdd_annotations",
+        "RECORD_DTYPE", "IngestDiagnostics", "assemble_trajectories", "parse_sdd_annotations",
     ),
     "store": ("load_manifest", "load_store", "videos", "write_store"),
     "types": (

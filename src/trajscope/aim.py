@@ -28,12 +28,10 @@ per-video scale, fitted by the caller. `compute_kinematics` and
 it on the one window that ends at a frame, the second on one-element
 arrays, so both equal the series bit for bit.
 
-`sweep` and `final_bounds` run one fold that takes the per-frame
-dependence as an argument: the estimate (`mi_prefix_series`) for the
-measurement, an upper bound on it (`mi_prefix_bound`, no joint counts)
-for the bound, through the same checks, kinematics, rho series and
-recurrence. `select`, the selection `trajscope aim` exports, ranks the
-top k by measuring pairs in decreasing order of their bound, video by
+`final_bounds` bounds `sweep`'s final values in one discounted sum per
+direction, over rho and `mi_prefix_bound` (marginal cells only) in place
+of the estimate. `select`, the selection `trajscope aim` exports, ranks
+the top k by measuring pairs in decreasing order of their bound, video by
 video, and stops once the k-th best final value is above the next bound:
 every pair left is below it, so the selection is the one that measuring
 every pair would give.
@@ -44,12 +42,13 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mi import mi_prefix_bound, mi_prefix_series
+from .mi import BOUND_MARGIN, mi_prefix_bound, mi_prefix_series
 from .types import (
     DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, DEFAULT_N_WINDOW, ConfigError, DomainError,
     InsufficientDataError, RhoConfig, StructuralError, Trajectory, check_first_eval_point, checked_count,
@@ -339,12 +338,7 @@ def _rho_series(kin: PairKinematics, h: np.ndarray, cfg: RhoConfig) -> np.ndarra
 
 
 def _recurrence(terms: np.ndarray, delta: float) -> np.ndarray:
-    running = 0.0
-    aim = []
-    for term in terms.tolist():
-        running = delta * running + term
-        aim.append(running)
-    return np.array(aim, dtype=np.float64)
+    return np.fromiter(accumulate(terms.tolist(), lambda aim, term: delta * aim + term), np.float64, len(terms))
 
 
 def _series_arrays(
@@ -390,23 +384,27 @@ def accumulate_aim(
     )
 
 
-def _fold(
+def sweep(
     pair: InteractionPair,
-    dependence: Callable,
     delta_values: Sequence[float],
     n_values: Sequence[int],
-    rho_config: RhoConfig | None,
-    bandwidths: Sequence[float],
-    weights: Sequence[float] | None,
-    n_min: int,
-    both_directions: bool,
+    *,
+    rho_config: RhoConfig | None = None,
+    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
+    weights: Sequence[float] | None = None,
+    n_min: int = DEFAULT_N_MIN,
+    both_directions: bool = False,
 ) -> list[MeasureSeries]:
-    """The measurement, with `dependence` as the per-frame dependence.
+    """One MeasureSeries per (n_window, delta) combination.
 
-    `dependence` is `mi_prefix_series` or `mi_prefix_bound`, called once with the
-    (L, 2, 2) sample stream and the prefix length at each frame the smallest
-    n_window measures; a larger n_window takes a tail. Kinematics are computed
-    once per n_window, rho per direction and the recurrence per direction and delta.
+    The dependence stream is fed every co-present sample from the first
+    common frame; evaluation starts once the n_window warm-up buffer has
+    passed, so each series covers frames[n_window:]. The dependence series
+    is computed once, at the frames the smallest n_window measures (a larger
+    one takes a tail), kinematics once per n_window, and both are reused
+    across deltas. With both_directions, each n_window also yields the
+    series of `pair.reversed()`, sharing both (only the heading differs).
+    Results are ordered by n_values outer, then direction, then delta_values.
     """
     cfg = rho_config if rho_config is not None else RhoConfig()
     deltas = [checked_delta(delta) for delta in delta_values]
@@ -414,15 +412,11 @@ def _fold(
     if not ns:
         return []
     first = min(ns)
-    values = dependence(
-        np.stack([pair.xi, pair.xj], axis=1),
-        range(first + 1, len(pair.frames) + 1),
-        bandwidths=bandwidths,
-        weights=weights,
-        n_min=n_min,
+    estimates = mi_prefix_series(
+        np.stack([pair.xi, pair.xj], axis=1), range(first + 1, len(pair.frames) + 1),
+        bandwidths=bandwidths, weights=weights, n_min=n_min,
     )
-    # mi_prefix_series gives (t, value) rows, mi_prefix_bound an array of values
-    values = np.array([v for _, v in values], dtype=np.float64) if isinstance(values, list) else values
+    values = np.array([v for _, v in estimates], dtype=np.float64)
     out: list[MeasureSeries] = []
     for n in ns:
         variant = pair if n == pair.n_window else dataclasses.replace(pair, n_window=n)
@@ -448,33 +442,6 @@ def _fold(
     return out
 
 
-def sweep(
-    pair: InteractionPair,
-    delta_values: Sequence[float],
-    n_values: Sequence[int],
-    *,
-    rho_config: RhoConfig | None = None,
-    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
-    weights: Sequence[float] | None = None,
-    n_min: int = DEFAULT_N_MIN,
-    both_directions: bool = False,
-) -> list[MeasureSeries]:
-    """One MeasureSeries per (n_window, delta) combination.
-
-    The dependence stream is fed every co-present sample from the first
-    common frame; evaluation starts once the n_window warm-up buffer has
-    passed, so each series covers frames[n_window:]. Kinematics and the
-    dependence series are computed once per n_window and reused across
-    deltas. With both_directions, each n_window also yields the series of
-    `pair.reversed()`, sharing both (only the heading differs). Results are
-    ordered by n_values outer, then direction, then delta_values.
-    """
-    return _fold(
-        pair, mi_prefix_series, delta_values, n_values, rho_config,
-        bandwidths, weights, n_min, both_directions,
-    )
-
-
 def final_bounds(
     pair: InteractionPair,
     *,
@@ -484,22 +451,30 @@ def final_bounds(
     weights: Sequence[float] | None = None,
     n_min: int = DEFAULT_N_MIN,
 ) -> tuple[float, float]:
-    """Upper bounds on the final aim of `pair` and of `pair.reversed()`.
+    """Upper bounds on the final aim of `pair` and of `pair.reversed()`: each is
+    sum_t delta^(T-t) * w[t] over the T measured frames, w = rho * b, with b
+    `mi_prefix_bound` and rho as `sweep` computes it, times 1 + BOUND_MARGIN,
+    plus 4T * 2**-1074. Its checks and errors are `sweep`'s, in `sweep`'s order.
 
-    The measurement's own fold, `sweep` at (pair.n_window, delta) in both
-    directions, run on `mi_prefix_bound` in place of the estimate. Rounding
-    is monotone, rho is non-negative and the recurrence only multiplies by
-    delta > 0 and adds non-negative terms, so a computed estimate at most
-    its computed bound at every frame gives a computed final value at most
-    the returned bound. It costs the kinematics (cached on the pair, as
-    `sweep` uses them) and the marginal cells, but no joint counts. Its
-    checks and errors are `sweep`'s, since it runs the same code.
+    The estimate is at most b, rho >= 0 and rounding is monotone, so `sweep`'s
+    final value is at most its loop run on w. Loop and sum differ by rounding
+    alone: u = 2**-53 relative per operation, or 2**-1075 absolute where a
+    product underflows (a sum that underflows is exact), and a few ulps per
+    weight delta**k, raised to the smallest normal number when below it. A
+    term is rounded at most 2T times in the loop and T times in the sum: a gap
+    under (3T + 20) * u, below half of BOUND_MARGIN for T up to 1.5 million
+    frames (14 hours at 30 fps). Each of the 2T products by delta or by a
+    weight underflows at most once: 4T * 2**-1074 is four times that.
     """
-    forward, backward = _fold(
-        pair, mi_prefix_bound, [delta], [pair.n_window], rho_config,
-        bandwidths, weights, n_min, both_directions=True,
+    cfg = rho_config if rho_config is not None else RhoConfig()
+    delta, n = checked_delta(delta), checked_count(pair.n_window, "n_window")
+    b = mi_prefix_bound(
+        np.stack([pair.xi, pair.xj], axis=1), range(n + 1, len(pair.frames) + 1),
+        bandwidths=bandwidths, weights=weights, n_min=n_min,
     )
-    return forward.final, backward.final
+    weight = np.maximum(delta ** np.arange(len(b) - 1, -1, -1), np.finfo(np.float64).tiny)
+    sums = [(_rho_series(pair.kinematics, _headings(d), cfg) * b * weight).sum() for d in (pair, pair.reversed())]
+    return tuple(float(total) * (1.0 + BOUND_MARGIN) + 4 * len(b) * math.ulp(0.0) for total in sums)
 
 
 def measure_interaction(

@@ -125,7 +125,7 @@ _EXPECTED = {
     float: "a finite number",
     bool: "true or false",
     tuple: "a list of numbers",
-    str: "a string",
+    str: "a non-empty string",
 }
 
 
@@ -143,7 +143,7 @@ def _convert(key: str, value, kind: type, what: str = "config key"):
         if isinstance(value, (list, tuple)):
             return tuple(_convert(key, item, float) for item in value)
     elif kind in (bool, str):
-        if isinstance(value, kind):
+        if isinstance(value, kind) and value != "":  # an empty path would be read as "."
             return value
     elif is_number(value) or what == "option":  # an option is text to parse
         try:
@@ -195,7 +195,7 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
             raise ConfigError(f"input path does not exist: {path}")
 
     out_raw = out_override or raw.get("out")
-    if not out_raw:
+    if out_raw is None:
         raise ConfigError("no output directory: set out: in the config or pass --out")
     out_raw = _convert("out", out_raw, str)
 
@@ -219,7 +219,7 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
         fit_v0="v0" not in rho_given,
         fit_sigma_d="sigma_d" not in rho_given,
         fit_a0="a0" not in rho_given,
-        export_format=raw.get("export_format", "both"),
+        export_format="both" if raw.get("export_format") is None else raw["export_format"],
         **_section(raw, "aim"),
         **_section(raw, "mi"),
     )

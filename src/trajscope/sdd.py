@@ -230,19 +230,6 @@ def parse_sdd_annotations(
     return _parse_rows(lines, path) if records is None else records
 
 
-def format_sdd_row(record: np.void) -> str:
-    """Inverse of parse for one RECORD_DTYPE row (numeric formatting normalized)."""
-    track_id, xmin, ymin, xmax, ymax, frame, lost, occluded, generated, label = record.item()
-
-    def num(v: float) -> str:
-        return str(int(v)) if v.is_integer() else repr(v)
-
-    return (
-        f"{track_id} {num(xmin)} {num(ymin)} {num(xmax)} {num(ymax)} {frame} "
-        f'{lost} {occluded} {generated} "{label}"'
-    )
-
-
 def assemble_trajectories(
     records: np.ndarray,
     source: SourceRef,

@@ -24,6 +24,7 @@ from trajscope.aim import (
     measure_interaction,
     sweep,
 )
+from trajscope.mi import BOUND_MARGIN, mi_prefix_bound
 from trajscope.types import ConfigError, DomainError, InsufficientDataError, StructuralError, Trajectory
 
 
@@ -586,13 +587,33 @@ def test_the_fit_median_is_numpys(values) -> None:
 # --- upper bounds for the ranking -------------------------------------------------------
 
 
+def fold_bounds(pair: InteractionPair, delta: float, cfg: RhoConfig, **options) -> tuple[float, float]:
+    """The bounds as the measurement's fold computed them: the recurrence run on
+    rho * mi_prefix_bound in each direction, its final value."""
+    n = pair.n_window
+    b = mi_prefix_bound(np.stack([pair.xi, pair.xj], axis=1), range(n + 1, len(pair.frames) + 1), **options)
+    forward, backward = (
+        aim._recurrence(aim._rho_series(pair.kinematics, aim._headings(d), cfg) * b, delta)[-1]
+        for d in (pair, pair.reversed())
+    )
+    return float(forward), float(backward)
+
+
+def assert_within_the_margin(bounds, folded, measured_frames: int) -> None:
+    """Each bound is at least the fold's and above it by at most the margins final_bounds adds."""
+    slack = 4 * measured_frames * math.ulp(0.0)
+    for bound, fold in zip(bounds, folded):
+        assert fold <= bound <= fold * (1.0 + 2 * BOUND_MARGIN) + 2 * slack
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    length=st.integers(2, 70),
+    length=st.integers(2, 200),
     n_window=st.integers(1, 6),
     n_min=st.integers(1, 7),
-    delta=st.sampled_from((1.0, 0.98, 0.5, 0.013)),
+    # at 0.001, delta^(T-1) underflows on the longer pairs
+    delta=st.sampled_from((1.0, 0.98, 0.5, 0.013, 0.001)),
     alpha=st.sampled_from((0.0, 0.3, 2.0)),
     flags=st.tuples(*[st.booleans()] * 4),
     bandwidths=st.one_of(st.none(), st.lists(st.floats(0.5, 60.0), min_size=1, max_size=3)),
@@ -617,6 +638,35 @@ def test_final_bounds_cover_the_measured_finals(
     bounds = final_bounds(pair, delta=delta, rho_config=cfg, **options)
     assert bounds[0] >= forward.final and bounds[1] >= backward.final
     assert min(bounds) >= 0.0
+    assert_within_the_margin(bounds, fold_bounds(pair, delta, cfg, **options), length - n_window)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.98, 0.001])
+@pytest.mark.parametrize("sigma_d", [30.0, 0.135])
+def test_final_bounds_on_a_long_pair_agree_with_the_fold(delta, sigma_d) -> None:
+    # side by side, 100 px apart: at sigma_d 0.135, exp(-d / sigma_d) is about
+    # 4e-322, so every term of the sum and of the recurrence is subnormal
+    rng = np.random.default_rng(41)
+    xi = np.column_stack([np.arange(6_000.0) + rng.uniform(-0.5, 0.5, 6_000), np.full(6_000, 50.0)])
+    pair = pair_from(xi.tolist(), (xi + [0.0, 100.0]).tolist(), 20)
+    cfg = RhoConfig(sigma_d=sigma_d)
+    bounds = final_bounds(pair, delta=delta, rho_config=cfg)
+    assert_within_the_margin(bounds, fold_bounds(pair, delta, cfg), 6_000 - 20)
+    (measured,) = sweep(pair, [delta], [20], rho_config=cfg)
+    assert 0.0 < measured.final <= bounds[0]
+
+
+def test_final_bounds_cover_terms_whose_weight_underflows() -> None:
+    # close for two measured frames, then a million px apart, so exp(-d) is 0:
+    # only the first two terms count, weighted by 0.001**109 and 0.001**108,
+    # which underflow to 0 where the recurrence still carries 7e-319
+    xi = [(3.0, 0.0), (2.0, 0.0), (1.0, 0.0)] + [(1e6 + k, 0.0) for k in range(108)]
+    pair = pair_from(xi, [(0.0, 0.0)] * len(xi), 1)
+    cfg = RhoConfig(alpha=1e6, sigma_d=1.0)
+    folded = fold_bounds(pair, 0.001, cfg, n_min=1)
+    assert min(folded) > 0.0
+    bounds = final_bounds(pair, delta=0.001, rho_config=cfg, n_min=1)
+    assert bounds[0] >= folded[0] and bounds[1] >= folded[1]
 
 
 @pytest.mark.parametrize(

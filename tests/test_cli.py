@@ -291,7 +291,7 @@ def test_a_registry_key_that_is_not_a_path_is_one_error_line(workspace, capsys, 
     _, annotations, out, config = workspace
     config.write_text(f"dataset: sdd\ninputs: [{annotations}]\nout: {out}\nregistry: {value}\n")
     assert run(["ingest", "--config", config]) == 1
-    assert capsys.readouterr().err == f"error: config key registry must be a string, got {shown}\n"
+    assert capsys.readouterr().err == f"error: config key registry must be a non-empty string, got {shown}\n"
     assert not out.exists()
 
     config.write_text(f"dataset: sdd\ninputs: [{annotations}]\nout: {out}\nregistry: null\n")

@@ -105,6 +105,23 @@ def test_a_quoted_number_in_the_config_is_an_error_naming_its_key(tmp_path, text
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [("inputs", 'inputs: [""]'), ("out", 'out: ""'), ("registry", 'registry: ""')],
+)
+def test_an_empty_path_is_an_error_naming_its_key(tmp_path, key, text) -> None:
+    config = write_run_config(tmp_path)
+    lines = [line for line in config.read_text().splitlines() if not line.startswith(f"{key}:")]
+    config.write_text("\n".join([*lines, text]) + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_run_config(config)
+    assert str(err.value) == f"config key {key} must be a non-empty string, got ''"
+
+
+def test_a_null_export_format_takes_the_default(tmp_path) -> None:
+    assert load_run_config(write_run_config(tmp_path, "export_format: null\n")).export_format == "both"
+
+
 def test_the_lost_policy_is_stored_parsed() -> None:
     assert PreprocessConfig(lost_policy=" Keep_Lost").lost_policy is LostPolicy.KEEP_LOST
     with pytest.raises(ConfigError, match="unknown lost policy"):

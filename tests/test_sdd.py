@@ -17,7 +17,6 @@ from trajscope.sdd import (
     RECORD_DTYPE,
     IngestDiagnostics,
     assemble_trajectories,
-    format_sdd_row,
     parse_sdd_annotations,
 )
 from trajscope.types import (
@@ -32,6 +31,19 @@ from trajscope.types import (
 )
 
 SRC = SourceRef("sdd", "coupa", "video0")
+
+
+def format_sdd_row(record: np.void) -> str:
+    """Inverse of parse for one RECORD_DTYPE row (numeric formatting normalized)."""
+    track_id, xmin, ymin, xmax, ymax, frame, lost, occluded, generated, label = record.item()
+
+    def num(v: float) -> str:
+        return str(int(v)) if v.is_integer() else repr(v)
+
+    return (
+        f"{track_id} {num(xmin)} {num(ymin)} {num(xmax)} {num(ymax)} {frame} "
+        f'{lost} {occluded} {generated} "{label}"'
+    )
 
 
 def assert_same_records(got: np.ndarray, want: np.ndarray) -> None:
