@@ -322,19 +322,28 @@ def _headings(pair: InteractionPair) -> np.ndarray:
 
 
 def _rho_series(kin: PairKinematics, h: np.ndarray, cfg: RhoConfig) -> np.ndarray:
-    """rho at every measured frame (see RhoConfig); D* is 0 where d / sigma_d overflows."""
+    """rho at every measured frame (see RhoConfig); D* is 0 where d / sigma_d
+    overflows, and rho is inf where the product does."""
     v_term = d_term = h_term = np.ones_like(h)
     if cfg.use_v:
         v_star = kin.v / (kin.v + cfg.v0)
         if cfg.use_a:
             v_star = v_star + kin.a / (kin.a + cfg.a0)
         v_term = cfg.alpha + v_star
-    if cfg.use_d:
-        with np.errstate(over="ignore"):
-            d_term = np.exp(-kin.d / cfg.sigma_d)
     if cfg.use_h:
         h_term = 1.0 + (1.0 - 2.0 * np.clip(h, 0.0, math.pi) / math.pi)
-    return v_term * d_term * h_term
+    with np.errstate(over="ignore"):
+        if cfg.use_d:
+            d_term = np.exp(-kin.d / cfg.sigma_d)
+        return v_term * d_term * h_term
+
+
+def _finite_rho(kin: PairKinematics, direction: InteractionPair, cfg: RhoConfig) -> np.ndarray:
+    """`_rho_series` in `direction`; a rho that overflows is a DomainError naming the pair."""
+    rho = _rho_series(kin, _headings(direction), cfg)
+    if not np.isfinite(rho).all():
+        raise DomainError(f"pair {direction.key}: rho overflows (alpha {cfg.alpha!r})")
+    return rho
 
 
 def _recurrence(terms: np.ndarray, delta: float) -> np.ndarray:
@@ -405,6 +414,7 @@ def sweep(
     across deltas. With both_directions, each n_window also yields the
     series of `pair.reversed()`, sharing both (only the heading differs).
     Results are ordered by n_values outer, then direction, then delta_values.
+    A rho or aim value that overflows is a DomainError naming the pair.
     """
     cfg = rho_config if rho_config is not None else RhoConfig()
     deltas = [checked_delta(delta) for delta in delta_values]
@@ -424,21 +434,14 @@ def sweep(
         frames = variant.frames[n:]
         mi = values[n - first :]
         for direction in (variant, variant.reversed()) if both_directions else (variant,):
-            rho = _rho_series(kin, _headings(direction), cfg)
-            terms = rho * mi
-            out += [
-                MeasureSeries(
-                    pair=direction,
-                    delta=delta,
-                    n_window=n,
-                    frames=frames,
-                    mi=mi,
-                    rho=rho,
-                    aim=_recurrence(terms, delta),
-                    rho_config=cfg,
-                )
-                for delta in deltas
-            ]
+            rho = _finite_rho(kin, direction, cfg)
+            with np.errstate(over="ignore"):
+                terms = rho * mi
+            for delta in deltas:
+                aim = _recurrence(terms, delta)
+                if not math.isfinite(aim[-1]):  # an inf term or aim value stays inf to the end
+                    raise DomainError(f"pair {direction.key}: aim overflows at delta {delta}, n_window {n}")
+                out.append(MeasureSeries(direction, delta, n, frames, mi, rho, aim, rho_config=cfg))
     return out
 
 
@@ -473,7 +476,8 @@ def final_bounds(
         bandwidths=bandwidths, weights=weights, n_min=n_min,
     )
     weight = np.maximum(delta ** np.arange(len(b) - 1, -1, -1), np.finfo(np.float64).tiny)
-    sums = [(_rho_series(pair.kinematics, _headings(d), cfg) * b * weight).sum() for d in (pair, pair.reversed())]
+    with np.errstate(over="ignore"):  # a sum that overflows is an inf bound
+        sums = [(_finite_rho(pair.kinematics, d, cfg) * b * weight).sum() for d in (pair, pair.reversed())]
     return tuple(float(total) * (1.0 + BOUND_MARGIN) + 4 * len(b) * math.ulp(0.0) for total in sums)
 
 

@@ -27,11 +27,11 @@ import sys
 from dataclasses import dataclass
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .preprocess import LostPolicy, PreprocessConfig
 from .types import (
-    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, RhoConfig, ToolError, checked_count,
+    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, RhoConfig, ToolError, Trajectory, checked_count,
     checked_delta, checked_mi_settings, is_number, load_yaml, row_columns, unknown_keys,
 )
 
@@ -55,7 +55,8 @@ EXPORT_FORMATS = ("csv", "jsonl", "both")
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs, resolved from YAML plus --out. Checked when
-    built, also by dataclasses.replace; the loader checks that the paths exist."""
+    built, also by dataclasses.replace. No path is checked: the code that
+    opens a path checks it, so only ingest needs the inputs to exist."""
 
     dataset: str
     inputs: list[Path]
@@ -190,19 +191,16 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     if not isinstance(inputs_raw, list):
         inputs_raw = [inputs_raw]
     inputs = [Path(_convert("inputs", p, str)) for p in inputs_raw]
-    for path in inputs:
-        if not path.exists():
-            raise ConfigError(f"input path does not exist: {path}")
 
-    out_raw = out_override or raw.get("out")
-    if out_raw is None:
+    if out_override is not None:
+        out_raw = _convert("--out", out_override, str, "option")
+    elif raw.get("out") is None:
         raise ConfigError("no output directory: set out: in the config or pass --out")
-    out_raw = _convert("out", out_raw, str)
+    else:
+        out_raw = _convert("out", raw["out"], str)
 
     registry_raw = raw.get("registry")
     registry_path = None if registry_raw is None else Path(_convert("registry", registry_raw, str))
-    if registry_path is not None and not registry_path.is_file():
-        raise ConfigError(f"registry file does not exist: {registry_path}")
 
     preprocess = PreprocessConfig(**_section(raw, "preprocess"))
     rho_given = _section(raw, "rho")
@@ -285,6 +283,21 @@ def _load_registry(cfg: RunConfig) -> DatasetRegistry:
     return registry
 
 
+def _videos(cfg: RunConfig) -> Iterator[tuple[tuple[str, str, str], list[Trajectory]]]:
+    """`store.videos` of the run's store, read as the caller reads it. Frame
+    rate, classes and window come from the config's dataset, so a video of
+    another dataset is a ConfigError when it is reached."""
+    from .store import videos
+
+    for key, trajectories in videos(cfg.store_dir):
+        if key[0] != cfg.dataset:
+            raise ConfigError(
+                f"store {cfg.store_dir} holds video {'/'.join(key[1:])} of dataset {key[0]!r}, "
+                f"but the config names dataset {cfg.dataset!r}"
+            )
+        yield key, trajectories
+
+
 # --- ingest -----------------------------------------------------------------------
 
 
@@ -307,10 +320,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from .analytics import reports
-    from .store import videos
 
     cfg = load_run_config(args.config, args.out)
-    tables = reports(videos(cfg.store_dir), _load_registry(cfg), cfg.dataset)
+    tables = reports(_videos(cfg), _load_registry(cfg), cfg.dataset)
     written = []
     for name, (columns, decimals) in tables.items():
         written += _write_table(cfg.reports_dir / name, columns, decimals, cfg.export_format)
@@ -386,18 +398,17 @@ def _export_series(
 
 def cmd_aim(args: argparse.Namespace) -> int:
     from .aim import select
-    from .store import videos
 
     cfg = load_run_config(args.config, args.out)
     deltas = None if args.sweep_delta is None else _parse_list(args.sweep_delta, "--sweep-delta", float)
     n_values = None if args.sweep_n is None else _parse_list(args.sweep_n, "--sweep-n", int)
     named = None
-    if args.pair:
+    if args.pair is not None:
         named = tuple(part.strip() for part in args.pair.split(","))
         if len(named) != 2 or not all(named):
             raise ConfigError(f"--pair expects 'TRACK_I,TRACK_J', got {args.pair!r}")
     top_k = {} if args.top_k is None else {"top_k": args.top_k}  # else select's default
-    selection = select(videos(cfg.store_dir), cfg, named=named, deltas=deltas, n_values=n_values, **top_k)
+    selection = select(_videos(cfg), cfg, named=named, deltas=deltas, n_values=n_values, **top_k)
     for key, series in selection.series:
         _export_series(cfg, key, series, deltas is not None or n_values is not None)
     _status(
@@ -414,11 +425,10 @@ def cmd_aim(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import constant_velocity_predict, load_predictions, predictor_from_mapping, scores
-    from .store import videos
 
     cfg = load_run_config(args.config, args.out)
     policies = [cfg.preprocess.lost_policy]
-    if args.lost_policy:
+    if args.lost_policy is not None:
         policies = _parse_list(args.lost_policy, "--lost-policy", LostPolicy)
     predictor = constant_velocity_predict
     if args.predictor != "constant_velocity":
@@ -428,7 +438,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         predictor = predictor_from_mapping(load_predictions(Path(args.predictor)))
     native_rate = _load_registry(cfg).frame_rate(cfg.dataset)
-    rows = scores(videos(cfg.store_dir), predictor, cfg.preprocess, policies, native_rate)
+    rows = scores(_videos(cfg), predictor, cfg.preprocess, policies, native_rate)
     columns = row_columns(rows, ("dataset", "config", "group", "n_windows", "ade", "fde"))
     written = _write_table(cfg.reports_dir / "eval", columns, {"ade": 6, "fde": 6}, cfg.export_format)
     _status(f"wrote {len(written)} evaluation report files to {cfg.reports_dir}")

@@ -162,6 +162,8 @@ def _split(section: Mapping, dataset: str, members: str, known: Mapping) -> dict
 def load_registry(path: str | Path | None = None) -> DatasetRegistry:
     """Load and validate a registry file; default is the packaged one."""
     registry_path = Path(path) if path is not None else default_registry_path()
+    if not registry_path.is_file():
+        raise ConfigError(f"registry file does not exist: {registry_path}")
     doc = load_yaml(registry_path, "registry: ")
     _require(isinstance(doc, dict), "top level must be a mapping")
     _require("version" in doc, "missing `version` field")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -78,9 +79,11 @@ class ConfigError(ToolError):
     """An invalid configuration value or registry schema violation."""
 
 
-class _UniqueKeys:
+class _Rules(yaml.resolver.Resolver):
     """A PyYAML loader mixin that refuses a mapping repeating a key (PyYAML
-    keeps the last) at the repeat; a key beside a `<<` merge overrides it."""
+    keeps the last) at the repeat; a key beside a `<<` merge overrides it.
+    A decimal number with an exponent is a float, as in YAML 1.2: YAML 1.1
+    reads `1e-3` or `1.25e2` as text, as it wants a dot and a signed exponent."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -98,6 +101,14 @@ class _UniqueKeys:
         return super().construct_mapping(node, deep=deep)
 
 
+# the first call on _Rules copies the resolver table into it, so the safe loaders keep theirs
+_Rules.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_yaml(path: Path, prefix: str = ""):
     """The YAML document in the file at `path`, read by libyaml's safe loader
     when PyYAML has it and by the pure-Python one otherwise.
@@ -110,7 +121,7 @@ def load_yaml(path: Path, prefix: str = ""):
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise not_utf8(path) from None
-    loader = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
+    loader = type("Loader", (_Rules, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
     try:
         return yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
@@ -311,10 +322,12 @@ def row_columns(rows: Sequence, names: Sequence[str]) -> dict[str, list]:
 def input_files(inputs: Iterable[Path], pattern: str) -> list[Path]:
     """Each input that is a file, and the files matching `pattern` under each
     input directory, in that order; a file reached again, by any spelling of
-    its path, is left out. An input file whose name does not match, or a
-    directory without any, is a ConfigError."""
+    its path, is left out. A missing input, an input file whose name does
+    not match, or a directory without any, is a ConfigError."""
     found: dict[Path, Path] = {}
     for path in inputs:
+        if not path.exists():
+            raise ConfigError(f"input path does not exist: {path}")
         if path.is_file() and not path.match(pattern):
             raise ConfigError(f"input file {path} does not match {pattern}")
         hits = [path] if path.is_file() else sorted(path.rglob(pattern))

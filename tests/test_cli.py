@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,64 @@ def test_a_manifest_repeating_a_video_is_one_error_line_and_no_output(workspace,
     assert sorted(p.name for p in out.iterdir()) == ["store"]
 
 
+@pytest.mark.parametrize("dataset", ["sdd", "ind"])
+def test_after_ingest_the_store_is_the_only_input(tmp_path, capsys, dataset) -> None:
+    raw = tmp_path / "raw"
+    write_sdd_tree(raw) if dataset == "sdd" else write_ind_recording(raw / "data")
+    out = tmp_path / "out"
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"dataset: {dataset}\ninputs: [{raw}]\nout: {out}\n"
+        f"preprocess: {{target_rate: {30.0 if dataset == 'sdd' else 25.0}}}\n"
+        "aim: {n_window: 5}\nmi: {n_min: 6}\nrho: {v0: 1.0, sigma_d: 125.0, a0: 0.25}\n"
+    )
+    assert run(["ingest", "--config", config]) == 0
+    commands = [["stats"], ["aim"], ["aim", "--pair", "0,1", "--sweep-n", "5,8", "--sweep-delta", "0.9,1.0"], ["eval"]]
+
+    def outputs() -> tuple[dict, str]:
+        capsys.readouterr()
+        for command, *options in commands:
+            assert run([command, "--config", config, *options]) == 0
+        files = {path: path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+        return files, capsys.readouterr().err
+
+    present = outputs()
+    shutil.rmtree(raw)
+    shutil.rmtree(out / "reports")
+    shutil.rmtree(out / "aim")
+    assert outputs() == present
+
+
+def test_only_stats_and_eval_need_the_registry(workspace, capsys) -> None:
+    tmp_path, _, out, config = workspace
+    missing = tmp_path / "no_such_registry.yaml"
+    config.write_text(config.read_text() + f"registry: {missing}\n")
+    assert run(["ingest", "--config", config]) == 0
+    assert run(["aim", "--config", config]) == 0
+    capsys.readouterr()
+    for command in ("stats", "eval"):
+        assert run([command, "--config", config]) == 1
+        assert capsys.readouterr().err == f"error: registry file does not exist: {missing}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["aim", "store"]
+
+
+@pytest.mark.parametrize("command", ["stats", "eval", "aim"])
+def test_a_store_of_another_dataset_is_one_error_line_and_no_output(workspace, capsys, command) -> None:
+    tmp_path, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    # an inD config that reaches the SDD store by --out; its inputs are never read
+    ind_config = tmp_path / "ind.yaml"
+    ind_config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'no_such_dir'}]\nout: {tmp_path / 'elsewhere'}\n")
+    capsys.readouterr()
+    assert run([command, "--config", ind_config, "--out", out]) == 1
+    *warnings, error = capsys.readouterr().err.splitlines()  # stats and eval load the registry first
+    store = out / "store"
+    assert error == f"error: store {store} holds video quad/video0 of dataset 'sdd', but the config names dataset 'ind'"
+    assert all(line.startswith("warning: sdd scene ") for line in warnings)
+    assert sorted(p.name for p in out.iterdir()) == ["store"]
+    assert not (tmp_path / "elsewhere").exists()
+
+
 # --- aim ---------------------------------------------------------------------------
 
 
@@ -917,6 +976,31 @@ def test_aim_pair_sweep_measures_everything_before_writing(workspace, capsys) ->
     assert not (out / "aim").exists()
 
 
+@pytest.mark.parametrize(
+    "rho, argv, message",
+    [
+        # rho stays finite, and the recurrence of pair 0-1 leaves the float range
+        ("alpha: 1.0e+308, sigma_d: 5.0", [], "pair ('0', '1'): aim overflows at delta 0.98, n_window 5"),
+        ("alpha: 1.0e+308, sigma_d: 5.0", ["--pair", "0,1"],
+         "pair ('0', '1'): aim overflows at delta 0.98, n_window 5"),
+        # track 0 heads towards the biker, track 2: rho itself leaves it
+        ("alpha: 1.7e+308, sigma_d: 1.0e+12", [], "pair ('0', '2'): rho overflows (alpha 1.7e+308)"),
+        ("alpha: 1.7e+308, sigma_d: 1.0e+12", ["--pair", "0,2"], "pair ('0', '2'): rho overflows (alpha 1.7e+308)"),
+    ],
+    ids=["aim-top-k", "aim-pair", "rho-top-k", "rho-pair"],
+)
+def test_aim_that_overflows_is_one_error_line_and_no_output(workspace, capsys, rho, argv, message) -> None:
+    _, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    fixed = "rho:\n  v0: 1.0\n  sigma_d: 125.0\n  a0: 0.25"
+    config.write_text(config.read_text().replace(fixed, f"rho: {{v0: 1.0, a0: 0.25, {rho}}}"))
+    capsys.readouterr()
+    # a numpy warning would be an error here (pyproject's filterwarnings)
+    assert run(["aim", "--config", config, *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "aim").exists()
+
+
 @pytest.mark.parametrize("k", ["0", "3"])
 def test_aim_pair_and_top_k_are_exclusive(workspace, capsys, k) -> None:
     _, _, out, config = workspace
@@ -957,8 +1041,15 @@ def test_aim_sweep_computes_the_dependence_once_per_pair(workspace, monkeypatch)
         (["aim", "--sweep-n", "0"], "n_window must be >= 1, got 0"),
         (["aim", "--sweep-delta", "0.5,1.5"], "delta must be in (0, 1], got 1.5"),
         (["aim", "--pair", "0"], "--pair expects 'TRACK_I,TRACK_J', got '0'"),
+        # an empty option is given, not unset
+        (["aim", "--pair", ""], "--pair expects 'TRACK_I,TRACK_J', got ''"),
+        (["eval", "--lost-policy", ""], "--lost-policy is empty"),
+        (["ingest", "--out", ""], "option --out must be a non-empty string, got ''"),
     ],
-    ids=["lost-policy", "predictor", "top-k", "sweep-n-twice", "sweep-n-zero", "sweep-delta", "pair"],
+    ids=[
+        "lost-policy", "predictor", "top-k", "sweep-n-twice", "sweep-n-zero", "sweep-delta", "pair",
+        "pair-empty", "lost-policy-empty", "out-empty",
+    ],
 )
 def test_options_are_checked_before_the_store_loads(workspace, capsys, monkeypatch, argv, message) -> None:
     tmp_path, _, out, config = workspace  # never ingested: no store, and no registry read

@@ -134,3 +134,34 @@ def test_a_key_beside_a_merge_overrides_it(tmp_path, loaders_used) -> None:
     path.write_text("base: &b {x: 1, y: 2}\nmerged: {<<: *b, x: 3}\nlists: {<<: [*b, {x: 4}], z: 5}\n")
     assert load_yaml(path) == pure_document(path)
     assert load_yaml(path)["merged"] == {"x": 3, "y": 2}
+
+
+def test_a_decimal_number_with_an_exponent_is_a_float(tmp_path, loaders_used) -> None:
+    path = tmp_path / "numbers.yaml"
+    text = "a: 1e-3\nb: 1E5\nc: 1.25e2\nd: 1.25e+2\ne: -.5e1\nf: 10\ng: '1e-3'\nh: e5\n"
+    path.write_text(text)
+    document = load_yaml(path)
+    assert document == {"a": 0.001, "b": 100000.0, "c": 125.0, "d": 125.0, "e": -5.0, "f": 10, "g": "1e-3", "h": "e5"}
+    assert [type(value) for value in document.values()] == [float] * 5 + [int, str, str]
+    # YAML 1.1, as the safe loaders themselves still read it
+    assert pure_document(path)["a"] == "1e-3"
+    if LIBYAML is not None:
+        assert LIBYAML(text).get_single_data()["a"] == "1e-3"
+
+
+def test_a_config_number_with_an_exponent_is_a_number(tmp_path, loaders_used) -> None:
+    config = write_config(tmp_path / "config.yaml", write_sdd_tree(tmp_path), tmp_path / "out")
+    text = config.read_text().replace("delta: 0.98", "delta: 1e-3")
+    config.write_text(text.replace("sigma_d: 125.0", "sigma_d: 1.25e2"))
+    cfg = load_run_config(config)
+    assert (cfg.delta, cfg.rho.sigma_d) == (0.001, 125.0)
+    config.write_text(config.read_text().replace("delta: 1e-3", "delta: '1e-3'"))
+    with pytest.raises(ConfigError) as err:
+        load_run_config(config)
+    assert str(err.value) == "config key aim.delta must be a finite number, got '1e-3'"
+
+
+def test_a_registry_number_with_an_exponent_is_a_number(tmp_path, loaders_used) -> None:
+    registry = tmp_path / "registry.yaml"
+    registry.write_text(default_registry_path().read_text().replace("frame_rate: 30.0", "frame_rate: 3e1", 1))
+    assert load_registry(registry).frame_rates["sdd"] == 30.0
