@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass
 from importlib import import_module
@@ -55,8 +56,8 @@ EXPORT_FORMATS = ("csv", "jsonl", "both")
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs, resolved from YAML plus --out. Checked when
-    built, also by dataclasses.replace. No path is checked: the code that
-    opens a path checks it, so only ingest needs the inputs to exist."""
+    built, also by dataclasses.replace. No path is checked and `inputs` may be
+    empty: the code that opens a path checks it, so only ingest needs inputs."""
 
     dataset: str
     inputs: list[Path]
@@ -185,12 +186,8 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {unknown}")
 
-    inputs_raw = raw.get("inputs")
-    if not inputs_raw:
-        raise ConfigError("config needs at least one entry under inputs:")
-    if not isinstance(inputs_raw, list):
-        inputs_raw = [inputs_raw]
-    inputs = [Path(_convert("inputs", p, str)) for p in inputs_raw]
+    inputs_raw = [] if raw.get("inputs") is None else raw["inputs"]  # null is no entry, a scalar one
+    inputs = [Path(_convert("inputs", p, str)) for p in (inputs_raw if isinstance(inputs_raw, list) else [inputs_raw])]
 
     if out_override is not None:
         out_raw = _convert("--out", out_override, str, "option")
@@ -237,9 +234,12 @@ def _write_table(
     and/or <base>.jsonl. A column named in `decimals` holds floats: the CSV
     prints that many decimals, the JSONL rounds them with Python's `round`.
     A tuple of id groups is one CSV cell, 1-2-3|4-5; the JSONL keeps the
-    nested lists.
+    nested lists. A table written in one format removes its file in the
+    other, so the files hold the last run's tables only.
     """
     base.parent.mkdir(parents=True, exist_ok=True)
+    if export_format != "both":
+        (base.parent / f"{base.name}.{'jsonl' if export_format == 'csv' else 'csv'}").unlink(missing_ok=True)
     written = []
     # append extensions rather than with_suffix: base names may contain dots
     if export_format in ("csv", "both"):
@@ -409,6 +409,8 @@ def cmd_aim(args: argparse.Namespace) -> int:
             raise ConfigError(f"--pair expects 'TRACK_I,TRACK_J', got {args.pair!r}")
     top_k = {} if args.top_k is None else {"top_k": args.top_k}  # else select's default
     selection = select(_videos(cfg), cfg, named=named, deltas=deltas, n_values=n_values, **top_k)
+    if cfg.aim_dir.exists():  # the last run's series only; an error before here leaves the earlier ones
+        shutil.rmtree(cfg.aim_dir)
     for key, series in selection.series:
         _export_series(cfg, key, series, deltas is not None or n_values is not None)
     _status(

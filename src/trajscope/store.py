@@ -86,7 +86,9 @@ def write_store(
     the last group. Files are written as `<name>.partial` and renamed into
     place after the last group, the manifest last; on any error the partial
     files and the directories this call made are removed, so an earlier
-    store is left as it was.
+    store is left as it was. Once the manifest is in place, every other
+    `.jsonl` or `.partial` file in `store_dir` is removed: a re-ingest leaves
+    only the videos it wrote.
     """
     if isinstance(videos, Sequence) and all(isinstance(t, Trajectory) for t in videos):
         by_video: dict[tuple[str, str, str], list[Trajectory]] = {}
@@ -138,6 +140,10 @@ def write_store(
             with suppress(OSError):  # mkdir may have failed before making it
                 directory.rmdir()
         raise
+    listed = {entry["file"] for entry in manifest["videos"]}
+    for stale in store_path.iterdir():  # files of an earlier store that this one does not list
+        if stale.suffix in (".jsonl", ".partial") and stale.name not in listed:
+            stale.unlink()
     return manifest
 
 

@@ -319,11 +319,14 @@ def row_columns(rows: Sequence, names: Sequence[str]) -> dict[str, list]:
     return {name: [getattr(row, name) for row in rows] for name in names}
 
 
-def input_files(inputs: Iterable[Path], pattern: str) -> list[Path]:
+def input_files(inputs: Sequence[Path], pattern: str) -> list[Path]:
     """Each input that is a file, and the files matching `pattern` under each
     input directory, in that order; a file reached again, by any spelling of
-    its path, is left out. A missing input, an input file whose name does
-    not match, or a directory without any, is a ConfigError."""
+    its path, is left out. No input, a missing input, an input file whose
+    name does not match, or a directory without any, is a ConfigError: both
+    readers call this first, so ingest refuses them before writing."""
+    if not inputs:
+        raise ConfigError("config needs at least one entry under inputs:")
     found: dict[Path, Path] = {}
     for path in inputs:
         if not path.exists():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import heapq
 import json
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import plant
 from trajscope import aim, cli
 from trajscope.aim import (
     RhoConfig,
@@ -133,6 +135,40 @@ def test_ingest_parse_error_in_the_second_video_leaves_no_out(tmp_path, capsys) 
     assert run(["ingest", "--config", config]) == 1
     assert capsys.readouterr().err == f"error: {bad}:2: expected 10 fields, got 3\n"
     assert not (tmp_path / "nested").exists()
+
+
+@pytest.mark.parametrize("inputs", ["", "inputs:\n", "inputs: null\n", "inputs: []\n"])
+def test_ingest_without_inputs_is_one_error_line_and_no_out(tmp_path, capsys, inputs) -> None:
+    out = tmp_path / "nested" / "out"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: sdd\n{inputs}out: {out}\n")
+    assert run(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err == "error: config needs at least one entry under inputs:\n"
+    assert not (tmp_path / "nested").exists()
+
+
+@pytest.mark.parametrize("value, shown", [("0", "0"), ("false", "False"), ('""', "''")])
+@pytest.mark.parametrize("command", ["ingest", "stats", "aim", "eval"])
+def test_an_inputs_value_that_is_not_a_path_is_one_error_line(workspace, capsys, command, value, shown) -> None:
+    _, annotations, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    config.write_text(config.read_text().replace(f"inputs: [{annotations}]", f"inputs: {value}"))
+    capsys.readouterr()
+    assert run([command, "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: config key inputs must be a non-empty string, got {shown}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["store"]
+
+
+def test_a_reingest_leaves_only_its_own_videos_in_the_store(workspace, capsys) -> None:
+    tmp_path, annotations, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    video0 = annotations / "quad" / "video0"
+    write_config(config, video0, out)
+    assert run(["ingest", "--config", config]) == 0
+    fresh = tmp_path / "fresh"
+    assert run(["ingest", "--config", config, "--out", fresh]) == 0
+    assert tree_bytes(out / "store") == tree_bytes(fresh / "store")
+    assert sorted(p.name for p in (out / "store").iterdir()) == ["manifest.json", "sdd__quad__video0.jsonl"]
 
 
 def test_failed_reingest_leaves_the_store_as_it_was(workspace, capsys) -> None:
@@ -471,6 +507,47 @@ def test_registry_warnings_on_stderr_only(workspace, capsys, command) -> None:
             assert b"warning" not in path.read_bytes(), path
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dataset", ["sdd", "ind"])
+def test_stats_writes_the_planted_rows(tmp_path, dataset, seed) -> None:
+    expected = (plant.sdd_tree if dataset == "sdd" else plant.ind_tree)(tmp_path / "raw", seed)
+    out = tmp_path / "out"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: {dataset}\ninputs: [{tmp_path / 'raw'}]\nout: {out}\nexport_format: csv\n")
+    assert run(["ingest", "--config", config]) == 0
+    assert run(["stats", "--config", config]) == 0
+    for name, rows in expected.items():
+        with open(out / "reports" / f"{name}.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == rows
+
+
+@pytest.mark.parametrize("write", [plant.sdd_tree, plant.ind_tree])
+def test_a_planted_tree_is_the_same_bytes_for_one_seed(tmp_path, write) -> None:
+    def files(root: Path) -> dict:
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    assert write(tmp_path / "a", 5) == write(tmp_path / "b", 5)
+    assert files(tmp_path / "a") == files(tmp_path / "b")
+    write(tmp_path / "c", 6)
+    assert files(tmp_path / "c") != files(tmp_path / "a")
+
+
+@pytest.mark.parametrize("first, then", [("both", "csv"), ("both", "jsonl"), ("csv", "jsonl")])
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_the_reports_hold_the_last_run_only(workspace, command, first, then) -> None:
+    tmp_path, _, out, config = workspace
+    text = config.read_text()
+    assert run(["ingest", "--config", config]) == 0
+    config.write_text(text + f"export_format: {first}\n")
+    assert run([command, "--config", config]) == 0
+    config.write_text(text + f"export_format: {then}\n")
+    assert run([command, "--config", config]) == 0
+    fresh = tmp_path / "fresh"
+    assert run(["ingest", "--config", config, "--out", fresh]) == 0
+    assert run([command, "--config", config, "--out", fresh]) == 0
+    assert tree_bytes(out / "reports") == tree_bytes(fresh / "reports")
+
+
 def test_stats_requires_ingest(workspace, capsys) -> None:
     _, _, _, config = workspace
     assert run(["stats", "--config", config]) != 0
@@ -533,6 +610,11 @@ def test_after_ingest_the_store_is_the_only_input(tmp_path, capsys, dataset) -> 
 
     present = outputs()
     shutil.rmtree(raw)
+    shutil.rmtree(out / "reports")
+    shutil.rmtree(out / "aim")
+    assert outputs() == present
+    # a config that names only the store runs every analysis
+    config.write_text("".join(line for line in config.read_text().splitlines(True) if not line.startswith("inputs:")))
     shutil.rmtree(out / "reports")
     shutil.rmtree(out / "aim")
     assert outputs() == present
@@ -644,6 +726,25 @@ def test_aim_top_k(workspace) -> None:
     assert run(["aim", "--config", config, "--top-k", "3"]) == 0
     series = sorted(p.name for p in (out / "aim").glob("*.csv"))
     assert len(series) == 3
+
+
+def test_aim_writes_the_series_of_its_last_run_only(workspace, capsys) -> None:
+    tmp_path, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    assert run(["aim", "--config", config, "--top-k", "100"]) == 0
+    many = tree_bytes(out / "aim")
+    assert len(many) > 6
+    # an error before the first series is written leaves the earlier ones
+    assert run(["aim", "--config", config, "--pair", "0,99"]) == 1
+    assert tree_bytes(out / "aim") == many
+    capsys.readouterr()
+    assert run(["aim", "--config", config, "--top-k", "2"]) == 0
+    assert capsys.readouterr().err.startswith(f"exported 2 measure series for 2 directed pairs to {out / 'aim'} ")
+    fresh = tmp_path / "fresh"
+    assert run(["ingest", "--config", config, "--out", fresh]) == 0
+    assert run(["aim", "--config", config, "--out", fresh, "--top-k", "2"]) == 0
+    assert tree_bytes(out / "aim") == tree_bytes(fresh / "aim")
+    assert len(tree_bytes(out / "aim")) == 2 * 3  # csv, jsonl and meta.json per series
 
 
 def fitted_config(path: Path, annotations: Path, out: Path) -> Path:

@@ -167,6 +167,19 @@ def test_write_store_failure_leaves_an_earlier_store_as_it_was(tmp_path) -> None
     assert {p.name: p.read_bytes() for p in store.iterdir()} == before
 
 
+def test_a_rewrite_leaves_only_the_files_of_its_own_videos(tmp_path) -> None:
+    trajs = sample_trajectories()
+    store = tmp_path / "store"
+    write_store(trajs, store)
+    (store / "sdd__quad__video7.jsonl.partial").write_text("left by a killed write\n")
+    (store / "notes.txt").write_text("not a store file\n")
+    fresh = tmp_path / "fresh"
+    write_store([trajs[2]], fresh)  # video1 alone
+    write_store([trajs[2]], store)
+    assert sorted(p.name for p in store.iterdir()) == ["manifest.json", "notes.txt", "sdd__quad__video1.jsonl"]
+    assert all((store / p.name).read_bytes() == p.read_bytes() for p in fresh.iterdir())
+
+
 @pytest.mark.parametrize(
     "manifest",
     [
