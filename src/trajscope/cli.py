@@ -44,10 +44,10 @@ if TYPE_CHECKING:
 
 
 def __getattr__(name: str):
-    # the pair code cmd_aim runs stays an attribute here, loaded only when read
-    if name not in ("extract_interactions", "final_bounds", "fit_normalizers", "sweep"):
+    # the benchmark self-test reads cli.extract_interactions; aim loads only when it is read
+    if name != "extract_interactions":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(".aim", __package__), name)
+    return import_module(".aim", __package__).extract_interactions
 
 
 EXPORT_FORMATS = ("csv", "jsonl", "both")
@@ -326,6 +326,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     written = []
     for name, (columns, decimals) in tables.items():
         written += _write_table(cfg.reports_dir / name, columns, decimals, cfg.export_format)
+    for name in {"lost_stats", "class_distribution", "overlap_report"} - tables.keys():  # the last run's only
+        for path in (cfg.reports_dir / f"{name}.csv", cfg.reports_dir / f"{name}.jsonl"):
+            path.unlink(missing_ok=True)
     _status(f"wrote {len(written)} report files to {cfg.reports_dir}")
     return 0
 

@@ -16,12 +16,13 @@ are written, so a failed write leaves an earlier store as it was.
 
 The reader reads the layout the writer writes, and only that: each file in
 one pass, each line's record by `json.loads` with its points cut out, and
-all the points of a file by one numpy text read straight into POINT_DTYPE.
+the line's points by one numpy text read straight into POINT_DTYPE.
 A file in any other layout is a StructuralError naming the file and line:
 a line without `"points": [` as the writer spaces it, points that are not
 a list of rows of six numbers of the fields' types, a truncated line.
 (Spacing around the numbers inside a row is the one thing not checked.)
-So is what `_checked` refuses, which the writer refuses too, naming the
+Such a line is refused as it is read. Then so is the first line, in file
+order, that `_checked` refuses, which the writer refuses too, naming the
 track: a record of another video than its manifest entry, a non-integer
 or out-of-order `(track_id, segment)`, a class outside ALL_CLASSES, frames
 not strictly increasing within a record, a non-finite coordinate, a flag
@@ -109,11 +110,10 @@ def write_store(
             if key in entries:
                 raise StructuralError(f"the trajectories of video {key} must come as one group")
             records = [(t.source.key(), (t.track_id, t.segment), t.class_label) for t in trajs]
-            ends = np.cumsum([len(t) for t in trajs], dtype=np.int64)
-            bad = _checked(records, np.concatenate([t.points for t in trajs]), ends, trajs[0].source)
+            bad = _checked(records, [t.points for t in trajs], trajs[0].source)
             if bad:
                 raise StructuralError(f"track {trajs[bad[0]].uid} of video {trajs[bad[0]].source.key()}: {bad[1]}")
-            entries[key] = _entry(trajs[0].source, len(trajs), int(ends[-1]))
+            entries[key] = _entry(trajs[0].source, len(trajs), sum(len(t) for t in trajs))
             partials.append(store_path / f"{entries[key]['file']}.partial")
             with open(partials[-1], "w") as fh:
                 for traj in trajs:
@@ -168,20 +168,13 @@ def load_manifest(store_dir) -> dict:
     return manifest
 
 
-def _rows(points_text: list[str]) -> Iterator[str]:
-    """Each row of each points list, in order. A list is dropped from
-    `points_text` once split, so the text is freed as numpy reads it."""
-    points_text.reverse()
-    while points_text:
-        yield from points_text.pop().split(_ROW_SEP)
-
-
-def _checked(records: Sequence[tuple], points: np.ndarray, ends: np.ndarray, source: SourceRef) -> tuple | None:
-    """(index, what is wrong) for the first record of a store file that breaks a
-    rule, or None. Record i is (video key, (track_id, segment), class) and owns
-    the rows of `points` before ends[i] and from ends[i - 1] on."""
+def _checked(records: Sequence[tuple], points: Sequence[np.ndarray], source: SourceRef) -> tuple | None:
+    """(index, what is wrong) for the first record of a store file, in order, that
+    breaks a rule, or None. Record i is (video key, (track_id, segment), class)
+    and owns the POINT_DTYPE array points[i]; its metadata is checked before its
+    rows: frame order, finite coordinates, flags."""
     last: tuple = ()  # the (track_id, segment) of the record before; () is below every pair
-    for index, (key, ident, label) in enumerate(records):
+    for index, ((key, ident, label), rows) in enumerate(zip(records, points)):
         if key != source.key():
             return index, f"a record of another video than {source.key()}"
         if not all(type(v) is int for v in ident):
@@ -191,16 +184,12 @@ def _checked(records: Sequence[tuple], points: np.ndarray, ends: np.ndarray, sou
         if label not in ALL_CLASSES:
             return index, f"class {label!r} is not one of {ALL_CLASSES}"
         last = ident
-    frames = points["frame"]
-    falls = np.concatenate(([False], frames[1:] <= frames[:-1]))
-    falls[ends[ends < len(points)]] = False  # a record's first row follows another record
-    for bad, what in (
-        (falls, "frames not strictly increasing"),
-        (~(np.isfinite(points["x"]) & np.isfinite(points["y"])), "a coordinate that is not finite"),
-        ((points["lost"] | points["occluded"] | points["generated"]) > 1, "a flag that is not 0 or 1"),
-    ):
-        if bad.any():
-            return int(np.searchsorted(ends, bad.argmax(), "right")), what
+        if (rows["frame"][1:] <= rows["frame"][:-1]).any():
+            return index, "frames not strictly increasing"
+        if not (np.isfinite(rows["x"]).all() and np.isfinite(rows["y"]).all()):
+            return index, "a coordinate that is not finite"
+        if ((rows["lost"] | rows["occluded"] | rows["generated"]) > 1).any():
+            return index, "a flag that is not 0 or 1"
     return None
 
 
@@ -233,33 +222,25 @@ def _lines(path: Path) -> Iterator[tuple[int, tuple, str | None]]:
 
 
 def _read_video(path: Path, source: SourceRef) -> list[Trajectory]:
-    """The trajectories of one store file, in file order, checked by `_checked`
-    on the points of all lines, read by one `read_columns` call. If numpy
-    cannot read them, a second read, a line at a time, names the bad line."""
-    line_nos, records, points_text, counts = [], [], [], []
+    """The trajectories of one store file, in file order, from one pass over its
+    lines: each line's points by one `read_columns` call, a line that cannot be
+    read refused as it is read, then the records checked by `_checked`."""
+    line_nos, records, arrays = [], [], []
     for line_no, record, text in _lines(path):
+        rows = [] if text is None else text.split(_ROW_SEP)
+        points = read_columns(rows, POINT_DTYPE, delimiter=",") if rows else np.empty(0, POINT_DTYPE)
+        # numpy skips a blank line, so an empty row reads as one row too few
+        if points is None or len(points) != len(rows):
+            raise ValueError(f"line {line_no}: a point that is not a row of six numbers of the fields' types")
         line_nos.append(line_no)
         records.append(record)
-        counts.append(0 if text is None else text.count(_ROW_SEP) + 1)
-        points_text += [] if text is None else [text]
-    ends = np.cumsum(counts, dtype=np.int64)
-    points = np.empty(0, POINT_DTYPE)
-    if points_text:
-        points = read_columns(_rows(points_text), POINT_DTYPE, delimiter=",")
-        # numpy skips a blank line, so an empty row reads as one row too few
-        if points is None or len(points) != ends[-1]:
-            for line_no, _, text in _lines(path):
-                rows = [] if text is None else text.split(_ROW_SEP)
-                read = read_columns(rows, POINT_DTYPE, delimiter=",") if rows else rows
-                if read is None or len(read) != len(rows):
-                    raise ValueError(f"line {line_no}: a point that is not a row of six numbers of the fields' types")
-            raise ValueError("a point that is not a row of six numbers of the fields' types")
-    bad = _checked(records, points, ends, source)
+        arrays.append(points)
+    bad = _checked(records, arrays, source)
     if bad:
         raise ValueError(f"line {line_nos[bad[0]]}: {bad[1]}")
     return [
-        Trajectory(track_id, label, points[stop - n_rows : stop], source, segment)
-        for (_, (track_id, segment), label), n_rows, stop in zip(records, counts, ends)
+        Trajectory(track_id, label, points, source, segment)
+        for (_, (track_id, segment), label), points in zip(records, arrays)
     ]
 
 

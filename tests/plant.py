@@ -6,12 +6,13 @@ files read: a header row, then one row per scene (SDD) or per intersection
 (inD), in the order the CSV holds them. The answers come from what was
 planted, not from the code under test: which tracks have lost points at
 their start, strictly inside, or at their end, and how many tracks of each
-class each video holds. The seed picks the rest (track lengths, first
-frames, positions, where each lost run falls, the row order in a file),
-and one seed always writes the same bytes.
+class each video holds, and which two tracks come close. The seed picks the
+rest (track lengths, first frames, positions, where each lost run falls,
+the row order in a file), and one seed always writes the same bytes.
 """
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -152,3 +153,55 @@ def ind_tree(root: Path, seed: int) -> dict[str, list[list[str]]]:
         lost_stats.append([group, str(n), "0.00", "0.00", "0.00"])
         classes.append([group, str(n), *(_percent(count, n) for count in counts.values())])
     return {"lost_stats": lost_stats, "class_distribution": classes}
+
+
+# The crossing video: eight walkers and the crossing pair on a 3 x 3 grid of
+# cells CELL px apart, the pair in the middle cell. Every track stays within
+# REACH px of its cell's centre, so a walker never comes within
+# CELL - 2 * REACH px of another track, while the pair's paths cross at a
+# shallow angle and stay within CLOSE px of each other for a span of frames.
+CROSSING_VIDEO = ("hyang", "video0")
+CELL, REACH, CLOSE = 600, 100, 3
+WALKER_GAP = CELL - 2 * REACH
+
+
+def _sdd_rows(rng: random.Random, track_id: int, first_frame: int, centres: list[tuple[int, int]]) -> list[str]:
+    """A track's rows: a box around each centre, one frame apart, nothing lost."""
+    rows = []
+    for step, (x, y) in enumerate(centres):
+        half = rng.randint(2, 20)
+        rows.append(f'{track_id} {x - half} {y - half} {x + half} {y + half} {first_frame + step} 0 0 0 "Pedestrian"')
+    return rows
+
+
+def crossing_tree(root: Path, seed: int) -> dict:
+    """Write <root>/<scene>/<video>/annotations.txt for CROSSING_VIDEO and
+    return the crossing pair's track ids (`pair`, as uids) and the first and
+    last frame at which the two are at most CLOSE px apart (`span`).
+
+    The pair walks +x side by side for 120 frames; one drifts across the
+    other's line by 1 px every 10 frames, 6 px below it at the start and 6 px
+    above at the end. Each walker goes straight through its cell's centre at
+    1 to 1.5 px per frame for 80 to 120 frames, in a direction of its own."""
+    rng = random.Random(seed)
+    ids = list(range(10))
+    rng.shuffle(ids)
+    rows = []
+    cells = [(col, row) for row in range(3) for col in range(3) if (col, row) != (1, 1)]
+    for track_id, (col, row) in zip(ids, cells):
+        cx, cy = 200 + CELL * col, 200 + CELL * row
+        length, speed, angle = rng.randint(80, 120), rng.uniform(1.0, 1.5), rng.uniform(0.0, 2 * math.pi)
+        dx, dy = speed * math.cos(angle), speed * math.sin(angle)
+        steps = [k - length // 2 for k in range(length)]  # the centre is passed halfway
+        rows += _sdd_rows(rng, track_id, rng.randint(0, 20), [(round(cx + k * dx), round(cy + k * dy)) for k in steps])
+    first_frame, x0, y0 = rng.randint(0, 20), 200 + CELL - 90, 200 + CELL
+    xs = [x0 + (3 * k) // 2 for k in range(120)]
+    offsets = [round((k - 60) / 10) for k in range(120)]
+    rows += _sdd_rows(rng, ids[8], first_frame, [(x, y0) for x in xs])
+    rows += _sdd_rows(rng, ids[9], first_frame, [(x, y0 + d) for x, d in zip(xs, offsets)])
+    close = [first_frame + k for k, d in enumerate(offsets) if abs(d) <= CLOSE]
+    rng.shuffle(rows)
+    path = root.joinpath(*CROSSING_VIDEO, "annotations.txt")
+    path.parent.mkdir(parents=True)
+    path.write_text("\n".join(rows) + "\n")
+    return {"pair": (str(ids[8]), str(ids[9])), "span": (close[0], close[-1])}

@@ -249,6 +249,15 @@ def test_accumulate_validates_series() -> None:
         accumulate_aim(pair, series([3, 4], [1, 1]), series([3], [1]), delta=0.98)
     with pytest.raises(StructuralError):
         accumulate_aim(pair, series([3, 4], [1, 1]), series([3, 5], [1, 1]), delta=0.98)
+    for frames, rho, error, message in (
+        ([], [], StructuralError, "mi series is empty"),
+        ([4, 3], [1, 1], StructuralError, "mi series frames must be strictly increasing"),
+        ([3, 4], [1, math.inf], DomainError, "rho series contains non-finite values"),
+        ([9, 10], [1, 1], StructuralError, "series frames fall outside the pair's common run"),  # frames 0-9
+    ):
+        with pytest.raises(error) as err:
+            accumulate_aim(pair, series(frames, [1] * len(frames)), series(frames, rho), delta=0.98)
+        assert str(err.value) == message
     with pytest.raises(ConfigError):
         accumulate_aim(pair, series([3], [1.0]), series([3], [1.0]), delta=0.0)
     with pytest.raises(ConfigError):

@@ -5,6 +5,7 @@ import dataclasses
 import heapq
 import json
 import shutil
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,7 @@ def test_failed_reingest_leaves_the_store_as_it_was(workspace, capsys) -> None:
         ("dataset: sdd", "dataset: [sdd", "not valid YAML"),
         ("inputs: [{annotations}]", "inputs: 5", "config key inputs"),
         ("out: {out}", "out: {file}", "taken.txt"),
+        ("out: {out}", "", "no output directory: set out: in the config or pass --out"),
     ],
 )
 def test_bad_config_value_or_io_failure_is_one_error_line(
@@ -389,24 +391,24 @@ def test_ingest_ind_store(tmp_path, capsys) -> None:
     assert "00_tracksMeta.csv" in capsys.readouterr().err
 
 
-def write_ind_recording(data: Path, n_tracks: int = 5) -> Path:
-    """Recording 7 at location 2: n_tracks pedestrians walking for 30 frames."""
+def write_ind_recording(data: Path, n_tracks: int = 5, recording: int = 7) -> Path:
+    """A recording at location 2: n_tracks pedestrians walking for 30 frames."""
     data.mkdir(parents=True)
     header = "recordingId,trackId,frame,trackLifetime,xCenter,yCenter,heading\n"
     rows = [
-        f"7,{tid},{frame},0,{1.0 + 0.1 * frame},{tid},0.0"
+        f"{recording},{tid},{frame},0,{1.0 + 0.1 * frame},{tid},0.0"
         for tid in range(n_tracks)
         for frame in range(30)
     ]
-    (data / "07_tracks.csv").write_text(header + "\n".join(rows) + "\n")
-    meta = [f"7,{tid},0,29,30,pedestrian" for tid in range(n_tracks)]
-    (data / "07_tracksMeta.csv").write_text(
+    (data / f"{recording:02d}_tracks.csv").write_text(header + "\n".join(rows) + "\n")
+    meta = [f"{recording},{tid},0,29,30,pedestrian" for tid in range(n_tracks)]
+    (data / f"{recording:02d}_tracksMeta.csv").write_text(
         "recordingId,trackId,initialFrame,finalFrame,numFrames,class\n" + "\n".join(meta) + "\n"
     )
-    (data / "07_recordingMeta.csv").write_text(
-        "recordingId,locationId,frameRate,orthoPxToMeter\n7,2,25.0,0.01\n"
+    (data / f"{recording:02d}_recordingMeta.csv").write_text(
+        f"recordingId,locationId,frameRate,orthoPxToMeter\n{recording},2,25.0,0.01\n"
     )
-    return data / "07_tracks.csv"
+    return data / f"{recording:02d}_tracks.csv"
 
 
 def test_two_sdd_files_for_one_video_is_an_error(tmp_path, capsys) -> None:
@@ -458,6 +460,27 @@ def test_ind_repeated_frame_is_one_error_line_naming_the_video(tmp_path, capsys)
     assert run(["ingest", "--config", config]) == 1
     assert capsys.readouterr().err == "error: track 0 of ('ind', 'location2', '7'): duplicate frame 2\n"
     assert not out.exists()
+
+
+def test_an_ind_recording_that_cannot_be_placed_is_one_error_line(tmp_path, capsys) -> None:
+    rec_meta = write_ind_recording(tmp_path / "two").with_name("07_recordingMeta.csv")
+    rec_meta.write_text(rec_meta.read_text() + "7,2,25.0,0.01\n")
+    out = tmp_path / "out"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'two'}]\nout: {out}\n")
+    assert run(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: {rec_meta}: expected exactly one recording row, got 2\n"
+    assert not out.exists()
+
+    write_ind_recording(tmp_path / "forty", recording=40)  # above the registry's last intersection, 30-32
+    config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'forty'}]\nout: {out}\n")
+    assert run(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert run(["stats", "--config", config]) == 1
+    *warnings, error = capsys.readouterr().err.splitlines()
+    assert error == "error: recording 40 is outside every intersection range"
+    assert all(line.startswith("warning: ") for line in warnings)
+    assert sorted(p.name for p in out.iterdir()) == ["store"]
 
 
 # --- stats ------------------------------------------------------------------------
@@ -521,7 +544,7 @@ def test_stats_writes_the_planted_rows(tmp_path, dataset, seed) -> None:
             assert list(csv.reader(fh)) == rows
 
 
-@pytest.mark.parametrize("write", [plant.sdd_tree, plant.ind_tree])
+@pytest.mark.parametrize("write", [plant.sdd_tree, plant.ind_tree, plant.crossing_tree])
 def test_a_planted_tree_is_the_same_bytes_for_one_seed(tmp_path, write) -> None:
     def files(root: Path) -> dict:
         return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -530,6 +553,35 @@ def test_a_planted_tree_is_the_same_bytes_for_one_seed(tmp_path, write) -> None:
     assert files(tmp_path / "a") == files(tmp_path / "b")
     write(tmp_path / "c", 6)
     assert files(tmp_path / "c") != files(tmp_path / "a")
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_aim_ranks_the_planted_crossing_pair_first(tmp_path, seed) -> None:
+    planted = plant.crossing_tree(tmp_path / "raw", seed)
+    out = tmp_path / "out"
+    config = tmp_path / "config.yaml"  # no rho: section, so v0, a0 and sigma_d are fitted
+    config.write_text(f"dataset: sdd\ninputs: [{tmp_path / 'raw'}]\nout: {out}\nexport_format: csv\n")
+    assert run(["ingest", "--config", config]) == 0
+    # the planted distances, as the store holds them
+    tracks = {t.uid: t for t in load_store(out / "store")}
+    i, j = planted["pair"]
+    for a, b in combinations(tracks, 2):
+        _, rows_a, rows_b = np.intersect1d(tracks[a].frames(), tracks[b].frames(), return_indices=True)
+        gaps = np.hypot(*(tracks[a].xy()[rows_a] - tracks[b].xy()[rows_b]).T)
+        if {a, b} == {i, j}:
+            close = tracks[a].frames()[rows_a][gaps <= plant.CLOSE]
+            assert (close[0], close[-1]) == planted["span"]
+        else:
+            assert (gaps >= plant.WALKER_GAP).all()
+
+    def exported(top_k: int) -> set[tuple[str, str]]:
+        assert run(["aim", "--config", config, "--top-k", top_k]) == 0
+        metas = [json.loads(p.read_text()) for p in (out / "aim").glob("*.meta.json")]
+        return {(meta["agent_i"], meta["agent_j"]) for meta in metas}
+
+    assert exported(2) == {(i, j), (j, i)}
+    (best,) = exported(1)
+    assert best in {(i, j), (j, i)}
 
 
 @pytest.mark.parametrize("first, then", [("both", "csv"), ("both", "jsonl"), ("csv", "jsonl")])
@@ -546,6 +598,23 @@ def test_the_reports_hold_the_last_run_only(workspace, command, first, then) -> 
     assert run(["ingest", "--config", config, "--out", fresh]) == 0
     assert run([command, "--config", config, "--out", fresh]) == 0
     assert tree_bytes(out / "reports") == tree_bytes(fresh / "reports")
+
+
+@pytest.mark.parametrize("first, then", [("sdd", "ind"), ("ind", "sdd")])
+def test_stats_removes_the_tables_its_dataset_does_not_write(tmp_path, capsys, first, then) -> None:
+    out = tmp_path / "out"
+    for dataset in (first, then):
+        getattr(plant, f"{dataset}_tree")(tmp_path / dataset, 0)
+        config = tmp_path / f"{dataset}.yaml"
+        config.write_text(f"dataset: {dataset}\ninputs: [{tmp_path / dataset}]\nout: {out}\n")
+        assert run(["ingest", "--config", config]) == 0
+        assert run(["stats", "--config", config]) == 0
+        for name in ("eval.csv", "eval.jsonl"):  # another command's table, which stats leaves
+            (out / "reports" / name).write_text("kept\n")
+    tables = ["class_distribution", "lost_stats", *(["overlap_report"] if then == "sdd" else [])]
+    assert capsys.readouterr().err.splitlines()[-1] == f"wrote {2 * len(tables)} report files to {out / 'reports'}"
+    names = [f"{name}.{ext}" for name in ["eval", *tables] for ext in ("csv", "jsonl")]
+    assert sorted(p.name for p in (out / "reports").iterdir()) == sorted(names)
 
 
 def test_stats_requires_ingest(workspace, capsys) -> None:
@@ -1319,6 +1388,24 @@ def test_eval_non_finite_prediction_is_one_error_line(workspace, tmp_path, capsy
     assert not list((out / "reports").glob("eval.*"))
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[[0.0, 0.0, 0.0]]], "1: points must be a list of [x, y] pairs"),
+        ([[0.0, 0.0]], "1: points must be a list of [x, y] pairs"),
+        ([[[0.0, 0.0]], [[1.0, 1.0]]], "2: duplicate window id sdd:quad:video0:0@0"),
+    ],
+    ids=["three columns", "a flat pair", "a repeated window"],
+)
+def test_a_predictions_file_the_reader_refuses_is_one_error_line(workspace, tmp_path, capsys, points, message) -> None:
+    _, _, out, config = workspace
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps({"window_id": "sdd:quad:video0:0@0", "points": p}) + "\n" for p in points))
+    assert run(["eval", "--config", config, "--predictor", preds]) == 1
+    assert capsys.readouterr().err == f"error: {preds}:{message}\n"
+    assert not out.exists()
+
+
 # --- determinism ------------------------------------------------------------------------
 
 
@@ -1357,6 +1444,22 @@ def test_ingest_non_utf8_input_is_one_error_line(tmp_path, capsys) -> None:
     assert run(["ingest", "--config", config]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}:3: not valid UTF-8 (byte 0xff)\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "config file does not exist: {config}"),
+        ("- dataset: sdd\n", "config file {config} must contain a mapping"),
+    ],
+    ids=["missing", "a list"],
+)
+def test_a_config_file_that_is_missing_or_not_a_mapping_is_one_error_line(tmp_path, capsys, text, message) -> None:
+    config = tmp_path / "config.yaml"
+    if text is not None:
+        config.write_text(text)
+    assert run(["stats", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
 
 
 def test_non_utf8_config_is_one_error_line(workspace, capsys) -> None:

@@ -170,7 +170,7 @@ def test_the_input_layouts_live_in_the_dataset_modules_not_the_cli() -> None:
 def test_the_cli_offers_the_pair_code_it_runs_without_importing_it() -> None:
     from trajscope import aim, cli
 
-    for name in ("extract_interactions", "final_bounds", "fit_normalizers", "sweep"):
-        assert getattr(cli, name) is getattr(aim, name), name
-    with pytest.raises(AttributeError, match="no attribute 'measure_interaction'"):
-        cli.measure_interaction  # noqa: B018
+    assert cli.extract_interactions is aim.extract_interactions  # the benchmark self-test reads it
+    for name in ("final_bounds", "fit_normalizers", "sweep", "measure_interaction"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(cli, name)

@@ -463,6 +463,33 @@ def test_two_swapped_lines_are_refused_at_the_second(tmp_path) -> None:
     assert str(err.value) == f"corrupt store file {victim}: line 3: (track_id, segment) (2, 0) does not follow (2, 2)"
 
 
+def test_a_file_with_two_faults_is_refused_at_its_first_faulty_line(tmp_path) -> None:
+    write_store(sample_trajectories(), tmp_path)
+    victim = tmp_path / "sdd__quad__video0.jsonl"
+    lines = victim.read_text().splitlines()
+    lines[0] = lines[0].replace("[0, 0.5,", "[0, NaN,")
+    lines[2] = lines[2].replace('"class": "Biker"', '"class": "Unicycle"')
+    victim.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StructuralError) as err:
+        load_store(tmp_path)
+    assert str(err.value) == f"corrupt store file {victim}: line 1: a coordinate that is not finite"
+
+
+def test_each_store_file_is_read_in_one_pass(tmp_path, monkeypatch) -> None:
+    write_store(sample_trajectories(), tmp_path)
+    victim = tmp_path / "sdd__quad__video1.jsonl"
+    victim.write_text(victim.read_text().replace("[1, 4.0,", "[1, four,"))  # the last point of the last file
+    opened = []
+    lines = store_module._lines
+    monkeypatch.setattr(store_module, "_lines", lambda path: opened.append(path.name) or lines(path))
+    with pytest.raises(StructuralError) as err:
+        load_store(tmp_path)
+    assert str(err.value) == (
+        f"corrupt store file {victim}: line 1: a point that is not a row of six numbers of the fields' types"
+    )
+    assert opened == ["sdd__quad__video0.jsonl", "sdd__quad__video1.jsonl"]
+
+
 def test_frames_at_the_ends_of_int64_load(tmp_path) -> None:
     # their difference is beyond int64, so the check compares frames rather than subtracting them
     points = np.zeros(2, POINT_DTYPE)
@@ -528,6 +555,10 @@ WRITER_REFUSES = {
         lambda trajs: _with_row(trajs, 3, 0, lost=2),
         "track 2.2 of video ('sdd', 'quad', 'video0'): a flag that is not 0 or 1",
     ),
+    "a NaN x before a bad class": (
+        lambda trajs: _with_row(_changed(trajs, 3, class_label="Unicycle"), 0, 0, x=np.nan),
+        "track 1 of video ('sdd', 'quad', 'video0'): a coordinate that is not finite",
+    ),
     "a generated flag of 255": (
         lambda trajs: _with_row(trajs, 0, 0, generated=255),
         "track 1 of video ('sdd', 'quad', 'video0'): a flag that is not 0 or 1",
@@ -568,7 +599,7 @@ def test_load_peak_is_a_small_multiple_of_the_arrays(tmp_path) -> None:
         tracemalloc.stop()
     nbytes = sum(t.points.nbytes for t in loaded[0])
     assert nbytes == 40_000 * POINT_DTYPE.itemsize
-    # Measured: 1.25x (the line-by-line reference reader: 1.34x). While a
-    # file is read, its points text is held once and freed as numpy fills
-    # the file's array, next to the arrays of the files read before it.
+    # Measured: 1.22x (the line-by-line reference reader: 1.34x). A line's
+    # points text, split into rows, is held only while numpy reads it into
+    # the line's own array, next to the arrays of the lines read before it.
     assert peak <= 1.4 * nbytes, peak / nbytes
