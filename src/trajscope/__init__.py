@@ -41,7 +41,7 @@ _EXPORTS = {
     "store": ("load_manifest", "load_store", "videos", "write_store"),
     "types": (
         "ALL_CLASSES", "DEFAULT_BANDWIDTHS", "DEFAULT_DELTA", "DEFAULT_N_MIN", "POINT_DTYPE",
-        "ConfigError", "DomainError", "IND_CLASSES", "InsufficientDataError", "ParseError",
+        "ConfigError", "DomainError", "IND_CLASSES", "InsufficientDataError", "MIConfig", "ParseError",
         "RhoConfig", "SDD_CLASSES", "SourceRef", "StructuralError", "ToolError", "Trajectory",
         "canonical_class", "scene_diagonal",
     ),

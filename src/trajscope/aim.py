@@ -49,10 +49,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .mi import BOUND_MARGIN, mi_prefix_bound, mi_prefix_series
-from .types import (
+from .types import (  # DEFAULT_BANDWIDTHS and DEFAULT_N_MIN stay importable from here
     DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, DEFAULT_N_WINDOW, ConfigError, DomainError,
-    InsufficientDataError, RhoConfig, StructuralError, Trajectory, check_first_eval_point, checked_count,
-    checked_delta, scene_diagonal,
+    InsufficientDataError, MIConfig, RhoConfig, StructuralError, Trajectory, check_first_eval_point,
+    checked_count, checked_delta, scene_diagonal,
 )
 
 
@@ -399,9 +399,7 @@ def sweep(
     n_values: Sequence[int],
     *,
     rho_config: RhoConfig | None = None,
-    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
-    weights: Sequence[float] | None = None,
-    n_min: int = DEFAULT_N_MIN,
+    mi_config: MIConfig | None = None,
     both_directions: bool = False,
 ) -> list[MeasureSeries]:
     """One MeasureSeries per (n_window, delta) combination.
@@ -423,8 +421,7 @@ def sweep(
         return []
     first = min(ns)
     estimates = mi_prefix_series(
-        np.stack([pair.xi, pair.xj], axis=1), range(first + 1, len(pair.frames) + 1),
-        bandwidths=bandwidths, weights=weights, n_min=n_min,
+        np.stack([pair.xi, pair.xj], axis=1), range(first + 1, len(pair.frames) + 1), config=mi_config
     )
     values = np.array([v for _, v in estimates], dtype=np.float64)
     out: list[MeasureSeries] = []
@@ -450,9 +447,7 @@ def final_bounds(
     *,
     delta: float = DEFAULT_DELTA,
     rho_config: RhoConfig | None = None,
-    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
-    weights: Sequence[float] | None = None,
-    n_min: int = DEFAULT_N_MIN,
+    mi_config: MIConfig | None = None,
 ) -> tuple[float, float]:
     """Upper bounds on the final aim of `pair` and of `pair.reversed()`: each is
     sum_t delta^(T-t) * w[t] over the T measured frames, w = rho * b, with b
@@ -472,8 +467,7 @@ def final_bounds(
     cfg = rho_config if rho_config is not None else RhoConfig()
     delta, n = checked_delta(delta), checked_count(pair.n_window, "n_window")
     b = mi_prefix_bound(
-        np.stack([pair.xi, pair.xj], axis=1), range(n + 1, len(pair.frames) + 1),
-        bandwidths=bandwidths, weights=weights, n_min=n_min,
+        np.stack([pair.xi, pair.xj], axis=1), range(n + 1, len(pair.frames) + 1), config=mi_config
     )
     weight = np.maximum(delta ** np.arange(len(b) - 1, -1, -1), np.finfo(np.float64).tiny)
     with np.errstate(over="ignore"):  # a sum that overflows is an inf bound
@@ -486,20 +480,10 @@ def measure_interaction(
     *,
     delta: float = DEFAULT_DELTA,
     rho_config: RhoConfig | None = None,
-    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
-    weights: Sequence[float] | None = None,
-    n_min: int = DEFAULT_N_MIN,
+    mi_config: MIConfig | None = None,
 ) -> MeasureSeries:
     """Full measurement for one directed pair: `sweep` at (pair.n_window, delta)."""
-    (series,) = sweep(
-        pair,
-        [delta],
-        [pair.n_window],
-        rho_config=rho_config,
-        bandwidths=bandwidths,
-        weights=weights,
-        n_min=n_min,
-    )
+    (series,) = sweep(pair, [delta], [pair.n_window], rho_config=rho_config, mi_config=mi_config)
     return series
 
 
@@ -585,8 +569,7 @@ def select(
         raise ConfigError(f"--pair names track {named[0]!r} twice; a pair needs two tracks")
     top_k = checked_count(top_k, "--top-k")
     # the smallest window measured: a named pair is measured at the n_values, the top-k ranking at n_window too
-    check_first_eval_point(min(n_values if named is not None else [n_window, *n_values]) + 1, settings.n_min)
-    options = dict(bandwidths=settings.bandwidths, weights=settings.weights, n_min=settings.n_min)
+    check_first_eval_point(min(n_values if named is not None else [n_window, *n_values]) + 1, settings.mi.n_min)
     considered = measurable = measured = 0
 
     def pairs_of_each_video():
@@ -619,16 +602,21 @@ def select(
         if named is not None:
             for direction in [d for pair in pairs for d in (pair, pair.reversed()) if d.key == named]:
                 measured += 1
-                chosen += [(key, s) for s in sweep(direction, deltas, n_values, rho_config=video_rho, **options)]
+                series = sweep(direction, deltas, n_values, rho_config=video_rho, mi_config=settings.mi)
+                chosen += [(key, s) for s in series]
             continue
-        bounds = [max(final_bounds(pair, delta=settings.delta, rho_config=video_rho, **options)) for pair in pairs]
+        bounds = [
+            max(final_bounds(pair, delta=settings.delta, rho_config=video_rho, mi_config=settings.mi)) for pair in pairs
+        ]
         for bound, pair in sorted(zip(bounds, pairs), key=lambda c: (-c[0], c[1].key)):
             # bounds only fall from here on, and a series whose final value is
             # below the k-th best cannot enter the selection, even by a tie
             if len(chosen) == top_k and chosen[-1][1].final > bound:
                 break
             measured += 1
-            series = sweep(pair, [settings.delta], [n_window], rho_config=video_rho, both_directions=True, **options)
+            series = sweep(
+                pair, [settings.delta], [n_window], rho_config=video_rho, mi_config=settings.mi, both_directions=True
+            )
             # best first: the highest final value, ties to the lower video key, then the lower pair key
             chosen += [(key, s) for s in series]
             chosen = sorted(chosen, key=lambda c: (-c[1].final, c[0], c[1].pair.key))[:top_k]
@@ -644,6 +632,6 @@ def select(
         chosen = [
             (key, series)
             for key, best in chosen
-            for series in sweep(best.pair, deltas, n_values, rho_config=best.rho_config, **options)
+            for series in sweep(best.pair, deltas, n_values, rho_config=best.rho_config, mi_config=settings.mi)
         ]
     return Selection(chosen, considered, measurable, measured, 0 if named is not None else measurable - measured)

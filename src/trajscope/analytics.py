@@ -63,7 +63,8 @@ def group_trajectories_for_stats(
     registry: DatasetRegistry | None = None,
 ) -> dict[str, list[Trajectory]]:
     """Group for reporting: scene name, except inD recordings pool into their
-    intersection ranges (e.g. "7-17") when a registry is supplied."""
+    intersection ranges (e.g. "7-17") when a registry is supplied; a recording
+    outside every range is a group of its own ("40-40")."""
     groups: dict[str, list[Trajectory]] = {}
     for traj in trajectories:
         if traj.source.dataset == "ind" and registry is not None:
@@ -186,7 +187,7 @@ def overlap_report(registry: DatasetRegistry) -> list[OverlapRow]:
     """Location/time overlap levels and simultaneous-video groups per scene,
     copied verbatim from the registry's curated metadata."""
     rows: list[OverlapRow] = []
-    for scene in registry.scenes("sdd"):
+    for scene in registry.scenes():
         overlap = registry.scene_overlap(scene)
         rows.append(
             OverlapRow(

@@ -31,9 +31,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .preprocess import LostPolicy, PreprocessConfig
-from .types import (
-    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, RhoConfig, ToolError, Trajectory, checked_count,
-    checked_delta, checked_mi_settings, is_number, load_yaml, row_columns, unknown_keys,
+from .types import (  # DEFAULT_BANDWIDTHS and DEFAULT_N_MIN stay importable from here
+    DEFAULT_BANDWIDTHS, DEFAULT_DELTA, DEFAULT_N_MIN, ConfigError, MIConfig, RhoConfig, ToolError, Trajectory,
+    checked_count, checked_delta, is_number, load_yaml, row_columns, unknown_keys,
 )
 
 # Beyond config loading, each command imports the modules it runs when it
@@ -69,12 +69,10 @@ class RunConfig:
     fit_sigma_d: bool
     fit_a0: bool
     export_format: str
-    # the aim: and mi: sections
+    # the aim: section
     delta: float = DEFAULT_DELTA
     n_window: int | None = None
-    bandwidths: tuple[float, ...] = DEFAULT_BANDWIDTHS
-    weights: tuple[float, ...] | None = None
-    n_min: int = DEFAULT_N_MIN
+    mi: MIConfig = MIConfig()
 
     def __post_init__(self) -> None:
         if self.dataset not in ("sdd", "ind"):
@@ -82,11 +80,6 @@ class RunConfig:
         object.__setattr__(self, "delta", checked_delta(self.delta, "aim.delta"))
         if self.n_window is not None:
             object.__setattr__(self, "n_window", checked_count(self.n_window, "aim.n_window"))
-        bandwidths, weights, n_min = checked_mi_settings(self.bandwidths, self.weights, self.n_min)
-        object.__setattr__(self, "bandwidths", bandwidths)
-        # unset weights stay None (equal weights), as meta.json records them
-        object.__setattr__(self, "weights", None if self.weights is None else weights)
-        object.__setattr__(self, "n_min", n_min)
         if self.export_format not in EXPORT_FORMATS:
             raise ConfigError(f"export_format must be one of {EXPORT_FORMATS}, got {self.export_format!r}")
 
@@ -104,8 +97,8 @@ class RunConfig:
 
 
 # section -> key -> kind, in the order the keys are checked. An absent key
-# takes the default of the field it fills (PreprocessConfig, RhoConfig, or
-# RunConfig for aim: and mi:).
+# takes the default of the field it fills (PreprocessConfig, RhoConfig,
+# MIConfig, or RunConfig for aim:).
 _SECTIONS: dict[str, dict[str, type]] = {
     "preprocess": {
         "lost_policy": LostPolicy, "drop_generated": bool, "target_rate": float,
@@ -216,7 +209,7 @@ def load_run_config(config_path, out_override: str | None = None) -> RunConfig:
         fit_a0="a0" not in rho_given,
         export_format="both" if raw.get("export_format") is None else raw["export_format"],
         **_section(raw, "aim"),
-        **_section(raw, "mi"),
+        mi=MIConfig(**_section(raw, "mi")),
     )
 
 
@@ -386,9 +379,7 @@ def _export_series(
         "delta": series.delta,
         "n_window": series.n_window,
         **dataclasses.asdict(series.rho_config),
-        "bandwidths": list(cfg.bandwidths),
-        "weights": None if cfg.weights is None else list(cfg.weights),
-        "n_min": cfg.n_min,
+        **dataclasses.asdict(cfg.mi),  # json writes its tuples as lists, and unset weights as null
         "first_frame": int(series.frames[0]),
         "last_frame": int(series.frames[-1]),
         "n_frames": len(series.frames),

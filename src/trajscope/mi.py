@@ -26,9 +26,11 @@ unordered pair and shares it between the two directions.
 the occupied marginal cells alone (no joint counts), so a caller ranking
 many pairs can skip the ones that cannot win.
 
-`HashMIState` and both prefix functions check settings with one function
-(`types.checked_mi_settings`, which the config loader uses too) and
-coordinates with another: numbers (else StructuralError) and finite (DomainError).
+`HashMIState` and both prefix functions take the estimator's settings as one
+`MIConfig` (keyword `config`; None means the defaults), checked when it was
+built, as the config loader builds it, and not again here. They check
+coordinates with one function: numbers (else StructuralError) and finite
+(DomainError).
 """
 from __future__ import annotations
 
@@ -38,9 +40,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .types import (
-    DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, ConfigError, DomainError, InsufficientDataError,
-    StructuralError, check_first_eval_point, checked_mi_settings,
+from .types import (  # DEFAULT_BANDWIDTHS and DEFAULT_N_MIN stay importable from here
+    DEFAULT_BANDWIDTHS, DEFAULT_N_MIN, ConfigError, DomainError, InsufficientDataError, MIConfig,
+    StructuralError, check_first_eval_point,
 )
 
 # Prefix counts are built for a block of eval points at once; this caps a
@@ -78,13 +80,9 @@ def _ensemble(weights: Sequence[float], band_sums: Iterable[float]) -> float:
 class HashMIState:
     """Count tables for one pair of streams, one table set per bandwidth."""
 
-    def __init__(
-        self,
-        bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
-        weights: Sequence[float] | None = None,
-        n_min: int = DEFAULT_N_MIN,
-    ):
-        self.bandwidths, self.weights, self.n_min = checked_mi_settings(bandwidths, weights, n_min)
+    def __init__(self, *, config: MIConfig | None = None):
+        cfg = config if config is not None else MIConfig()
+        self.bandwidths, self.weights, self.n_min = cfg.bandwidths, cfg.ensemble_weights, cfg.n_min
         self.n = 0
         self.x_counts: list[Counter] = [Counter() for _ in self.bandwidths]
         self.y_counts: list[Counter] = [Counter() for _ in self.bandwidths]
@@ -194,21 +192,18 @@ def _band_prefix_sums(x_cells: np.ndarray, y_cells: np.ndarray, points: np.ndarr
     return sums
 
 
-def _prefix_input(
-    pairs, eval_points: Sequence[int], bandwidths, weights, n_min: int
-) -> tuple[tuple[float, ...], tuple[float, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Checked bandwidths, weights, eval points and (x, y) streams cut to the last point.
+def _prefix_input(pairs, eval_points: Sequence[int], n_min: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked eval points and (x, y) streams cut to the last point.
 
     Both prefix functions take the same arguments and raise the same errors
     through this. With no eval points, the streams are empty and unchecked.
     """
-    bandwidths, weights, n_min = checked_mi_settings(bandwidths, weights, n_min)
     try:
         points = np.asarray(eval_points).reshape(-1)
     except ValueError:  # a ragged nesting such as [[10], [12, 13]]
         raise ConfigError(f"eval points must be integers, got {eval_points!r}") from None
     if not points.size:
-        return bandwidths, weights, points, np.zeros((0, 1)), np.zeros((0, 1))
+        return points, np.zeros((0, 1)), np.zeros((0, 1))
     if not np.issubdtype(points.dtype, np.integer):  # bools and floats too
         raise ConfigError(f"eval points must be integers, got {points.tolist()!r}")
     if (np.diff(points) <= 0).any():
@@ -228,15 +223,14 @@ def _prefix_input(
             x_values, y_values = zip(*samples)
         except (TypeError, ValueError):
             raise StructuralError("samples must be (x, y) pairs") from None
-    return bandwidths, weights, points, _stream(x_values, "x"), _stream(y_values, "y")
+    return points, _stream(x_values, "x"), _stream(y_values, "y")
 
 
 def mi_prefix_series(
     pairs: np.ndarray | Sequence[tuple[Coord, Coord]] | Iterable[tuple[Coord, Coord]],
     eval_points: Sequence[int],
-    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
-    weights: Sequence[float] | None = None,
-    n_min: int = DEFAULT_N_MIN,
+    *,
+    config: MIConfig | None = None,
 ) -> list[tuple[int, float]]:
     """Estimate after the first t samples, for each requested prefix length t.
 
@@ -246,15 +240,16 @@ def mi_prefix_series(
     from cumulative sums of the new samples' cells, so every value is
     identical to re-counting that prefix from scratch with HashMIState.
     """
-    bandwidths, weights, points, x, y = _prefix_input(pairs, eval_points, bandwidths, weights, n_min)
+    cfg = config if config is not None else MIConfig()
+    points, x, y = _prefix_input(pairs, eval_points, cfg.n_min)
     if not points.size:
         return []
     band_sums = [
         _band_prefix_sums(np.floor(x / eps), np.floor(y / eps), points)
-        for eps in bandwidths
+        for eps in cfg.bandwidths
     ]
     return [
-        (t, _ensemble(weights, sums))
+        (t, _ensemble(cfg.ensemble_weights, sums))
         for t, sums in zip(points.tolist(), zip(*band_sums))
     ]
 
@@ -262,9 +257,8 @@ def mi_prefix_series(
 def mi_prefix_bound(
     pairs: np.ndarray | Sequence[tuple[Coord, Coord]] | Iterable[tuple[Coord, Coord]],
     eval_points: Sequence[int],
-    bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS,
-    weights: Sequence[float] | None = None,
-    n_min: int = DEFAULT_N_MIN,
+    *,
+    config: MIConfig | None = None,
 ) -> np.ndarray:
     """An upper bound on each value `mi_prefix_series` returns for the same arguments.
 
@@ -285,9 +279,10 @@ def mi_prefix_bound(
     larger than both, so every computed estimate is at most its computed
     bound. Arguments are checked, and raise, exactly as in `mi_prefix_series`.
     """
-    bandwidths, weights, points, x, y = _prefix_input(pairs, eval_points, bandwidths, weights, n_min)
+    cfg = config if config is not None else MIConfig()
+    points, x, y = _prefix_input(pairs, eval_points, cfg.n_min)
     total = np.zeros(len(points))
-    for weight, eps in zip(weights, bandwidths):
+    for weight, eps in zip(cfg.ensemble_weights, cfg.bandwidths):
         occupied = [
             # the cells seen in the first t samples are those first seen at a row below t
             np.searchsorted(np.sort(order[new]), points)

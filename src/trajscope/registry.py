@@ -53,9 +53,7 @@ class DatasetRegistry:
         except KeyError:
             raise ConfigError(f"unknown dataset {dataset!r}") from None
 
-    def scenes(self, dataset: str = "sdd") -> list[str]:
-        if dataset.lower() != "sdd":
-            raise ConfigError("scene queries only apply to sdd")
+    def scenes(self) -> list[str]:
         return sorted(self.sdd_scenes)
 
     def scene_overlap(self, scene: str) -> SceneOverlap:
@@ -72,11 +70,13 @@ class DatasetRegistry:
             raise ConfigError(f"unknown dataset {dataset.lower()!r}") from None
 
     def intersection_of(self, recording: int) -> str:
-        """Group label ("lo-hi") of the intersection a recording belongs to."""
+        """Group label ("lo-hi") of the intersection a recording belongs to; a
+        recording outside every range is a group of its own ("40-40")."""
+        recording = int(recording)
         for lo, hi in self.ind_intersections:
-            if lo <= int(recording) <= hi:
+            if lo <= recording <= hi:
                 return f"{lo}-{hi}"
-        raise ConfigError(f"recording {recording} is outside every intersection range")
+        return f"{recording}-{recording}"
 
 
 def default_registry_path() -> Path:

@@ -4,8 +4,8 @@ Coordinates are pixel-space throughout: x grows rightward, y grows downward.
 All timestamps are integer frame indices in the source video's native clock.
 
 Every setting rule lives here, with its default: integers, positive numbers,
-the memory factor, `RhoConfig` and the estimator settings. The CLI's `RunConfig`,
-`aim` and `mi` all check with them, so they accept the same values.
+the memory factor, `RhoConfig` and `MIConfig`. The CLI's `RunConfig`, `aim`
+and `mi` all check with them, so they accept the same values.
 
 A trajectory's points are one numpy structured array of POINT_DTYPE, one
 row per frame in increasing frame order. Its fields follow the store's
@@ -185,20 +185,42 @@ def _numbers(values, name: str) -> list:
     return listed
 
 
-def checked_mi_settings(bandwidths, weights, n_min) -> tuple[tuple[float, ...], tuple[float, ...], int]:
-    """The checked estimator (bandwidths, weights, n_min); no weights means equal weights."""
-    bandwidths = _numbers(bandwidths, "bandwidths")
-    if len(bandwidths) == 0 or not all(b > 0 for b in bandwidths):
-        raise ConfigError(f"bandwidths must be positive, got {bandwidths!r}")
-    if math.inf in bandwidths:
-        raise ConfigError(f"bandwidths must be finite, got {bandwidths!r}")
-    weights = [1.0 / len(bandwidths)] * len(bandwidths) if weights is None else _numbers(weights, "weights")
-    if len(weights) != len(bandwidths):
-        raise ConfigError("need one weight per bandwidth")
-    # weights in [0, 1] rules out NaN and inf before they reach the sum
-    if not all(0 <= w <= 1 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
-        raise ConfigError(f"weights must be nonnegative and sum to 1, got {weights!r}")
-    return tuple(float(b) for b in bandwidths), tuple(float(w) for w in weights), checked_count(n_min, "n_min")
+@dataclass(frozen=True)
+class MIConfig:
+    """The dependence estimator's settings (see `trajscope.mi`): the grid cell
+    sizes of its bandwidth ensemble, one weight per bandwidth, and the samples
+    an estimate needs. Unset weights stay None, as meta.json records them, and
+    mean equal weights (`ensemble_weights`). Stored as float tuples and an int.
+    Checked when built, also by dataclasses.replace: a bad field is a ConfigError.
+    """
+
+    bandwidths: tuple[float, ...] = DEFAULT_BANDWIDTHS
+    weights: tuple[float, ...] | None = None
+    n_min: int = DEFAULT_N_MIN
+
+    def __post_init__(self) -> None:
+        bandwidths = _numbers(self.bandwidths, "bandwidths")
+        if len(bandwidths) == 0 or not all(b > 0 for b in bandwidths):
+            raise ConfigError(f"bandwidths must be positive, got {bandwidths!r}")
+        if math.inf in bandwidths:
+            raise ConfigError(f"bandwidths must be finite, got {bandwidths!r}")
+        object.__setattr__(self, "bandwidths", tuple(float(b) for b in bandwidths))
+        if self.weights is not None:
+            weights = _numbers(self.weights, "weights")
+            if len(weights) != len(bandwidths):
+                raise ConfigError("need one weight per bandwidth")
+            # weights in [0, 1] rules out NaN and inf before they reach the sum
+            if not all(0 <= w <= 1 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
+                raise ConfigError(f"weights must be nonnegative and sum to 1, got {weights!r}")
+            object.__setattr__(self, "weights", tuple(float(w) for w in weights))
+        object.__setattr__(self, "n_min", checked_count(self.n_min, "n_min"))
+
+    @property
+    def ensemble_weights(self) -> tuple[float, ...]:
+        """The weight of each bandwidth in the ensemble: `weights`, or equal weights."""
+        if self.weights is None:
+            return (1.0 / len(self.bandwidths),) * len(self.bandwidths)
+        return self.weights
 
 
 def check_first_eval_point(first: int, n_min: int) -> None:

@@ -6,7 +6,8 @@ files read: a header row, then one row per scene (SDD) or per intersection
 (inD), in the order the CSV holds them. The answers come from what was
 planted, not from the code under test: which tracks have lost points at
 their start, strictly inside, or at their end, and how many tracks of each
-class each video holds, and which two tracks come close. The seed picks the
+class each video holds, which two tracks come close, and which two track
+ids are one walk cut in two. The seed picks the
 rest (track lengths, first frames, positions, where each lost run falls,
 the row order in a file), and one seed always writes the same bytes.
 """
@@ -205,3 +206,55 @@ def crossing_tree(root: Path, seed: int) -> dict:
     path.parent.mkdir(parents=True)
     path.write_text("\n".join(rows) + "\n")
     return {"pair": (str(ids[8]), str(ids[9])), "span": (close[0], close[-1])}
+
+
+# The fragment video: one walk per cell of the 3 x 3 grid, each cut into two
+# track ids at a (gap g frames, jump j px) of FRAGMENT_CUTS, and two walks left
+# whole. A cut's second id starts g frames after the first id's last frame, j px
+# away along an axis. The first four cuts are inside `detect_split_candidates`'
+# default gates, FRAGMENT_GATES (g <= 60 frames, j <= 50 px), two of them on the
+# limits; the last three are outside. Every walk stays within FRAGMENT_REACH px
+# of its cell's centre, so no other end and start come within CELL - 2 * FRAGMENT_REACH px.
+FRAGMENT_VIDEO = ("bookstore", "video0")
+FRAGMENT_CUTS = ((1, 0), (15, 8), (40, 35), (60, 50), (61, 10), (20, 51), (100, 90))
+FRAGMENT_GATES = (60, 50)
+FRAGMENT_REACH = 200
+
+
+def fragment_tree(root: Path, seed: int) -> dict:
+    """Write <root>/<scene>/<video>/annotations.txt for FRAGMENT_VIDEO and
+    return each cut as (first uid, second uid, g, j) under `cuts`, and those
+    inside FRAGMENT_GATES under `joins`, both sorted.
+
+    A walk goes straight at 1 to 1.5 px per frame in a direction of its own
+    for 30 to 60 frames per id; a cut walk goes on in the same direction
+    after its jump."""
+    rng = random.Random(seed)
+    ids = list(range(2 * len(FRAGMENT_CUTS) + 2))
+    rng.shuffle(ids)
+    fresh = iter(ids)
+    rows, cuts = [], []
+    for cell, cut in enumerate([*FRAGMENT_CUTS, None, None]):
+        cx, cy = 200 + CELL * (cell % 3), 200 + CELL * (cell // 3)
+        speed, angle = rng.uniform(1.0, 1.5), rng.uniform(0.0, 2 * math.pi)
+        dx, dy = speed * math.cos(angle), speed * math.sin(angle)
+        lengths = [rng.randint(30, 60) for _ in range(1 if cut is None else 2)]
+        # start half the walk back from the centre, so the walk passes it
+        x0, y0 = cx - dx * sum(lengths) / 2, cy - dy * sum(lengths) / 2
+        walk = [(round(x0 + k * dx), round(y0 + k * dy)) for k in range(lengths[0])]
+        first_frame, first_id = rng.randint(0, 20), next(fresh)
+        rows += _sdd_rows(rng, first_id, first_frame, walk)
+        if cut is None:
+            continue
+        gap, jump = cut
+        jx, jy = rng.choice([(jump, 0), (-jump, 0), (0, jump), (0, -jump)])
+        (ex, ey), second_id = walk[-1], next(fresh)
+        walk = [(ex + jx + round(k * dx), ey + jy + round(k * dy)) for k in range(lengths[1])]
+        rows += _sdd_rows(rng, second_id, first_frame + lengths[0] - 1 + gap, walk)
+        cuts.append((str(first_id), str(second_id), gap, jump))
+    rng.shuffle(rows)
+    path = root.joinpath(*FRAGMENT_VIDEO, "annotations.txt")
+    path.parent.mkdir(parents=True)
+    path.write_text("\n".join(rows) + "\n")
+    max_gap, max_jump = FRAGMENT_GATES
+    return {"cuts": sorted(cuts), "joins": sorted(c for c in cuts if c[2] <= max_gap and c[3] <= max_jump)}

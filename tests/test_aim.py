@@ -25,7 +25,7 @@ from trajscope.aim import (
     sweep,
 )
 from trajscope.mi import BOUND_MARGIN, mi_prefix_bound
-from trajscope.types import ConfigError, DomainError, InsufficientDataError, StructuralError, Trajectory
+from trajscope.types import ConfigError, DomainError, InsufficientDataError, MIConfig, StructuralError, Trajectory
 
 
 def pair_from(coords_i, coords_j, n_window: int, start_frame: int = 0) -> InteractionPair:
@@ -512,7 +512,7 @@ def test_sweep_delta_dominance_and_count() -> None:
 
 def test_sweep_n_smoothing() -> None:
     pair = crossing_pair(n=260, n_window=5)
-    outs = sweep(pair, delta_values=[0.98], n_values=[5, 30], n_min=6)
+    outs = sweep(pair, delta_values=[0.98], n_values=[5, 30], mi_config=MIConfig(n_min=6))
     tv = {}
     for s in outs:
         tv[s.n_window] = float(np.abs(np.diff(s.rho)).mean())
@@ -542,7 +542,7 @@ def test_sweep_n_window_must_be_an_integer(n) -> None:
 def test_sweep_delta_must_be_a_number(delta) -> None:
     pair = crossing_pair(n=40, n_window=5)
     with pytest.raises(ConfigError) as err:
-        sweep(pair, delta_values=[delta], n_values=[5], n_min=1)
+        sweep(pair, delta_values=[delta], n_values=[5], mi_config=MIConfig(n_min=1))
     assert str(err.value) == f"delta must be a number, got {delta!r}"
 
 
@@ -555,8 +555,9 @@ def test_extract_n_window_must_be_an_integer() -> None:
 def test_swept_n_windows_equal_one_sweep_each() -> None:
     # the dependence is computed once, at the smallest n_window, and shared
     pair = crossing_pair(n=120, n_window=5)
-    together = sweep(pair, [1.0, 0.9], [30, 5, 12], n_min=6, both_directions=True)
-    alone = [s for n in (30, 5, 12) for s in sweep(pair, [1.0, 0.9], [n], n_min=6, both_directions=True)]
+    estimator = MIConfig(n_min=6)
+    together = sweep(pair, [1.0, 0.9], [30, 5, 12], mi_config=estimator, both_directions=True)
+    alone = [s for n in (30, 5, 12) for s in sweep(pair, [1.0, 0.9], [n], mi_config=estimator, both_directions=True)]
     assert len(together) == len(alone) == 12
     for a, b in zip(together, alone):
         assert (a.n_window, a.delta, a.pair.key) == (b.n_window, b.delta, b.pair.key)
@@ -596,11 +597,13 @@ def test_the_fit_median_is_numpys(values) -> None:
 # --- upper bounds for the ranking -------------------------------------------------------
 
 
-def fold_bounds(pair: InteractionPair, delta: float, cfg: RhoConfig, **options) -> tuple[float, float]:
+def fold_bounds(
+    pair: InteractionPair, delta: float, cfg: RhoConfig, mi_config: MIConfig | None = None
+) -> tuple[float, float]:
     """The bounds as the measurement's fold computed them: the recurrence run on
     rho * mi_prefix_bound in each direction, its final value."""
     n = pair.n_window
-    b = mi_prefix_bound(np.stack([pair.xi, pair.xj], axis=1), range(n + 1, len(pair.frames) + 1), **options)
+    b = mi_prefix_bound(np.stack([pair.xi, pair.xj], axis=1), range(n + 1, len(pair.frames) + 1), config=mi_config)
     forward, backward = (
         aim._recurrence(aim._rho_series(pair.kinematics, aim._headings(d), cfg) * b, delta)[-1]
         for d in (pair, pair.reversed())
@@ -643,11 +646,12 @@ def test_final_bounds_cover_the_measured_finals(
     if bandwidths:
         raw = rng.uniform(0.1, 1.0, len(bandwidths))
         options["weights"] = (raw / raw.sum()).tolist()
-    forward, backward = sweep(pair, [delta], [n_window], rho_config=cfg, both_directions=True, **options)
-    bounds = final_bounds(pair, delta=delta, rho_config=cfg, **options)
+    estimator = MIConfig(**options)
+    forward, backward = sweep(pair, [delta], [n_window], rho_config=cfg, mi_config=estimator, both_directions=True)
+    bounds = final_bounds(pair, delta=delta, rho_config=cfg, mi_config=estimator)
     assert bounds[0] >= forward.final and bounds[1] >= backward.final
     assert min(bounds) >= 0.0
-    assert_within_the_margin(bounds, fold_bounds(pair, delta, cfg, **options), length - n_window)
+    assert_within_the_margin(bounds, fold_bounds(pair, delta, cfg, estimator), length - n_window)
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.98, 0.001])
@@ -672,9 +676,9 @@ def test_final_bounds_cover_terms_whose_weight_underflows() -> None:
     xi = [(3.0, 0.0), (2.0, 0.0), (1.0, 0.0)] + [(1e6 + k, 0.0) for k in range(108)]
     pair = pair_from(xi, [(0.0, 0.0)] * len(xi), 1)
     cfg = RhoConfig(alpha=1e6, sigma_d=1.0)
-    folded = fold_bounds(pair, 0.001, cfg, n_min=1)
+    folded = fold_bounds(pair, 0.001, cfg, MIConfig(n_min=1))
     assert min(folded) > 0.0
-    bounds = final_bounds(pair, delta=0.001, rho_config=cfg, n_min=1)
+    bounds = final_bounds(pair, delta=0.001, rho_config=cfg, mi_config=MIConfig(n_min=1))
     assert bounds[0] >= folded[0] and bounds[1] >= folded[1]
 
 
@@ -688,9 +692,9 @@ def test_final_bounds_cover_terms_whose_weight_underflows() -> None:
 )
 def test_final_bounds_raise_as_the_measurement_does(kwargs, error) -> None:
     pair = crossing_pair(n=40, n_window=5)
-    options = {k: v for k, v in kwargs.items() if k != "delta"}
+    estimator = {k: v for k, v in kwargs.items() if k != "delta"}
     with pytest.raises(error) as measured:
-        sweep(pair, [kwargs.get("delta", 0.98)], [5], **options)
+        sweep(pair, [kwargs.get("delta", 0.98)], [5], mi_config=MIConfig(**estimator))
     with pytest.raises(error) as bounded:
-        final_bounds(pair, **kwargs)
+        final_bounds(pair, delta=kwargs.get("delta", 0.98), mi_config=MIConfig(**estimator))
     assert str(bounded.value) == str(measured.value)

@@ -19,6 +19,7 @@ from conftest import make_traj
 from trajscope import aim
 from trajscope.aim import InteractionPair, Kinematics, RhoConfig, compute_kinematics, compute_rho
 from trajscope.mi import HashMIState, mi_prefix_series
+from trajscope.types import MIConfig
 
 def kinematics_oracle(pair: InteractionPair, t: int) -> Kinematics:
     """The per-step loop `compute_kinematics` used before it called the array path."""
@@ -147,7 +148,7 @@ def streams(draw) -> tuple[np.ndarray, list[int], tuple[float, ...]]:
 
 
 def fresh_estimate(x, y, t: int, bandwidths) -> float:
-    state = HashMIState(bandwidths=bandwidths)
+    state = HashMIState(config=MIConfig(bandwidths))
     for xs, ys in zip(x[:t], y[:t]):
         state.push(xs, ys)
     return state.estimate()
@@ -163,8 +164,8 @@ def test_array_prefix_mi_equals_fresh_recount_bit_for_bit(case) -> None:
     else:  # mixed dimensions only fit a sequence of pairs
         samples = list(zip(x, y))
         swapped = list(zip(y, x))
-    series = mi_prefix_series(samples, points, bandwidths=bandwidths)
+    series = mi_prefix_series(samples, points, config=MIConfig(bandwidths))
     assert [t for t, _ in series] == points
     for t, value in series:
         assert value == fresh_estimate(x, y, t, bandwidths)
-    assert mi_prefix_series(swapped, points, bandwidths=bandwidths) == series
+    assert mi_prefix_series(swapped, points, config=MIConfig(bandwidths)) == series

@@ -11,7 +11,9 @@ from conftest import make_traj
 from trajscope import aim
 from trajscope.cli import RunConfig
 from trajscope.preprocess import PreprocessConfig
-from trajscope.types import ConfigError, InsufficientDataError, RhoConfig, SourceRef, ToolError, scene_diagonal
+from trajscope.types import (
+    ConfigError, InsufficientDataError, MIConfig, RhoConfig, SourceRef, ToolError, scene_diagonal,
+)
 
 N_WINDOW = 5
 
@@ -49,7 +51,8 @@ def run_config(fitted: bool, alpha: float = 0.3) -> RunConfig:
     rho = RhoConfig(alpha=alpha) if fitted else RhoConfig(alpha=alpha, v0=1.0, sigma_d=125.0, a0=0.25)
     return RunConfig(
         dataset="sdd", inputs=[], out=Path("out"), registry_path=None, preprocess=PreprocessConfig(), rho=rho,
-        fit_v0=fitted, fit_sigma_d=fitted, fit_a0=fitted, export_format="both", n_window=N_WINDOW, n_min=6,
+        fit_v0=fitted, fit_sigma_d=fitted, fit_a0=fitted, export_format="both", n_window=N_WINDOW,
+        mi=MIConfig(n_min=6),
     )
 
 
@@ -83,13 +86,13 @@ def oracle(videos: list, cfg: RunConfig, top_k: int, named, deltas, n_values) ->
             for direction in (pair, pair.reversed()):
                 if named is None or direction.key == named:
                     at = (deltas, n_values) if named else ([cfg.delta], [N_WINDOW])
-                    measured += [(key, s) for s in aim.sweep(direction, *at, rho_config=video_rho, n_min=cfg.n_min)]
+                    measured += [(key, s) for s in aim.sweep(direction, *at, rho_config=video_rho, mi_config=cfg.mi)]
     if named is None:
         measured = sorted(measured, key=lambda c: (-c[1].final, c[0], c[1].pair.key))[:top_k]
         measured = [
             (key, s)
             for key, best in measured
-            for s in aim.sweep(best.pair, deltas, n_values, rho_config=best.rho_config, n_min=cfg.n_min)
+            for s in aim.sweep(best.pair, deltas, n_values, rho_config=best.rho_config, mi_config=cfg.mi)
         ]
     considered = sum(len(trajs) * (len(trajs) - 1) // 2 for _, trajs in videos)
     return measured, considered, sum(len(ps) for ps in pairs.values())

@@ -21,12 +21,13 @@ from trajscope.aim import (
     measure_interaction,
     sweep,
 )
+from trajscope.analytics import detect_split_candidates
 from trajscope.cli import load_run_config, main
 from trajscope.mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN
 from trajscope.preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from trajscope.registry import load_registry
-from trajscope.store import load_store
-from trajscope.types import ConfigError, scene_diagonal
+from trajscope.store import load_store, videos
+from trajscope.types import ConfigError, MIConfig, scene_diagonal
 
 
 def sdd_row(tid: int, x: int, y: int, frame: int, lost: int = 0, label: str = "Pedestrian") -> str:
@@ -235,8 +236,8 @@ def test_absent_config_keys_take_the_dataclass_defaults(tmp_path) -> None:
     assert cfg.preprocess == PreprocessConfig()
     assert cfg.rho == RhoConfig()
     assert (cfg.fit_v0, cfg.fit_sigma_d, cfg.fit_a0) == (True, True, True)
-    assert (cfg.delta, cfg.n_window, cfg.weights) == (aim.DEFAULT_DELTA, None, None)
-    assert (cfg.bandwidths, cfg.n_min) == (DEFAULT_BANDWIDTHS, DEFAULT_N_MIN)
+    assert (cfg.delta, cfg.n_window, cfg.mi.weights) == (aim.DEFAULT_DELTA, None, None)
+    assert (cfg.mi.bandwidths, cfg.mi.n_min) == (DEFAULT_BANDWIDTHS, DEFAULT_N_MIN)
     assert cfg.export_format == "both"
 
 
@@ -255,8 +256,8 @@ def test_every_config_key_is_read(tmp_path) -> None:
     assert cfg.preprocess == PreprocessConfig(LostPolicy.KEEP_LOST, True, 5.0, 3, 4, 2)
     assert cfg.rho == RhoConfig(0.0, 2.0, 50.5, 3.0, False, False, False, True)
     assert (cfg.fit_v0, cfg.fit_sigma_d, cfg.fit_a0) == (False, False, False)
-    assert (cfg.delta, cfg.n_window, cfg.n_min) == (1.0, 7, 3)
-    assert (cfg.bandwidths, cfg.weights) == ((4.0, 2.5), (0.25, 0.75))
+    assert (cfg.delta, cfg.n_window, cfg.mi.n_min) == (1.0, 7, 3)
+    assert (cfg.mi.bandwidths, cfg.mi.weights) == ((4.0, 2.5), (0.25, 0.75))
     assert (cfg.dataset, cfg.export_format) == ("ind", "csv")
     # floats stay floats and integers integers, as the dataclasses declare them
     assert type(cfg.preprocess.target_rate) is float and type(cfg.rho.v0) is float
@@ -283,8 +284,8 @@ def test_readme_config_reference_matches_the_config_keys_and_defaults(tmp_path) 
         "preprocess": dataclasses.asdict(PreprocessConfig()),
         "rho": dataclasses.asdict(RhoConfig()),
         "aim": {f.name: f.default for f in dataclasses.fields(cli.RunConfig)},
+        "mi": dataclasses.asdict(MIConfig()),
     }
-    defaults["mi"] = defaults["aim"]
     for section, kinds in cli._SECTIONS.items():
         assert set(documented[section]) == set(kinds), section
         for key, value in documented[section].items():
@@ -472,15 +473,26 @@ def test_an_ind_recording_that_cannot_be_placed_is_one_error_line(tmp_path, caps
     assert capsys.readouterr().err == f"error: {rec_meta}: expected exactly one recording row, got 2\n"
     assert not out.exists()
 
+
+def test_an_ind_recording_outside_every_intersection_is_a_stats_group_of_its_own(tmp_path, capsys) -> None:
     write_ind_recording(tmp_path / "forty", recording=40)  # above the registry's last intersection, 30-32
-    config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'forty'}]\nout: {out}\n")
+    write_ind_recording(tmp_path / "seven", n_tracks=3)  # in 7-17
+    out = tmp_path / "out"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: ind\ninputs: [{tmp_path / 'forty'}, {tmp_path / 'seven'}]\nout: {out}\n")
     assert run(["ingest", "--config", config]) == 0
-    capsys.readouterr()
-    assert run(["stats", "--config", config]) == 1
-    *warnings, error = capsys.readouterr().err.splitlines()
-    assert error == "error: recording 40 is outside every intersection range"
-    assert all(line.startswith("warning: ") for line in warnings)
-    assert sorted(p.name for p in out.iterdir()) == ["store"]
+    assert run(["stats", "--config", config]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == f"wrote 4 report files to {out / 'reports'}"
+    assert (out / "reports" / "lost_stats.csv").read_text().splitlines() == [
+        "scene,n_trajectories,pct_lost_start,pct_lost_middle,pct_lost_end",
+        "40-40,5,0.00,0.00,0.00",
+        "7-17,3,0.00,0.00,0.00",
+    ]
+    assert (out / "reports" / "class_distribution.csv").read_text().splitlines() == [
+        "scene,n_tracks,Pedestrian,Biker,Car,TruckBus",
+        "40-40,5,100.00,0.00,0.00,0.00",
+        "7-17,3,100.00,0.00,0.00,0.00",
+    ]
 
 
 # --- stats ------------------------------------------------------------------------
@@ -544,7 +556,7 @@ def test_stats_writes_the_planted_rows(tmp_path, dataset, seed) -> None:
             assert list(csv.reader(fh)) == rows
 
 
-@pytest.mark.parametrize("write", [plant.sdd_tree, plant.ind_tree, plant.crossing_tree])
+@pytest.mark.parametrize("write", [plant.sdd_tree, plant.ind_tree, plant.crossing_tree, plant.fragment_tree])
 def test_a_planted_tree_is_the_same_bytes_for_one_seed(tmp_path, write) -> None:
     def files(root: Path) -> dict:
         return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -582,6 +594,20 @@ def test_aim_ranks_the_planted_crossing_pair_first(tmp_path, seed) -> None:
     assert exported(2) == {(i, j), (j, i)}
     (best,) = exported(1)
     assert best in {(i, j), (j, i)}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_split_candidates_are_the_planted_cuts_inside_the_gates(tmp_path, seed) -> None:
+    planted = plant.fragment_tree(tmp_path / "raw", seed)
+    assert len(planted["cuts"]) == len(plant.FRAGMENT_CUTS) and len(planted["joins"]) == 4
+    out = tmp_path / "out"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: sdd\ninputs: [{tmp_path / 'raw'}]\nout: {out}\n")
+    assert run(["ingest", "--config", config]) == 0
+    ((key, trajectories),) = videos(out / "store")
+    assert key == ("sdd", *plant.FRAGMENT_VIDEO)
+    candidates = detect_split_candidates(trajectories)
+    assert sorted((c.predecessor, c.successor, c.frame_gap, c.spatial_gap) for c in candidates) == planted["joins"]
 
 
 @pytest.mark.parametrize("first, then", [("both", "csv"), ("both", "jsonl"), ("csv", "jsonl")])
@@ -835,6 +861,21 @@ def counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def test_an_aim_run_builds_its_estimator_settings_once(workspace, monkeypatch) -> None:
+    _, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    built = counting(monkeypatch, MIConfig, "__post_init__")
+    bounded = counting(monkeypatch, aim, "mi_prefix_bound")
+    measured = counting(monkeypatch, aim, "mi_prefix_series")
+    assert run(["aim", "--config", config]) == 0
+    assert len(built) == 1  # the loader's; every pair's bound and measurement uses it
+    assert len(bounded) > 1 and len(measured) > 1
+    cfg = load_run_config(config)
+    assert len(built) == 2
+    assert aim.select(videos(cfg.store_dir), cfg).series
+    assert len(built) == 2  # select builds none
+
+
 def test_aim_top_k_exports_the_ranked_series(tmp_path, monkeypatch) -> None:
     annotations = write_sdd_tree(tmp_path)
     out = tmp_path / "out"
@@ -875,7 +916,7 @@ def test_aim_top_k_exports_the_ranked_series(tmp_path, monkeypatch) -> None:
         key = (meta["dataset"], meta["scene"], meta["video"])
         (pair,) = [p for p in pairs[key] if p.key == (meta["agent_i"], meta["agent_j"])]
         rho = RhoConfig(**{f: meta[f] for f in ("alpha", "v0", "sigma_d", "a0", "use_v", "use_d", "use_h", "use_a")})
-        alone = measure_interaction(pair, delta=meta["delta"], rho_config=rho, n_min=meta["n_min"])
+        alone = measure_interaction(pair, delta=meta["delta"], rho_config=rho, mi_config=MIConfig(n_min=meta["n_min"]))
         cli._export_series(cfg, key, alone, swept=False)
         assert frozenset(pair.key) in measured
         stem = meta_path.name[: -len(".meta.json")]
@@ -953,8 +994,7 @@ def top_k_oracle(config: Path, k: int, expected_out: Path) -> None:
             video_rho = dataclasses.replace(rho, sigma_d=scene_diagonal(by_video[key]) / 8.0)
         for pair in video_pairs:
             for series in sweep(
-                pair, [cfg.delta], [5], rho_config=video_rho, both_directions=True,
-                bandwidths=cfg.bandwidths, weights=cfg.weights, n_min=cfg.n_min,
+                pair, [cfg.delta], [5], rho_config=video_rho, mi_config=cfg.mi, both_directions=True
             ):
                 measured.append((key, series))
     best = heapq.nsmallest(k, measured, key=lambda item: (-item[1].final, item[0], item[1].pair.key))
@@ -1123,7 +1163,7 @@ def test_aim_pair_exports_the_named_direction_of_each_video(tmp_path, capsys, fi
             video_rho = dataclasses.replace(rho, sigma_d=scene_diagonal(by_video[key]) / 8.0)
         else:
             video_rho = rho
-        series = measure_interaction(pair, delta=cfg.delta, rho_config=video_rho, n_min=cfg.n_min)
+        series = measure_interaction(pair, delta=cfg.delta, rho_config=video_rho, mi_config=cfg.mi)
         cli._export_series(cfg, key, series, swept=False)
     exported = tree_bytes(out / "aim")
     assert len(exported) == 2 * 3  # one .csv, .jsonl and .meta.json per video

@@ -1,4 +1,4 @@
-"""PreprocessConfig, RhoConfig and RunConfig check their fields once, when built."""
+"""PreprocessConfig, RhoConfig, MIConfig and RunConfig check their fields once, when built."""
 from __future__ import annotations
 
 import dataclasses
@@ -13,7 +13,7 @@ from conftest import straight_line
 from trajscope.aim import Kinematics, RhoConfig, compute_rho
 from trajscope.cli import RunConfig, load_run_config
 from trajscope.preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
-from trajscope.types import ConfigError, ToolError
+from trajscope.types import ConfigError, MIConfig, ToolError
 
 
 @pytest.mark.parametrize(
@@ -49,29 +49,41 @@ def write_run_config(tmp_path: Path, extra: str = "") -> Path:
     return config
 
 
-# field, a bad value, and the config text that sets it
+# id, field, a bad value, and the config text that sets it; every rule of
+# the mi: section that a config of numbers can break is here
 BAD_RUN_SETTINGS = [
-    ("dataset", "sdd2", ""),
-    ("export_format", "xml", "export_format: xml\n"),
-    ("delta", 1.5, "aim: {delta: 1.5}\n"),
-    ("n_window", 0, "aim: {n_window: 0}\n"),
-    ("bandwidths", (0.0, 8.0), "mi: {bandwidths: [0, 8]}\n"),
-    ("weights", (0.5, 0.6, 0.0, 0.0), "mi: {weights: [0.5, 0.6, 0, 0]}\n"),
-    ("n_min", 0, "mi: {n_min: 0}\n"),
+    ("dataset", "dataset", "sdd2", ""),
+    ("export_format", "export_format", "xml", "export_format: xml\n"),
+    ("delta", "delta", 1.5, "aim: {delta: 1.5}\n"),
+    ("n_window", "n_window", 0, "aim: {n_window: 0}\n"),
+    ("bandwidths", "bandwidths", (0.0, 8.0), "mi: {bandwidths: [0, 8]}\n"),
+    ("no-bandwidths", "bandwidths", (), "mi: {bandwidths: []}\n"),
+    ("weights", "weights", (0.5, 0.6, 0.0, 0.0), "mi: {weights: [0.5, 0.6, 0, 0]}\n"),
+    ("weights-count", "weights", (1.0,), "mi: {weights: [1]}\n"),
+    ("n_min", "n_min", 0, "mi: {n_min: 0}\n"),
 ]
+MI_FIELDS = {f.name for f in dataclasses.fields(MIConfig)}
 
 
-@pytest.mark.parametrize("field, value, text", BAD_RUN_SETTINGS, ids=[f for f, _, _ in BAD_RUN_SETTINGS])
+@pytest.mark.parametrize(
+    "field, value, text", [case[1:] for case in BAD_RUN_SETTINGS], ids=[case[0] for case in BAD_RUN_SETTINGS]
+)
 def test_replace_checks_a_run_config_as_loading_does(tmp_path, field, value, text) -> None:
     ok = load_run_config(write_run_config(tmp_path))
-    with pytest.raises(ConfigError) as replaced:
-        dataclasses.replace(ok, **{field: value})
+    builds = [lambda: dataclasses.replace(ok, **{field: value})]
+    if field in MI_FIELDS:  # a field of the run config's MIConfig, which is also built alone
+        builds = [lambda: MIConfig(**{field: value}), lambda: dataclasses.replace(ok.mi, **{field: value})]
+    errors = []
+    for build in builds:
+        with pytest.raises(ConfigError) as err:
+            build()
+        errors.append(str(err.value))
     config = write_run_config(tmp_path, text)
     if field == "dataset":
         config.write_text(config.read_text().replace("dataset: sdd", f"dataset: {value}"))
     with pytest.raises(ConfigError) as loaded:
         load_run_config(config)
-    assert str(replaced.value) == str(loaded.value)
+    assert errors == [str(loaded.value)] * len(errors)
     assert "\n" not in str(loaded.value)
 
 
@@ -80,13 +92,13 @@ def test_a_run_config_is_frozen_and_keeps_unset_settings_unset(tmp_path) -> None
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.delta = 0.5  # type: ignore[misc]
     # no weights means equal weights, recorded as null; no window means the dataset's
-    assert (cfg.weights, cfg.n_window) == (None, None)
+    assert (cfg.mi.weights, cfg.n_window) == (None, None)
     built = RunConfig(
         "ind", [tmp_path], tmp_path, None, PreprocessConfig(), RhoConfig(), True, True, True, "csv",
-        delta=1, n_window=3, bandwidths=[4, 2], weights=[0.5, 0.5], n_min=2,
+        delta=1, n_window=3, mi=MIConfig(bandwidths=[4, 2], weights=[0.5, 0.5], n_min=2),
     )
     # the checked values are the ones stored
-    assert (built.delta, built.bandwidths, built.weights) == (1.0, (4.0, 2.0), (0.5, 0.5))
+    assert (built.delta, built.mi.bandwidths, built.mi.weights) == (1.0, (4.0, 2.0), (0.5, 0.5))
     assert type(built.delta) is float
 
 

@@ -15,11 +15,11 @@ from trajscope.mi import (
     mi_prefix_bound,
     mi_prefix_series,
 )
-from trajscope.types import ConfigError, DomainError, InsufficientDataError, StructuralError
+from trajscope.types import ConfigError, DomainError, InsufficientDataError, MIConfig, StructuralError
 
 
 def state_for(xs, ys, **kwargs) -> HashMIState:
-    st = HashMIState(**kwargs)
+    st = HashMIState(config=MIConfig(**kwargs))
     for x, y in zip(xs, ys):
         st.push(x, y)
     return st
@@ -51,7 +51,7 @@ def test_g_nonnegative_and_zero_only_at_one() -> None:
 
 
 def test_push_counts() -> None:
-    st = HashMIState(bandwidths=[1.0])
+    st = HashMIState(config=MIConfig(bandwidths=[1.0]))
     st.push(0.2, 0.7)
     assert st.n == 1
     assert list(st.joint_counts[0].values()) == [1]
@@ -72,7 +72,7 @@ def test_push_marginalization_invariant() -> None:
 
 
 def test_push_accepts_vectors() -> None:
-    st = HashMIState(bandwidths=[8.0])
+    st = HashMIState(config=MIConfig(bandwidths=[8.0]))
     st.push((3.0, 4.0), np.array([10.0, 20.0]))
     assert st.n == 1
     ((cell, count),) = st.joint_counts[0].items()
@@ -99,7 +99,7 @@ def test_prefix_series_rejects_non_finite_stream() -> None:
 
 
 def test_negative_coordinates_quantize_consistently() -> None:
-    st = HashMIState(bandwidths=[8.0])
+    st = HashMIState(config=MIConfig(bandwidths=[8.0]))
     st.push(-0.5, -8.0)
     ((cell, _),) = st.joint_counts[0].items()
     assert cell == ((-1,), (-1,))
@@ -157,11 +157,11 @@ def test_invalid_config() -> None:
     from trajscope.types import ConfigError
 
     with pytest.raises(ConfigError):
-        HashMIState(bandwidths=[])
+        HashMIState(config=MIConfig(bandwidths=[]))
     with pytest.raises(ConfigError):
-        HashMIState(bandwidths=[-8.0])
+        HashMIState(config=MIConfig(bandwidths=[-8.0]))
     with pytest.raises(ConfigError):
-        HashMIState(bandwidths=[8.0, 16.0], weights=[0.9, 0.2])
+        HashMIState(config=MIConfig(bandwidths=[8.0, 16.0], weights=[0.9, 0.2]))
 
 
 # --- invariances -----------------------------------------------------------------
@@ -280,14 +280,14 @@ def test_bound_counts_the_cells_occupied_by_each_prefix(seed, dims, bandwidths, 
     if dims == 1:
         pairs = [(x[0], y[0]) for x, y in pairs]
     points = list(range(4, 301, 3))
-    bound = mi_prefix_bound(pairs, points, bandwidths=bandwidths, weights=weights, n_min=4)
+    bound = mi_prefix_bound(pairs, points, config=MIConfig(bandwidths, weights, n_min=4))
     assert bound.tolist() == bound_oracle(pairs, points, bandwidths, weights)
 
 
 def test_bound_of_a_hand_counted_stream() -> None:
     # x cells 0, 0, 1, 2; y cells 5, 6, 6, 6 at bandwidth 1: min(Kx, Ky) = 1, 1, 2, 2
     pairs = [(0.5, 5.0), (0.2, 6.1), (1.5, 6.9), (2.0, 6.0)]
-    bound = mi_prefix_bound(pairs, [1, 2, 3, 4], bandwidths=[1.0], n_min=1)
+    bound = mi_prefix_bound(pairs, [1, 2, 3, 4], config=MIConfig(bandwidths=[1.0], n_min=1))
     assert bound.tolist() == [v * (1.0 + BOUND_MARGIN) for v in (1.0, 1.0, 1.5, 1.5)]
 
 
@@ -307,8 +307,9 @@ def test_bound_is_at_least_every_prefix_estimate(seed, n, bandwidths, n_min, spr
     weights = (raw / raw.sum()).tolist()
     samples = np.stack([xs, ys], axis=1)
     points = range(n_min, n + 1)
-    estimates = [v for _, v in mi_prefix_series(samples, points, bandwidths, weights, n_min)]
-    bound = mi_prefix_bound(samples, points, bandwidths, weights, n_min)
+    config = MIConfig(bandwidths, weights, n_min)
+    estimates = [v for _, v in mi_prefix_series(samples, points, config=config)]
+    bound = mi_prefix_bound(samples, points, config=config)
     assert (np.array(estimates) <= bound).all()
     # the bound also holds without its margin on these streams
     assert (np.array(estimates) < bound / (1.0 + BOUND_MARGIN)).all()
@@ -348,7 +349,8 @@ def test_bound_checks_its_arguments_as_the_series_does() -> None:
         messages = []
         for fn in (mi_prefix_series, mi_prefix_bound):
             with pytest.raises(error) as err:
-                fn(pairs, **kwargs)
+                estimator = {key: value for key, value in kwargs.items() if key != "eval_points"}
+                fn(pairs, kwargs["eval_points"], config=MIConfig(**estimator))
             messages.append(str(err.value))
         assert messages[0] == messages[1]
     with pytest.raises(StructuralError):
@@ -361,9 +363,9 @@ def test_bound_checks_its_arguments_as_the_series_does() -> None:
 @pytest.mark.parametrize("bad", BAD_SETTINGS, ids=repr)
 def test_state_checks_its_settings_as_the_prefix_functions_do(bad) -> None:
     with pytest.raises(ConfigError) as series_err:
-        mi_prefix_series([(0.0, 0.0)] * 20, [20], **bad)
+        mi_prefix_series([(0.0, 0.0)] * 20, [20], config=MIConfig(**bad))
     with pytest.raises(ConfigError) as state_err:
-        HashMIState(**bad)
+        HashMIState(config=MIConfig(**bad))
     assert str(state_err.value) == str(series_err.value)
 
 
@@ -381,6 +383,6 @@ def test_settings_may_be_numpy_arrays() -> None:
     bandwidths, weights = np.array([8.0, 16.0]), np.array([0.25, 0.75])
     st = state_for(range(20), range(20), bandwidths=bandwidths, weights=weights)
     assert (st.bandwidths, st.weights) == ((8.0, 16.0), (0.25, 0.75))
-    assert mi_prefix_series([(float(i), float(i)) for i in range(20)], [20], bandwidths, weights) == [
+    assert mi_prefix_series([(float(i), float(i)) for i in range(20)], [20], config=MIConfig(bandwidths, weights)) == [
         (20, st.estimate())
     ]

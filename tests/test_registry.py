@@ -63,7 +63,7 @@ def test_scene_names_case_insensitive(registry) -> None:
 
 
 def test_sdd_video_counts(registry) -> None:
-    counts = {s: len(registry.scene_overlap(s).videos) for s in registry.scenes("sdd")}
+    counts = {s: len(registry.scene_overlap(s).videos) for s in registry.scenes()}
     assert counts == {
         "bookstore": 7,
         "coupa": 4,
@@ -81,6 +81,9 @@ def test_intersection_groups(registry) -> None:
     assert registry.ind_intersections == [(0, 6), (7, 17), (18, 29), (30, 32)]
     assert registry.intersection_of(16) == "7-17"
     assert registry.intersection_of(30) == "30-32"
+    # a recording outside every range is a group of its own
+    assert registry.intersection_of(40) == "40-40"
+    assert registry.intersection_of("41") == "41-41"
 
 
 def test_curated_quirks_surface_as_warnings(registry) -> None:
