@@ -68,7 +68,7 @@ def group_trajectories_for_stats(
     groups: dict[str, list[Trajectory]] = {}
     for traj in trajectories:
         if traj.source.dataset == "ind" and registry is not None:
-            key = registry.intersection_of(int(traj.source.video))
+            key = registry.intersection_of(traj.source.video)
         else:
             key = traj.source.scene
         groups.setdefault(key, []).append(traj)

@@ -298,12 +298,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     from .store import write_store
 
     cfg = load_run_config(args.config, args.out)
-    diagnostics: dict[str, dict] = {}  # filled as the writer asks the reader for each video
-    videos = import_module(f".{cfg.dataset}", __package__).read_videos(cfg.inputs, diagnostics)
-    manifest = write_store(videos, cfg.store_dir, diagnostics)
+    videos = import_module(f".{cfg.dataset}", __package__).read_videos(cfg.inputs)
+    manifest = write_store(videos, cfg.store_dir)
     _status(
         f"ingested {sum(v['n_trajectories'] for v in manifest['videos'])} trajectories "
-        f"({len(diagnostics)} videos) into {cfg.store_dir}"
+        f"({len(manifest['videos'])} videos) into {cfg.store_dir}"
     )
     return 0
 

@@ -18,6 +18,7 @@ by one np.loadtxt call and checked as arrays. If numpy cannot read them
 (a bad value, a short row, an id written as "3.0") or the header repeats
 a name, the per-row csv reader reads the file instead; it reports the
 first bad row. The two meta files are small and always read with csv.
+`read_videos` yields each recording's trajectories with its ingest diagnostics.
 """
 from __future__ import annotations
 
@@ -169,7 +170,8 @@ def parse_ind_tracks(
 
     Raises StructuralError for cross-file inconsistencies: a track missing
     from tracksMeta, a non-positive conversion factor, duplicate frames,
-    frame gaps within a track, or a frame count disagreeing with numFrames.
+    frame gaps within a track, or a frame count disagreeing with numFrames;
+    a ParseError for a track tracksMeta lists twice.
     """
     with _opened(recording_meta) as (stream, rec_path):
         rec_rows = list(_reader(stream, rec_path, ["recordingId", "orthoPxToMeter"]))
@@ -186,11 +188,15 @@ def parse_ind_tracks(
 
     classes: dict[int, str] = {}
     num_frames: dict[int, int] = {}
+    meta_lines: dict[int, int] = {}
     with _opened(tracks_meta) as (stream, meta_path):
         meta_reader = _reader(stream, meta_path, ["trackId", "numFrames", "class"])
         for row in meta_reader:
             line_no = meta_reader.line_num
             track_id = _int(row, "trackId", meta_path, line_no)
+            first = meta_lines.setdefault(track_id, line_no)
+            if first != line_no:
+                raise ParseError(f"track {track_id} is listed twice (first at line {first})", meta_path, line_no)
             raw_class = (row["class"] or "").strip().lower()
             mapped = IND_CLASS_MAP.get(raw_class)
             if mapped is None:
@@ -232,12 +238,12 @@ def parse_ind_tracks(
     return trajectories
 
 
-def read_videos(inputs: Sequence[Path], diagnostics: dict[str, dict]) -> Iterator[list[Trajectory]]:
-    """Each recording's trajectories, one list per <prefix>_tracks.csv under
-    `inputs` with its _tracksMeta.csv and _recordingMeta.csv beside it, in path
-    order. The files are found now; each recording is parsed when asked for,
-    then claimed as its source's <scene>/<video> and sets that diagnostics
-    entry, unless it has no tracks."""
+def read_videos(inputs: Sequence[Path]) -> Iterator[tuple[list[Trajectory], dict]]:
+    """Each recording's trajectories and its diagnostics (tracks file name,
+    trajectory count), one pair per <prefix>_tracks.csv under `inputs` with its
+    _tracksMeta.csv and _recordingMeta.csv beside it, in path order. The files
+    are found now; each recording is parsed when asked for, then claimed as its
+    source's <scene>/<video> unless it has no tracks."""
     triples = []
     for tracks in sorted(input_files(inputs, "*_tracks.csv")):
         prefix = tracks.name[: -len("_tracks.csv")]
@@ -248,12 +254,10 @@ def read_videos(inputs: Sequence[Path], diagnostics: dict[str, dict]) -> Iterato
         triples.append((tracks, *companions))
     claimed: dict[tuple[str, str], Path] = {}
 
-    def read(tracks: Path, meta: Path, recording: Path) -> list[Trajectory]:
+    def read(tracks: Path, meta: Path, recording: Path) -> tuple[list[Trajectory], dict]:
         trajectories = parse_ind_tracks(tracks, meta, recording)
         if trajectories:
-            video = trajectories[0].source.key()[1:]
-            claim_video(claimed, video, tracks)
-            diagnostics["/".join(video)] = {"tracks_file": tracks.name, "n_trajectories": len(trajectories)}
-        return trajectories
+            claim_video(claimed, trajectories[0].source.key()[1:], tracks)
+        return trajectories, {"tracks_file": tracks.name, "n_trajectories": len(trajectories)}
 
     return (read(*triple) for triple in triples)

@@ -29,8 +29,8 @@ many pairs can skip the ones that cannot win.
 `HashMIState` and both prefix functions take the estimator's settings as one
 `MIConfig` (keyword `config`; None means the defaults), checked when it was
 built, as the config loader builds it, and not again here. They check
-coordinates with one function: numbers (else StructuralError) and finite
-(DomainError).
+coordinates with one function: numbers (else StructuralError), finite, and
+with finite cells at the smallest bandwidth (else DomainError).
 """
 from __future__ import annotations
 
@@ -90,8 +90,8 @@ class HashMIState:
 
     def push(self, x: Coord, y: Coord) -> None:
         """Count one time-aligned sample (x, y) into every bandwidth's tables."""
-        xc = _stream([x], "x")[0].tolist()
-        yc = _stream([y], "y")[0].tolist()
+        xc = _stream([x], "x", self.bandwidths)[0].tolist()
+        yc = _stream([y], "y", self.bandwidths)[0].tolist()
         for k, eps in enumerate(self.bandwidths):
             xcell = tuple(math.floor(c / eps) for c in xc)
             ycell = tuple(math.floor(c / eps) for c in yc)
@@ -140,8 +140,9 @@ def _first_seen_codes(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nda
     return codes, np.sort(first)
 
 
-def _stream(values, what: str) -> np.ndarray:
-    """One stream as an (m, d) float array, checked once for finiteness."""
+def _stream(values, what: str, bandwidths: Sequence[float]) -> np.ndarray:
+    """One stream as an (m, d) float array, checked once: finite, with finite cells
+    at the smallest bandwidth, so at every one (a quotient shrinks as its divisor grows)."""
     try:
         # a "same_kind" cast refuses None, text and other objects
         stream = np.asarray(values).astype(np.float64, casting="same_kind", copy=False)
@@ -152,6 +153,8 @@ def _stream(values, what: str) -> np.ndarray:
     stream = stream.reshape(len(stream), -1)
     if stream.shape[1] == 0 or not np.isfinite(stream).all():
         raise DomainError(f"{what} coordinates must be finite numbers")
+    if not math.isfinite(float(np.abs(stream).max()) / min(bandwidths)):
+        raise DomainError(f"{what} coordinates overflow when divided by bandwidth {min(bandwidths)!r}")
     return stream
 
 
@@ -192,7 +195,7 @@ def _band_prefix_sums(x_cells: np.ndarray, y_cells: np.ndarray, points: np.ndarr
     return sums
 
 
-def _prefix_input(pairs, eval_points: Sequence[int], n_min: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _prefix_input(pairs, eval_points: Sequence[int], cfg: MIConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked eval points and (x, y) streams cut to the last point.
 
     Both prefix functions take the same arguments and raise the same errors
@@ -208,7 +211,7 @@ def _prefix_input(pairs, eval_points: Sequence[int], n_min: int) -> tuple[np.nda
         raise ConfigError(f"eval points must be integers, got {points.tolist()!r}")
     if (np.diff(points) <= 0).any():
         raise ConfigError(f"eval points must be strictly increasing, got {points.tolist()!r}")
-    check_first_eval_point(points[0], n_min)
+    check_first_eval_point(points[0], cfg.n_min)
     samples = pairs if isinstance(pairs, np.ndarray) else list(pairs)
     if points[-1] > len(samples):
         beyond = points[points > len(samples)][0]
@@ -223,7 +226,7 @@ def _prefix_input(pairs, eval_points: Sequence[int], n_min: int) -> tuple[np.nda
             x_values, y_values = zip(*samples)
         except (TypeError, ValueError):
             raise StructuralError("samples must be (x, y) pairs") from None
-    return points, _stream(x_values, "x"), _stream(y_values, "y")
+    return points, _stream(x_values, "x", cfg.bandwidths), _stream(y_values, "y", cfg.bandwidths)
 
 
 def mi_prefix_series(
@@ -241,7 +244,7 @@ def mi_prefix_series(
     identical to re-counting that prefix from scratch with HashMIState.
     """
     cfg = config if config is not None else MIConfig()
-    points, x, y = _prefix_input(pairs, eval_points, cfg.n_min)
+    points, x, y = _prefix_input(pairs, eval_points, cfg)
     if not points.size:
         return []
     band_sums = [
@@ -280,7 +283,7 @@ def mi_prefix_bound(
     bound. Arguments are checked, and raise, exactly as in `mi_prefix_series`.
     """
     cfg = config if config is not None else MIConfig()
-    points, x, y = _prefix_input(pairs, eval_points, cfg.n_min)
+    points, x, y = _prefix_input(pairs, eval_points, cfg)
     total = np.zeros(len(points))
     for weight, eps in zip(cfg.ensemble_weights, cfg.bandwidths):
         occupied = [

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .types import ConfigError, check_positive, load_yaml, unknown_keys
+from .types import ConfigError, StructuralError, check_positive, load_yaml, unknown_keys
 
 SCHEMA_VERSION = 1
 OVERLAP_LEVELS = ("none", "partial", "full")
@@ -69,10 +69,14 @@ class DatasetRegistry:
         except KeyError:
             raise ConfigError(f"unknown dataset {dataset.lower()!r}") from None
 
-    def intersection_of(self, recording: int) -> str:
-        """Group label ("lo-hi") of the intersection a recording belongs to; a
-        recording outside every range is a group of its own ("40-40")."""
-        recording = int(recording)
+    def intersection_of(self, recording: int | str) -> str:
+        """Group label ("lo-hi") of the intersection a recording (an inD video,
+        as its number) belongs to; a recording outside every range is a group
+        of its own ("40-40"). A video that is not a number is a StructuralError."""
+        try:
+            recording = int(recording)
+        except ValueError:
+            raise StructuralError(f"ind video {recording!r} is not a recording number") from None
         for lo, hi in self.ind_intersections:
             if lo <= recording <= hi:
                 return f"{lo}-{hi}"

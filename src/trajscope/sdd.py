@@ -1,4 +1,5 @@
-"""Parser and input-tree reader (`read_videos`) for SDD-style annotation files.
+"""Parser and input-tree reader for SDD-style annotation files; `read_videos`
+yields each video's trajectories with its ingest diagnostics, as the store writer takes them.
 
 Row format: 10 whitespace-separated fields, newline-terminated:
 
@@ -16,7 +17,7 @@ only code that reports a bad row. Assembly works on the array's columns.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import isfinite
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -78,13 +79,7 @@ class IngestDiagnostics:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "tracks": self.tracks,
-            "label_changes": {str(k): v for k, v in sorted(self.label_changes.items())},
-            "empty_after_filter": list(self.empty_after_filter),
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "label_changes": {str(k): v for k, v in sorted(self.label_changes.items())}}
 
 
 def _parse_int(token: str, what: str, path: str, line_no: int) -> int:
@@ -271,19 +266,18 @@ def assemble_trajectories(
     return trajectories
 
 
-def read_videos(inputs: Sequence[Path], diagnostics: dict[str, dict]) -> Iterator[list[Trajectory]]:
-    """Each video's trajectories, one list per <scene>/<video>/annotations.txt
-    under `inputs`, in (scene, video) order. The files are found and claimed
-    now; each is parsed when asked for and sets diagnostics["<scene>/<video>"]."""
+def read_videos(inputs: Sequence[Path]) -> Iterator[tuple[list[Trajectory], dict]]:
+    """Each video's trajectories and its diagnostics (`IngestDiagnostics.to_dict`),
+    one pair per <scene>/<video>/annotations.txt under `inputs`, in (scene,
+    video) order. The files are found and claimed now; each is parsed when asked for."""
     files: dict[tuple[str, str], Path] = {}
     for path in input_files(inputs, "annotations.txt"):
         claim_video(files, (path.parent.parent.name, path.parent.name), path)
 
-    def read(scene: str, video: str) -> list[Trajectory]:
+    def read(scene: str, video: str) -> tuple[list[Trajectory], dict]:
         diag = IngestDiagnostics()
         source = SourceRef("sdd", scene, video)
         trajectories = assemble_trajectories(parse_sdd_annotations(files[scene, video]), source, diag)
-        diagnostics[f"{scene}/{video}"] = diag.to_dict()
-        return trajectories
+        return trajectories, diag.to_dict()
 
     return (read(*video) for video in sorted(files))

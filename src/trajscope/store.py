@@ -11,8 +11,9 @@ store instead of the raw files. One line per trajectory:
 "points" holds the rows of the trajectory's POINT_DTYPE array, in the
 array's field order, with flags as 0/1. Records are sorted, keys too, with
 no timestamps, so identical inputs produce byte-identical stores. The
-writer takes one video at a time and puts the files in place only once all
-are written, so a failed write leaves an earlier store as it was.
+writer takes one video at a time, with its ingest diagnostics, which the
+manifest lists for exactly the videos stored, and puts the files in place
+only once all are written, so a failed write leaves an earlier store as it was.
 
 The reader reads the layout the writer writes, and only that: each file in
 one pass, each line's record by `json.loads` with its points cut out, and
@@ -36,7 +37,7 @@ import json
 from contextlib import suppress
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,35 +75,28 @@ def _trajectory_record(traj: Trajectory) -> dict:
     }
 
 
-def write_store(
-    videos: Iterable[Sequence[Trajectory]] | Sequence[Trajectory],
-    store_dir,
-    diagnostics: Mapping[str, dict] | None = None,
-) -> dict:
+def write_store(videos: Iterable[tuple[Sequence[Trajectory], dict]], store_dir) -> dict:
     """Write one file per video, then the manifest, and return the manifest.
 
-    `videos` yields one video's trajectories at a time and is read lazily,
-    so a caller that builds each group on demand holds one video; a flat
-    sequence of trajectories is grouped first. `diagnostics` is read after
-    the last group. Files are written as `<name>.partial` and renamed into
-    place after the last group, the manifest last; on any error the partial
-    files and the directories this call made are removed, so an earlier
-    store is left as it was. Once the manifest is in place, every other
-    `.jsonl` or `.partial` file in `store_dir` is removed: a re-ingest leaves
-    only the videos it wrote.
+    `videos` yields one video at a time as a (trajectories, diagnostics)
+    pair and is read lazily, so a caller that builds each video on demand
+    holds one. A video's diagnostics go into the manifest under
+    "<scene>/<video>" exactly when its file is written; a video without
+    trajectories is skipped, diagnostics and all. Files are written as
+    `<name>.partial` and renamed into place after the last video, the
+    manifest last; on any error the partial files and the directories this
+    call made are removed, so an earlier store is left as it was. Once the
+    manifest is in place, every other `.jsonl` or `.partial` file in
+    `store_dir` is removed: a re-ingest leaves only the videos it wrote.
     """
-    if isinstance(videos, Sequence) and all(isinstance(t, Trajectory) for t in videos):
-        by_video: dict[tuple[str, str, str], list[Trajectory]] = {}
-        for traj in videos:
-            by_video.setdefault(traj.source.key(), []).append(traj)
-        videos = list(by_video.values())
     store_path = Path(store_dir)
     created = [p for p in (store_path, *store_path.parents) if not p.exists()]  # deepest first
     entries: dict[tuple[str, str, str], dict] = {}
+    diagnostics: dict[str, dict] = {}
     partials: list[Path] = []
     try:
         store_path.mkdir(parents=True, exist_ok=True)
-        for trajs in videos:
+        for trajs, diag in videos:
             if not trajs:
                 continue
             trajs = sorted(trajs, key=lambda t: (t.track_id, t.segment))
@@ -114,6 +108,7 @@ def write_store(
             if bad:
                 raise StructuralError(f"track {trajs[bad[0]].uid} of video {trajs[bad[0]].source.key()}: {bad[1]}")
             entries[key] = _entry(trajs[0].source, len(trajs), sum(len(t) for t in trajs))
+            diagnostics["/".join(key[1:])] = diag
             partials.append(store_path / f"{entries[key]['file']}.partial")
             with open(partials[-1], "w") as fh:
                 for traj in trajs:
@@ -125,7 +120,7 @@ def write_store(
         manifest = {
             "schema_version": STORE_SCHEMA_VERSION,
             "videos": [entries[key] for key in sorted(entries)],
-            "diagnostics": dict(diagnostics) if diagnostics else {},
+            "diagnostics": diagnostics,
         }
         partials.append(store_path / f"{MANIFEST_NAME}.partial")
         with open(partials[-1], "w") as fh:

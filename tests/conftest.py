@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -27,6 +27,15 @@ def make_traj(
         points["x"], points["y"] = np.asarray(coords, dtype=np.float64).T
     points["lost"] = lost
     return Trajectory(track_id=track_id, class_label=class_label, points=points, source=source)
+
+
+def by_video(trajectories: Iterable[Trajectory]) -> Iterator[tuple[list[Trajectory], dict]]:
+    """The trajectories as `write_store` takes them: one (trajectories, diagnostics)
+    pair per video, in order of first appearance, with no diagnostics."""
+    videos: dict[tuple[str, str, str], list[Trajectory]] = {}
+    for traj in trajectories:
+        videos.setdefault(traj.source.key(), []).append(traj)
+    return ((video, {}) for video in videos.values())
 
 
 def straight_line(

@@ -6,10 +6,11 @@ files read: a header row, then one row per scene (SDD) or per intersection
 (inD), in the order the CSV holds them. The answers come from what was
 planted, not from the code under test: which tracks have lost points at
 their start, strictly inside, or at their end, and how many tracks of each
-class each video holds, which two tracks come close, and which two track
-ids are one walk cut in two. The seed picks the
-rest (track lengths, first frames, positions, where each lost run falls,
-the row order in a file), and one seed always writes the same bytes.
+class each video holds, which two tracks come close, which two track
+ids are one walk cut in two, and which lost boxes walk on or freeze. The
+seed picks the rest (track lengths, first frames, positions, where each
+lost run falls, the row order in a file), and one seed always writes the
+same bytes.
 """
 from __future__ import annotations
 
@@ -258,3 +259,46 @@ def fragment_tree(root: Path, seed: int) -> dict:
     path.write_text("\n".join(rows) + "\n")
     max_gap, max_jump = FRAGMENT_GATES
     return {"cuts": sorted(cuts), "joins": sorted(c for c in cuts if c[2] <= max_gap and c[3] <= max_jump)}
+
+
+# The lost-walk video: walkers going straight at a constant integer velocity in
+# px per frame, in boxes of even width, so every centre, and every sample the
+# 30 fps annotations leave at 2.5 fps (one in twelve), is an integer. Each
+# walker is lost for one run of LOST_RUN frames strictly inside its track. A
+# Pedestrian's lost box keeps walking; a Biker's freezes at its last seen centre.
+# The run starts in the prediction half of the second 20-sample window (frame
+# 325 to 468 of the track), after more than one window's worth of frames, so
+# the constant-velocity predictor is exact on every window of straight walking,
+# and errs on that window of a frozen run.
+LOST_WALK_VIDEO = ("little", "video0")
+LOST_WALK_CLASSES = {"Pedestrian": 4, "Biker": 4}
+LOST_RUN = (60, 120)
+# the (lost policy, class) of the one `eval` row whose ADE is above 0; every
+# other row's ADE and FDE is exactly 0
+LOST_WALK_DRIFT = ("keep_lost", "Biker")
+
+
+def lost_walk_tree(root: Path, seed: int) -> dict:
+    """Write <root>/<scene>/<video>/annotations.txt for LOST_WALK_VIDEO and
+    return the `lost_stats` rows: every track lost strictly inside, and
+    nowhere else. The seed picks each walker's class, velocity, start, track
+    length, where its run starts and how long it is."""
+    rng = random.Random(seed)
+    velocities = [(vx, vy) for vx in range(-2, 3) for vy in range(-2, 3) if (vx, vy) != (0, 0)]
+    rows = []
+    labels = _classes(rng, LOST_WALK_CLASSES)
+    for track_id, label in enumerate(labels):
+        (vx, vy), x0, y0 = rng.choice(velocities), rng.randint(1500, 2500), rng.randint(1500, 2500)
+        first_frame, lost_from, run = rng.randint(0, 100), 240 + rng.randint(85, 228), rng.randint(*LOST_RUN)
+        for k in range(lost_from + run + rng.randint(120, 240)):
+            lost = lost_from <= k < lost_from + run
+            at = lost_from - 1 if lost and label == "Biker" else k
+            x, y, half = x0 + vx * at, y0 + vy * at, rng.randint(2, 20)
+            box = f"{x - half} {y - half} {x + half} {y + half}"
+            rows.append(f'{track_id} {box} {first_frame + k} {int(lost)} 0 0 "{label}"')
+    rng.shuffle(rows)
+    path = root.joinpath(*LOST_WALK_VIDEO, "annotations.txt")
+    path.parent.mkdir(parents=True)
+    path.write_text("\n".join(rows) + "\n")
+    header = ["scene", "n_trajectories", "pct_lost_start", "pct_lost_middle", "pct_lost_end"]
+    return {"lost_stats": [header, [LOST_WALK_VIDEO[0], str(len(labels)), "0.00", "100.00", "0.00"]]}

@@ -26,8 +26,8 @@ from trajscope.cli import load_run_config, main
 from trajscope.mi import DEFAULT_BANDWIDTHS, DEFAULT_N_MIN
 from trajscope.preprocess import LostPolicy, PreprocessConfig, preprocess_trajectory
 from trajscope.registry import load_registry
-from trajscope.store import load_store, videos
-from trajscope.types import ConfigError, MIConfig, scene_diagonal
+from trajscope.store import load_store, videos, write_store
+from trajscope.types import POINT_DTYPE, ConfigError, MIConfig, SourceRef, Trajectory, scene_diagonal
 
 
 def sdd_row(tid: int, x: int, y: int, frame: int, lost: int = 0, label: str = "Pedestrian") -> str:
@@ -108,6 +108,16 @@ def test_ingest_sdd_creates_store(workspace, capsys) -> None:
         "video1": 1,
     }
     assert "quad/video0" in manifest["diagnostics"]
+
+
+def test_an_empty_video_is_neither_stored_counted_nor_listed(workspace, capsys) -> None:
+    _, annotations, out, config = workspace
+    (annotations / "quad" / "video1" / "annotations.txt").write_text("")
+    assert run(["ingest", "--config", config]) == 0
+    assert capsys.readouterr().err == f"ingested 4 trajectories (1 videos) into {out / 'store'}\n"
+    manifest = json.loads((out / "store" / "manifest.json").read_text())
+    assert [v["video"] for v in manifest["videos"]] == ["video0"]
+    assert list(manifest["diagnostics"]) == ["quad/video0"]
 
 
 def test_ingest_missing_input_named_on_stderr(tmp_path, capsys) -> None:
@@ -495,6 +505,20 @@ def test_an_ind_recording_outside_every_intersection_is_a_stats_group_of_its_own
     ]
 
 
+def test_stats_on_an_ind_video_that_is_not_a_recording_number_is_one_error_line(tmp_path, capsys) -> None:
+    points = np.zeros(3, POINT_DTYPE)
+    points["frame"] = [0, 1, 2]
+    out = tmp_path / "out"
+    write_store([([Trajectory(0, "Car", points, SourceRef("ind", "location1", "abc"))], {})], out / "store")
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: ind\nout: {out}\n")
+    assert run(["stats", "--config", config]) == 1
+    *warnings, error = capsys.readouterr().err.splitlines()  # stats loads the registry first
+    assert error == "error: ind video 'abc' is not a recording number"
+    assert all(line.startswith("warning: sdd scene ") for line in warnings)
+    assert sorted(p.name for p in out.iterdir()) == ["store"]
+
+
 # --- stats ------------------------------------------------------------------------
 
 
@@ -556,7 +580,9 @@ def test_stats_writes_the_planted_rows(tmp_path, dataset, seed) -> None:
             assert list(csv.reader(fh)) == rows
 
 
-@pytest.mark.parametrize("write", [plant.sdd_tree, plant.ind_tree, plant.crossing_tree, plant.fragment_tree])
+@pytest.mark.parametrize(
+    "write", [plant.sdd_tree, plant.ind_tree, plant.crossing_tree, plant.fragment_tree, plant.lost_walk_tree]
+)
 def test_a_planted_tree_is_the_same_bytes_for_one_seed(tmp_path, write) -> None:
     def files(root: Path) -> dict:
         return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -608,6 +634,27 @@ def test_split_candidates_are_the_planted_cuts_inside_the_gates(tmp_path, seed) 
     assert key == ("sdd", *plant.FRAGMENT_VIDEO)
     candidates = detect_split_candidates(trajectories)
     assert sorted((c.predecessor, c.successor, c.frame_gap, c.spatial_gap) for c in candidates) == planted["joins"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_eval_scores_the_planted_lost_walks_under_each_lost_policy(tmp_path, seed) -> None:
+    expected = plant.lost_walk_tree(tmp_path / "raw", seed)
+    out = tmp_path / "out"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: sdd\ninputs: [{tmp_path / 'raw'}]\nout: {out}\nexport_format: csv\n")
+    assert run(["ingest", "--config", config]) == 0
+    assert run(["stats", "--config", config]) == 0
+    with open(out / "reports" / "lost_stats.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == expected["lost_stats"]
+    policies = ("keep_lost", "filter_keep_first", "filter_keep_all")
+    assert run(["eval", "--config", config, "--lost-policy", ",".join(policies)]) == 0
+    with open(out / "reports" / "eval.csv", newline="") as fh:
+        errors = {(row["config"], row["group"]): (float(row["ade"]), float(row["fde"])) for row in csv.DictReader(fh)}
+    assert sorted(errors) == sorted((p, g) for p in policies for g in ("all", "Pedestrian", "Biker"))
+    for (policy, group), (ade, fde) in errors.items():
+        if group != "all" and (policy, group) != plant.LOST_WALK_DRIFT:
+            assert ade == fde == 0, (policy, group)
+    assert errors[plant.LOST_WALK_DRIFT][0] > 0
 
 
 @pytest.mark.parametrize("first, then", [("both", "csv"), ("both", "jsonl"), ("csv", "jsonl")])
@@ -1208,6 +1255,18 @@ def test_aim_that_overflows_is_one_error_line_and_no_output(workspace, capsys, r
     # a numpy warning would be an error here (pyproject's filterwarnings)
     assert run(["aim", "--config", config, *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "aim").exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["--pair", "0,1"]], ids=["top-k", "pair"])
+def test_a_bandwidth_whose_cells_overflow_is_one_error_line_and_no_output(workspace, capsys, argv) -> None:
+    _, _, out, config = workspace
+    assert run(["ingest", "--config", config]) == 0
+    config.write_text(config.read_text().replace("  n_min: 6", "  n_min: 6\n  bandwidths: [1.0e-320]"))
+    capsys.readouterr()
+    # a numpy warning would be an error here (pyproject's filterwarnings)
+    assert run(["aim", "--config", config, *argv]) == 1
+    assert capsys.readouterr().err == "error: x coordinates overflow when divided by bandwidth 1e-320\n"
     assert not (out / "aim").exists()
 
 

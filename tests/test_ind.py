@@ -116,6 +116,21 @@ def test_unknown_class_rejected() -> None:
     assert "tram" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "meta_rows, line_no, first",
+    [
+        (["7,0,0,0,1,pedestrian\n", "7,0,0,0,1,car\n"], 3, 2),
+        (["7,0,0,0,1,car\n", "7,1,0,0,1,car\n", "7,0.0,0,0,1,car\n"], 4, 2),
+    ],
+    ids=["class-changes", "same-id-spelled-as-a-decimal"],
+)
+def test_a_track_listed_twice_in_tracks_meta_is_a_parse_error(tmp_path, meta_rows, line_no, first) -> None:
+    paths = write_recording(tmp_path, ["7,0,0,0,1,1,0\n", "7,1,0,0,1,1,0\n"], meta_rows)
+    with pytest.raises(ParseError) as err:
+        parse_ind_tracks(*paths)
+    assert str(err.value) == f"{paths[1]}:{line_no}: track 0 is listed twice (first at line {first})"
+
+
 def test_missing_meta_row() -> None:
     tracks, meta, rec = build(["7,0,0,0,1,1,0\n", "7,1,0,0,1,1,0\n"], ["7,0,0,0,1,car\n"])
     with pytest.raises(StructuralError) as err:
@@ -511,18 +526,22 @@ def test_non_utf8_byte_deep_in_large_tracks_names_its_line(tmp_path) -> None:
     assert str(err.value) == f"{paths[0]}:4321: not valid UTF-8 (byte 0xff)"
 
 
-def test_read_videos_reads_recordings_in_path_order_and_claims_each_after_parsing(tmp_path) -> None:
+def test_read_videos_reads_recordings_in_path_order_and_claims_each_after_parsing(tmp_path, monkeypatch) -> None:
     for name in "abc":
         (tmp_path / name).mkdir()
     write_recording(tmp_path / "a", ["7,0,0,0,1,1,0\n"], ["7,0,0,0,1,car\n"])
-    write_recording(tmp_path / "b", [], [])  # no tracks: no video, no diagnostics
+    write_recording(tmp_path / "b", [], [])  # no tracks: nothing claimed
     write_recording(tmp_path / "c", ["7,0,0,0,1,1,0\n"], ["7,0,0,0,1,car\n"])
-    diagnostics: dict = {}
-    videos = ind.read_videos([tmp_path / "c", tmp_path / "b", tmp_path / "a"], diagnostics)
-    assert diagnostics == {}
-    assert [t.source.key() for t in next(videos)] == [("ind", "location1", "7")]
-    assert diagnostics == {"location1/7": {"tracks_file": "07_tracks.csv", "n_trajectories": 1}}
-    assert next(videos) == []
+    parsed = []
+    parse = ind.parse_ind_tracks
+    monkeypatch.setattr(ind, "parse_ind_tracks", lambda *paths: parsed.append(paths[0].parent.name) or parse(*paths))
+    videos = ind.read_videos([tmp_path / "c", tmp_path / "b", tmp_path / "a"])
+    assert parsed == []
+    trajectories, diagnostics = next(videos)
+    assert parsed == ["a"]
+    assert [t.source.key() for t in trajectories] == [("ind", "location1", "7")]
+    assert diagnostics == {"tracks_file": "07_tracks.csv", "n_trajectories": 1}
+    assert next(videos) == ([], {"tracks_file": "07_tracks.csv", "n_trajectories": 0})
     with pytest.raises(ConfigError) as err:
         next(videos)
     first, second = (tmp_path / name / "07_tracks.csv" for name in ("a", "c"))

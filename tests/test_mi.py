@@ -369,6 +369,38 @@ def test_state_checks_its_settings_as_the_prefix_functions_do(bad) -> None:
     assert str(state_err.value) == str(series_err.value)
 
 
+@pytest.mark.parametrize(
+    "bandwidths, x, y, message",
+    [
+        ((1e-320,), 1.0, 2.0, "x coordinates overflow when divided by bandwidth 1e-320"),
+        ((8.0, 1e-320), 0.0, (0.0, -2.0), "y coordinates overflow when divided by bandwidth 1e-320"),
+        ((0.5,), -1.7976931348623157e308, 0.0, "x coordinates overflow when divided by bandwidth 0.5"),
+    ],
+    ids=["x", "y-vector-second-bandwidth", "largest-double"],
+)
+def test_a_bandwidth_whose_cells_overflow_is_one_domain_error_on_every_path(bandwidths, x, y, message) -> None:
+    config = MIConfig(bandwidths=bandwidths, n_min=2)
+    st = HashMIState(config=config)
+    with pytest.raises(DomainError) as err:
+        st.push(x, y)
+    messages = [str(err.value)]
+    assert st.n == 0 and not any(st.x_counts + st.y_counts + st.joint_counts)
+    for fn in (mi_prefix_series, mi_prefix_bound):
+        with pytest.raises(DomainError) as err:
+            fn([(x, y)] * 3, [2, 3], config=config)
+        messages.append(str(err.value))
+    assert messages == [message] * 3
+
+
+def test_cells_just_inside_the_float_range_count_alike_on_both_paths() -> None:
+    config = MIConfig(bandwidths=(1e-300, 1.0), n_min=2)
+    pairs = [(1e8 * (-1) ** i, float(i % 3)) for i in range(6)]  # x / 1e-300 is 1e308
+    st = HashMIState(config=config)
+    for x, y in pairs:
+        st.push(x, y)
+    assert mi_prefix_series(pairs, [6], config=config) == [(6, st.estimate())]
+
+
 @pytest.mark.parametrize("value", ["abc", None, [1.0, None], {"x": 1.0}])
 def test_push_rejects_a_sample_that_is_not_numbers(value) -> None:
     st = HashMIState()

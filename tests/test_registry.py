@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from trajscope.registry import default_registry_path, load_registry
-from trajscope.types import ConfigError, ParseError
+from trajscope.types import ConfigError, ParseError, StructuralError
 
 # The shipped registry is curated metadata; these are its load-bearing facts.
 EXPECTED_SPLITS = {
@@ -84,6 +84,9 @@ def test_intersection_groups(registry) -> None:
     # a recording outside every range is a group of its own
     assert registry.intersection_of(40) == "40-40"
     assert registry.intersection_of("41") == "41-41"
+    with pytest.raises(StructuralError) as err:
+        registry.intersection_of("abc")
+    assert str(err.value) == "ind video 'abc' is not a recording number"
 
 
 def test_curated_quirks_surface_as_warnings(registry) -> None:

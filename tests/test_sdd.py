@@ -713,21 +713,20 @@ def test_read_videos_parses_one_file_per_video_as_each_is_asked_for(tmp_path, mo
     parsed = []
     parse = sdd.parse_sdd_annotations
     monkeypatch.setattr(sdd, "parse_sdd_annotations", lambda path: parsed.append(path) or parse(path))
-    diagnostics: dict = {}
-    videos = sdd.read_videos([root], diagnostics)
-    assert parsed == [] and diagnostics == {}
+    videos = sdd.read_videos([root])
+    assert parsed == []
     for video in ("video0", "video1"):
-        trajectories = next(videos)
+        trajectories, diagnostics = next(videos)
         assert parsed[-1] == root / "quad" / video / "annotations.txt"
         assert {t.source.key() for t in trajectories} == {("sdd", "quad", video)}
-        assert list(diagnostics)[-1] == f"quad/{video}"
+        assert diagnostics["tracks"] == len(trajectories)
     assert next(videos, None) is None
     assert len(parsed) == 2
 
     # every file is claimed before the first is read
     other = write_sdd_tree(tmp_path / "b")
     with pytest.raises(ConfigError) as err:
-        sdd.read_videos([root, other], {})
+        sdd.read_videos([root, other])
     first, second = (tree / "quad" / "video0" / "annotations.txt" for tree in (root, other))
     assert str(err.value) == f"two input files for video quad/video0: {first} and {second}"
     assert len(parsed) == 2

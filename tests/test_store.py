@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_traj
+from conftest import by_video, make_traj
 from trajscope import store as store_module
 from trajscope.store import load_manifest, load_store, write_store
 from trajscope.types import POINT_DTYPE, SourceRef, StructuralError, Trajectory
@@ -55,7 +55,7 @@ def sample_trajectories():
 
 def test_store_roundtrip(tmp_path) -> None:
     trajs = sample_trajectories()
-    write_store(trajs, tmp_path / "store")
+    write_store(by_video(trajs), tmp_path / "store")
     loaded = load_store(tmp_path / "store")
     assert len(loaded) == len(trajs)
     by_key = {(t.source.key(), t.uid): t for t in loaded}
@@ -67,7 +67,8 @@ def test_store_roundtrip(tmp_path) -> None:
 
 
 def test_store_layout_and_manifest(tmp_path) -> None:
-    write_store(sample_trajectories(), tmp_path / "store", diagnostics={"quad/video0": {"rows": 5}})
+    (video0, _), (video1, _) = by_video(sample_trajectories())
+    write_store([(video0, {"rows": 5}), (video1, {})], tmp_path / "store")
     names = sorted(p.name for p in (tmp_path / "store").iterdir())
     assert names == [
         "manifest.json",
@@ -80,7 +81,7 @@ def test_store_layout_and_manifest(tmp_path) -> None:
     assert set(videos) == {"video0", "video1"}
     assert videos["video0"]["n_trajectories"] == 3
     assert videos["video0"]["n_points"] == 6
-    assert manifest["diagnostics"] == {"quad/video0": {"rows": 5}}
+    assert manifest["diagnostics"] == {"quad/video0": {"rows": 5}, "quad/video1": {}}
     # one record per trajectory, valid JSON each
     lines = (tmp_path / "store" / "sdd__quad__video0.jsonl").read_text().splitlines()
     assert len(lines) == 3
@@ -89,8 +90,8 @@ def test_store_layout_and_manifest(tmp_path) -> None:
 
 def test_store_deterministic_bytes(tmp_path) -> None:
     trajs = sample_trajectories()
-    write_store(trajs, tmp_path / "a")
-    write_store(list(reversed(trajs)), tmp_path / "b")
+    write_store(by_video(trajs), tmp_path / "a")
+    write_store(by_video(reversed(trajs)), tmp_path / "b")
     for name in ("manifest.json", "sdd__quad__video0.jsonl", "sdd__quad__video1.jsonl"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -102,7 +103,7 @@ def test_load_store_missing(tmp_path) -> None:
 
 
 def test_load_store_rejects_corrupt_record(tmp_path) -> None:
-    write_store(sample_trajectories(), tmp_path / "store")
+    write_store(by_video(sample_trajectories()), tmp_path / "store")
     victim = tmp_path / "store" / "sdd__quad__video1.jsonl"
     victim.write_text('{"not": "a trajectory"}\n')
     with pytest.raises(StructuralError) as err:
@@ -110,9 +111,11 @@ def test_load_store_rejects_corrupt_record(tmp_path) -> None:
     assert "video1" in str(err.value)
 
 
-def test_write_store_empty_is_error(tmp_path) -> None:
-    with pytest.raises(StructuralError):
-        write_store([], tmp_path / "store")
+@pytest.mark.parametrize("videos", [[], [([], {"rows": 0})]], ids=["no-video", "an-empty-video"])
+def test_write_store_empty_is_error(tmp_path, videos) -> None:
+    with pytest.raises(StructuralError, match="refusing to write an empty store"):
+        write_store(videos, tmp_path / "store")
+    assert not (tmp_path / "store").exists()
 
 
 def test_write_store_takes_one_group_per_video_lazily(tmp_path) -> None:
@@ -120,16 +123,19 @@ def test_write_store_takes_one_group_per_video_lazily(tmp_path) -> None:
     read = []
 
     def videos():
-        for group in ([trajs[2]], [trajs[0], trajs[1], trajs[3]]):  # video1 first
+        # video1 first, and an empty video, which is neither stored nor listed
+        for group, diag in (([trajs[2]], {"rows": 2}), ([], {"rows": 0}), ([trajs[0], trajs[1], trajs[3]], {})):
             read.append(len(group))
-            yield group
+            yield group, diag
 
-    write_store(videos(), tmp_path / "lazy", diagnostics={"quad/video0": {"rows": 5}})
-    write_store(trajs, tmp_path / "flat", diagnostics={"quad/video0": {"rows": 5}})
-    assert read == [1, 3]
-    names = sorted(p.name for p in (tmp_path / "flat").iterdir())
+    manifest = write_store(videos(), tmp_path / "lazy")
+    assert read == [1, 0, 3]
+    assert manifest["diagnostics"] == {"quad/video1": {"rows": 2}, "quad/video0": {}}
+    assert [entry["video"] for entry in manifest["videos"]] == ["video0", "video1"]
+    write_store([([trajs[0], trajs[1], trajs[3]], {}), ([trajs[2]], {"rows": 2})], tmp_path / "eager")
+    names = sorted(p.name for p in (tmp_path / "eager").iterdir())
     for name in names:
-        assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "flat" / name).read_bytes()
+        assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "eager" / name).read_bytes()
     assert sorted(p.name for p in (tmp_path / "lazy").iterdir()) == names
 
 
@@ -147,7 +153,7 @@ def test_write_store_takes_one_group_per_video_lazily(tmp_path) -> None:
 def test_write_store_rejects_a_video_split_or_mixed_across_groups(tmp_path, groups, message) -> None:
     trajs = sample_trajectories()
     with pytest.raises(StructuralError) as err:
-        write_store(([trajs[i] for i in group] for group in groups), tmp_path / "a" / "store")
+        write_store((([trajs[i] for i in group], {}) for group in groups), tmp_path / "a" / "store")
     assert str(err.value) == message
     assert not (tmp_path / "a").exists()
 
@@ -155,11 +161,11 @@ def test_write_store_rejects_a_video_split_or_mixed_across_groups(tmp_path, grou
 def test_write_store_failure_leaves_an_earlier_store_as_it_was(tmp_path) -> None:
     trajs = sample_trajectories()
     store = tmp_path / "store"
-    write_store(trajs, store)
+    write_store(by_video(trajs), store)
     before = {p.name: p.read_bytes() for p in store.iterdir()}
 
     def videos():
-        yield [trajs[2]]
+        yield [trajs[2]], {}
         raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
@@ -170,12 +176,12 @@ def test_write_store_failure_leaves_an_earlier_store_as_it_was(tmp_path) -> None
 def test_a_rewrite_leaves_only_the_files_of_its_own_videos(tmp_path) -> None:
     trajs = sample_trajectories()
     store = tmp_path / "store"
-    write_store(trajs, store)
+    write_store(by_video(trajs), store)
     (store / "sdd__quad__video7.jsonl.partial").write_text("left by a killed write\n")
     (store / "notes.txt").write_text("not a store file\n")
     fresh = tmp_path / "fresh"
-    write_store([trajs[2]], fresh)  # video1 alone
-    write_store([trajs[2]], store)
+    write_store(by_video([trajs[2]]), fresh)  # video1 alone
+    write_store(by_video([trajs[2]]), store)
     assert sorted(p.name for p in store.iterdir()) == ["manifest.json", "notes.txt", "sdd__quad__video1.jsonl"]
     assert all((store / p.name).read_bytes() == p.read_bytes() for p in fresh.iterdir())
 
@@ -191,7 +197,7 @@ def test_a_rewrite_leaves_only_the_files_of_its_own_videos(tmp_path) -> None:
     ],
 )
 def test_load_store_rejects_missing_or_other_schema_version(tmp_path, manifest) -> None:
-    write_store(sample_trajectories(), tmp_path / "store")
+    write_store(by_video(sample_trajectories()), tmp_path / "store")
     (tmp_path / "store" / "manifest.json").write_text(manifest)
     with pytest.raises(StructuralError) as err:
         load_store(tmp_path / "store")
@@ -200,7 +206,7 @@ def test_load_store_rejects_missing_or_other_schema_version(tmp_path, manifest) 
 
 
 def test_load_store_rejects_manifest_without_video_list(tmp_path) -> None:
-    write_store(sample_trajectories(), tmp_path / "store")
+    write_store(by_video(sample_trajectories()), tmp_path / "store")
     (tmp_path / "store" / "manifest.json").write_text('{"schema_version": 1}')
     with pytest.raises(StructuralError) as err:
         load_store(tmp_path / "store")
@@ -208,7 +214,7 @@ def test_load_store_rejects_manifest_without_video_list(tmp_path) -> None:
 
 
 def test_load_store_rejects_non_increasing_frames(tmp_path) -> None:
-    write_store(sample_trajectories(), tmp_path / "store")
+    write_store(by_video(sample_trajectories()), tmp_path / "store")
     victim = tmp_path / "store" / "sdd__quad__video1.jsonl"
     record = json.loads(victim.read_text())
     record["points"].reverse()  # frames 1, 0
@@ -275,7 +281,7 @@ MANIFEST_REFUSED = {
 @pytest.mark.parametrize("change, message", list(MANIFEST_REFUSED.values()), ids=list(MANIFEST_REFUSED))
 def test_a_manifest_the_writer_cannot_write_is_one_error_naming_it(tmp_path, change, message) -> None:
     store = tmp_path / "store"
-    write_store(sample_trajectories(), store)
+    write_store(by_video(sample_trajectories()), store)
     _edit_manifest(store, lambda videos: change(store, videos))
     with pytest.raises(StructuralError) as err:
         load_store(store)
@@ -283,7 +289,7 @@ def test_a_manifest_the_writer_cannot_write_is_one_error_naming_it(tmp_path, cha
 
 
 def test_the_video_list_is_checked_before_any_data_file_is_opened(tmp_path) -> None:
-    write_store(sample_trajectories(), tmp_path)
+    write_store(by_video(sample_trajectories()), tmp_path)
     (tmp_path / "sdd__quad__video0.jsonl").write_text("not a store line\n")
     _edit_manifest(tmp_path, lambda videos: videos.append(videos[1]))
     with pytest.raises(StructuralError, match="manifest.json: video .* does not follow"):
@@ -292,7 +298,7 @@ def test_the_video_list_is_checked_before_any_data_file_is_opened(tmp_path) -> N
 
 def test_videos_yields_each_video_once_in_key_order_from_one_load(tmp_path, monkeypatch) -> None:
     trajs = sample_trajectories()
-    write_store(trajs, tmp_path)
+    write_store(by_video(trajs), tmp_path)
     loads = []
     monkeypatch.setattr(store_module, "load_store", lambda store_dir: loads.append(store_dir) or load_store(store_dir))
     got = list(store_module.videos(tmp_path))
@@ -347,7 +353,7 @@ def test_store_roundtrip_is_exact(tmp_path_factory, arrays) -> None:
         Trajectory(track_id=i, class_label="Biker", points=points, source=SourceRef("sdd", "quad", f"video{i % 2}"))
         for i, points in enumerate(arrays)
     ]
-    write_store(trajs, store)
+    write_store(by_video(trajs), store)
     loaded = load_store(store)
     reference = reference_load_store(store)
     assert [(t.source, t.track_id) for t in loaded] == [(t.source, t.track_id) for t in reference]
@@ -429,7 +435,7 @@ CORRUPT_LINES.update({name: corrupt for name, (corrupt, _) in REFUSED_CONTENT.it
 
 @pytest.mark.parametrize("corrupt", list(CORRUPT_LINES.values()), ids=list(CORRUPT_LINES))
 def test_a_corrupt_line_is_a_structural_error_naming_the_file(tmp_path, corrupt) -> None:
-    write_store(sample_trajectories(), tmp_path)
+    write_store(by_video(sample_trajectories()), tmp_path)
     victim = tmp_path / "sdd__quad__video0.jsonl"
     lines = victim.read_text().splitlines()
     lines[1] = corrupt(lines[1])
@@ -443,7 +449,7 @@ def test_a_corrupt_line_is_a_structural_error_naming_the_file(tmp_path, corrupt)
 
 @pytest.mark.parametrize("corrupt, message", list(REFUSED_CONTENT.values()), ids=list(REFUSED_CONTENT))
 def test_content_the_writer_cannot_write_is_refused_at_its_line(tmp_path, corrupt, message) -> None:
-    write_store(sample_trajectories(), tmp_path)
+    write_store(by_video(sample_trajectories()), tmp_path)
     victim = tmp_path / "sdd__quad__video0.jsonl"
     lines = victim.read_text().splitlines()
     lines[1] = corrupt(lines[1])
@@ -454,7 +460,7 @@ def test_content_the_writer_cannot_write_is_refused_at_its_line(tmp_path, corrup
 
 
 def test_two_swapped_lines_are_refused_at_the_second(tmp_path) -> None:
-    write_store(sample_trajectories(), tmp_path)
+    write_store(by_video(sample_trajectories()), tmp_path)
     victim = tmp_path / "sdd__quad__video0.jsonl"
     lines = victim.read_text().splitlines()
     victim.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
@@ -464,7 +470,7 @@ def test_two_swapped_lines_are_refused_at_the_second(tmp_path) -> None:
 
 
 def test_a_file_with_two_faults_is_refused_at_its_first_faulty_line(tmp_path) -> None:
-    write_store(sample_trajectories(), tmp_path)
+    write_store(by_video(sample_trajectories()), tmp_path)
     victim = tmp_path / "sdd__quad__video0.jsonl"
     lines = victim.read_text().splitlines()
     lines[0] = lines[0].replace("[0, 0.5,", "[0, NaN,")
@@ -476,7 +482,7 @@ def test_a_file_with_two_faults_is_refused_at_its_first_faulty_line(tmp_path) ->
 
 
 def test_each_store_file_is_read_in_one_pass(tmp_path, monkeypatch) -> None:
-    write_store(sample_trajectories(), tmp_path)
+    write_store(by_video(sample_trajectories()), tmp_path)
     victim = tmp_path / "sdd__quad__video1.jsonl"
     victim.write_text(victim.read_text().replace("[1, 4.0,", "[1, four,"))  # the last point of the last file
     opened = []
@@ -494,7 +500,7 @@ def test_frames_at_the_ends_of_int64_load(tmp_path) -> None:
     # their difference is beyond int64, so the check compares frames rather than subtracting them
     points = np.zeros(2, POINT_DTYPE)
     points["frame"] = [np.iinfo(np.int64).min, np.iinfo(np.int64).max]
-    write_store([Trajectory(1, "Biker", points, SourceRef("sdd", "quad", "video0"))], tmp_path)
+    write_store(by_video([Trajectory(1, "Biker", points, SourceRef("sdd", "quad", "video0"))]), tmp_path)
     assert load_store(tmp_path)[0].points.tobytes() == points.tobytes()
 
 
@@ -503,7 +509,7 @@ def test_write_store_refuses_a_non_finite_point_and_leaves_no_file(tmp_path, val
     trajs = sample_trajectories()
     trajs[3].points["y"][0] = value
     with pytest.raises(StructuralError) as err:
-        write_store(trajs, tmp_path / "a" / "store")
+        write_store(by_video(trajs), tmp_path / "a" / "store")
     assert str(err.value) == "track 2.2 of video ('sdd', 'quad', 'video0'): a coordinate that is not finite"
     assert not (tmp_path / "a").exists()
 
@@ -571,7 +577,7 @@ def test_write_store_refuses_what_load_store_refuses_and_leaves_no_file(tmp_path
     trajs = change(sample_trajectories())
     video1 = [t for t in trajs if t.source.video == "video1"]
     with pytest.raises(StructuralError) as err:
-        write_store([video1, [t for t in trajs if t.source.video == "video0"]], tmp_path / "a" / "store")
+        write_store(by_video(video1 + [t for t in trajs if t.source.video == "video0"]), tmp_path / "a" / "store")
     assert str(err.value) == message
     assert not (tmp_path / "a").exists()
 
@@ -586,7 +592,7 @@ def test_load_peak_is_a_small_multiple_of_the_arrays(tmp_path) -> None:
             points["x"], points["y"] = rng.uniform(0, 2000, (2, 1000)).round(1)
             points["lost"] = rng.random(1000) < 0.1
             trajs.append(Trajectory(track, "Pedestrian", points, SourceRef("sdd", "quad", f"video{video}")))
-    write_store(trajs, tmp_path)
+    write_store(by_video(trajs), tmp_path)
     load_store(tmp_path)  # first-call caches
     loaded: list[list[Trajectory]] = []
     tracemalloc.start()
